@@ -5,16 +5,17 @@ Each layer computes
     Z' = MSA(LN(Z)) + Z
     Z  = MLP(LN(Z')) + Z'
 
-with no dropout and no final LN by default. Attention weights can be
-captured per layer and head for map extraction.
+with no dropout and no final LN by default. The heads of a layer run as
+one batched attention over [B, H, S, D/H] tensors. Attention weights can
+be captured per layer and head for map extraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ndtensor import (Tensor, add, concat, gelu, layer_norm, matmul, slice_axis,
-                       smul, softmax_rows, transpose_last)
+from .ndtensor import (Tensor, add, attention_probs, gelu, layer_norm, linear,
+                       matmul, merge_heads, split_heads)
 
 
 @dataclass
@@ -45,41 +46,28 @@ class AttentionRecord:
 
 
 def scaled_attention(q, k, v, scale, record=False):
-    """softmax(Q K^T * scale) V for one head.
+    """softmax(Q K^T * scale) V, batched over any leading axes (heads included).
 
     Returns (output, attention weights as numpy or None).
     """
-    logits = smul(matmul(q, transpose_last(k)), scale)
-    attn = softmax_rows(logits)
+    attn = attention_probs(q, k, scale)
     out = matmul(attn, v)
     return out, (attn.data.copy() if record else None)
 
 
 def msa(z, layer, n_heads, scale, layer_idx=0, record=False):
     """Multi-head self-attention: m parallel heads, concatenated, re-projected."""
-    d = z.shape[-1]
-    dh = d // n_heads
-    q = matmul(z, layer.w_q)
-    k = matmul(z, layer.w_k)
-    v = matmul(z, layer.w_v)
-    outs = []
-    records = []
-    for h in range(n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        out, weights = scaled_attention(
-            slice_axis(q, -1, lo, hi), slice_axis(k, -1, lo, hi),
-            slice_axis(v, -1, lo, hi), scale, record=record)
-        outs.append(out)
-        if record:
-            records.append(AttentionRecord(layer=layer_idx, head=h, weights=weights))
-    merged = outs[0] if n_heads == 1 else concat(outs, axis=-1)
-    return matmul(merged, layer.w_o), records
+    q, k, v = (split_heads(matmul(z, w), n_heads) for w in (layer.w_q, layer.w_k, layer.w_v))
+    out, weights = scaled_attention(q, k, v, scale, record=record)
+    records = [AttentionRecord(layer=layer_idx, head=h, weights=weights[:, h])
+               for h in range(n_heads)] if record else []
+    return matmul(merge_heads(out), layer.w_o), records
 
 
 def mlp_block(z, layer):
     """Two linear layers (D -> 4D -> D) with GELU between, biases included."""
-    h = gelu(add(matmul(z, layer.mlp_w1), layer.mlp_b1))
-    return add(matmul(h, layer.mlp_w2), layer.mlp_b2)
+    h = gelu(linear(z, layer.mlp_w1, layer.mlp_b1))
+    return linear(h, layer.mlp_w2, layer.mlp_b2)
 
 
 def encoder_layer(z, layer, n_heads, scale, layer_idx=0, record=False):

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ndtensor import (Tensor, absolute, add, gelu, matmul, mean, reshape,
-                       slice_axis)
+from .ndtensor import Tensor, absolute, gelu, linear, mean, reshape, slice_axis
 
 
 @dataclass
@@ -36,8 +35,8 @@ def regress(pooled, head):
     Raw (possibly negative) values feed the loss; clamp at zero only when
     reporting final counts.
     """
-    h = gelu(add(matmul(pooled, head.w1), head.b1))
-    out = add(matmul(h, head.w2), head.b2)
+    h = gelu(linear(pooled, head.w1, head.b1))
+    out = linear(h, head.w2, head.b2)
     return reshape(out, (pooled.shape[0],))
 
 

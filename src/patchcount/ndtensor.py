@@ -50,7 +50,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "_consumed")
+                 "_consumed", "__weakref__")
 
     def __init__(self, data, requires_grad=False, dtype=np.float32):
         arr = np.asarray(data, dtype=dtype)
@@ -168,24 +168,27 @@ def smul(a, c):
     return _make(data, (a,), backward)
 
 
-def matmul(a, b):
-    """Batched matrix product over the last two axes.
-
-    Leading batch dimensions must match or be absent on one side.
-    """
+def _matmul_data(a, b):
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dimensions differ: {a.shape} x {b.shape}")
-    data = np.matmul(a.data, b.data)
+    return np.matmul(a.data, b.data)
 
-    def backward(g):
-        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
-    return _make(data, (a, b), backward)
+def _matmul_backward(a, b, g):
+    _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+    _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+
+
+def matmul(a, b):
+    """Batched matrix product over the last two axes.
+
+    Leading batch dimensions must match or be absent on one side.
+    """
+    return _make(_matmul_data(a, b), (a, b), lambda g: _matmul_backward(a, b, g))
 
 
 def transpose_last(a):
@@ -287,6 +290,80 @@ def softmax_rows(x):
     return _make(data, (x,), backward)
 
 
+def attention_probs(q, k, scale):
+    """Fused softmax(scale * Q K^T) over the last axis, batched like matmul.
+
+    The logits are scaled, shifted and normalised in place on the matmul
+    output, so only the probabilities are kept for backward. The float32
+    operations and their order are those of softmax_rows(smul(matmul(q,
+    transpose_last(k)), scale)).
+    """
+    if q.ndim < 2 or k.ndim != q.ndim or q.shape[:-2] != k.shape[:-2] \
+            or q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"attention_probs needs matching query/key shapes, got "
+                         f"{q.shape} and {k.shape}")
+    scale = float(scale)
+    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        dl = g * p
+        dot = dl.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=dl)
+        dl *= p
+        dl *= scale
+        _accum(q, np.matmul(dl, k.data))
+        _accum(k, np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), dl), -1, -2))
+
+    return _make(p, (q, k), backward)
+
+
+def split_heads(x, n_heads):
+    """[B, S, D] -> [B, H, S, D/H]: head h is feature slice [h*D/H, (h+1)*D/H).
+
+    The result is a view of x's buffer.
+    """
+    if x.ndim != 3 or x.shape[-1] % n_heads:
+        raise ShapeError(f"split_heads needs [B, S, D] with D divisible by {n_heads}, "
+                         f"got {x.shape}")
+    b, s, d = x.shape
+    data = x.data.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+    def backward(g):
+        _accum(x, np.swapaxes(g, 1, 2).reshape(x.shape))
+
+    return _make(data, (x,), backward)
+
+
+def merge_heads(x):
+    """[B, H, S, dh] -> [B, S, H*dh], the inverse of split_heads."""
+    if x.ndim != 4:
+        raise ShapeError(f"merge_heads needs [B, H, S, dh], got {x.shape}")
+    b, h, s, dh = x.shape
+    data = np.swapaxes(x.data, 1, 2).reshape(b, s, h * dh)
+
+    def backward(g):
+        _accum(x, np.swapaxes(g.reshape(b, s, h, dh), 1, 2))
+
+    return _make(data, (x,), backward)
+
+
+def linear(x, w, b):
+    """x @ w + b, with the bias added in place on the product."""
+    data = _matmul_data(x, w)
+    data = data.astype(np.result_type(data, b.data), copy=False)
+    data += b.data
+
+    def backward(g):
+        _accum(b, _unbroadcast(g, b.shape))
+        _matmul_backward(x, w, g)
+
+    return _make(data, (x, w, b), backward)
+
+
 def layer_norm(x, gamma, beta, eps=1e-6):
     """Normalize the last axis to mean 0 / population variance 1, then affine."""
     if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
@@ -315,17 +392,38 @@ def layer_norm(x, gamma, beta, eps=1e-6):
 
 
 def gelu(x):
-    """GELU via the tanh approximation."""
+    """GELU via the tanh approximation.
+
+    Runs in place on two buffers and keeps only tanh(u) for backward. Each
+    float32 operation has the operands and order of the plain formula
+    0.5 * x * (1 + tanh(sqrt(2/pi) * (x + C * x * x * x))).
+    """
+    x_ = x.data
     # multiplied out: float32 `** 3` goes through powf, ~25x slower, and
     # rounds however the numpy build's pow does
-    u = _SQRT_2_OVER_PI * (x.data + _GELU_C * x.data * x.data * x.data)
-    t = np.tanh(u)
-    data = 0.5 * x.data * (1.0 + t)
+    t = np.multiply(_GELU_C, x_)
+    t *= x_
+    t *= x_
+    np.add(x_, t, out=t)
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    data = np.multiply(0.5, x_)
+    data *= 1.0 + t
 
     def backward(g):
-        du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x.data ** 2)
-        dgelu = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t ** 2) * du
-        _accum(x, g * dgelu)
+        du = np.square(x_)
+        du *= 3.0 * _GELU_C
+        du += 1.0
+        du *= _SQRT_2_OVER_PI
+        dgelu = np.add(1.0, t)
+        dgelu *= 0.5
+        rest = np.square(t)
+        np.subtract(1.0, rest, out=rest)
+        rest *= 0.5 * x_  # 0.5 * x * (1 - t**2) * du
+        rest *= du
+        dgelu += rest
+        dgelu *= g
+        _accum(x, dgelu)
 
     return _make(data, (x,), backward)
 
@@ -337,8 +435,9 @@ def gelu(x):
 def backward(loss):
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
 
-    The recorded graph is consumed: a second backward through the same
-    forward pass raises instead of silently double-accumulating.
+    The recorded graph is consumed as it goes: each node drops its rule
+    and its parents once its rule has run, and a second backward through
+    the same forward pass raises instead of silently double-accumulating.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -364,7 +463,10 @@ def backward(loss):
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
+    while order:
+        # popped, so that a node's buffers are freed once its consumers and
+        # its own rule have run, not when the whole pass ends
+        node = order.pop()
         is_leaf = node._backward is None
         if not is_leaf and node.grad is not None:
             node._backward(node.grad)

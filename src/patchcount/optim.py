@@ -79,20 +79,43 @@ def adam_step(params, state):
     """One bias-corrected Adam update with decoupled weight decay.
 
     Decay is applied as theta -= lr * wd * theta before the Adam delta.
+    Every gradient is checked before anything changes, so a missing one
+    leaves the parameters and the state as they were. Parameters and
+    moments are updated in place through two scratch buffers shared by all
+    parameters; each float32 operation keeps the operands and order of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    p -= lr * (m/bc1) / (sqrt(v/bc2) + eps).
     """
-    state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
     for name, p in params.items():
         if p.grad is None:
             raise MissingGradError(f"parameter {name!r} has no gradient")
-        g = p.grad
+    state.t += 1
+    bc1 = 1.0 - state.beta1 ** state.t
+    bc2 = 1.0 - state.beta2 ** state.t
+    decay = np.float32(state.lr * state.weight_decay)
+    size = max((p.data.size for p in params.values()), default=0)
+    scratch = np.empty((2, size), dtype=np.float32)
+    for name, p in params.items():
+        g, m, v = p.grad, state.m[name], state.v[name]
+        a = scratch[0, :g.size].reshape(g.shape)
+        b = scratch[1, :g.size].reshape(g.shape)
         if state.weight_decay:
-            p.data = p.data - np.float32(state.lr * state.weight_decay) * p.data
-        m = state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        p.data = (p.data - state.lr * update).astype(np.float32)
+            np.multiply(decay, p.data, out=a)
+            p.data -= a
+        m *= state.beta1
+        np.multiply(1.0 - state.beta1, g, out=a)
+        m += a
+        v *= state.beta2
+        np.multiply(1.0 - state.beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += state.eps
+        np.divide(m, bc1, out=b)
+        b /= a
+        b *= state.lr
+        p.data -= b
 
 
 def batch_predictions(params, cfg, batch, record_attention=False):
@@ -109,6 +132,9 @@ def train_step(batch, params, cfg, state):
     """Forward, L1 loss, backward, Adam step. Returns the pre-step loss."""
     if batch.batch == 0:
         raise ValueError("empty batch")
+    # the old gradients go before the forward pass builds its graph
+    for p in params.values():
+        p.zero_grad()
     preds, _ = batch_predictions(params, cfg, batch)
     loss = l1_loss(preds, Tensor(batch.labels))
     loss_val = float(loss.data)
@@ -117,8 +143,6 @@ def train_step(batch, params, cfg, state):
         raise FloatingPointError(
             "non-finite training loss; max |activation| per layer: "
             + ", ".join(f"{k}={v:.3e}" for k, v in stats))
-    for p in params.values():
-        p.zero_grad()
     backward(loss)
     adam_step(params, state)
     return loss_val

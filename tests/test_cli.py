@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import patchcount
 from patchcount import patchio
 from patchcount.cli import ConfigError, main, parse_config
 
@@ -130,6 +133,25 @@ class TestCommands:
                        "--layers", "1", "--hidden-dim", "8", "--epochs", "2",
                        "--batch-size", "2", "--seed", "3", "--lr", "1e-3"])
             assert rc == 0
+            blobs.append(open(ckpt, "rb").read())
+        assert blobs[0] == blobs[1]
+
+    def test_checkpoint_bytes_independent_of_blas_threads(self, tmp_path):
+        data = str(tmp_path / "data")
+        main(["synth", "--out", data, "--n", "16", "--side", "64",
+              "--count-max", "20", "--seed", "5"])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(patchcount.__file__)))
+        blobs = []
+        for threads in ("1", "2"):
+            ckpt = str(tmp_path / f"t{threads}.tcwd")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = subprocess.run(
+                [sys.executable, "-m", "patchcount.cli", "train", "--data", data,
+                 "--out", ckpt, "--profile", "toy", "--epochs", "3", "--batch-size", "8",
+                 "--seed", "3", "--lr", "1e-2"],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert out.returncode == 0, out.stderr
             blobs.append(open(ckpt, "rb").read())
         assert blobs[0] == blobs[1]
 

@@ -5,6 +5,7 @@ layer formulas, written independently of the autodiff primitives.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +13,8 @@ import numpy.testing as npt
 from patchcount.encoder import (LayerParams, encode, encoder_layer, mlp_block,
                                 msa, scaled_attention)
 from patchcount.model import ModelConfig
-from patchcount.ndtensor import Tensor
+from patchcount.ndtensor import (Tensor, backward, concat, matmul, mean, mul,
+                                 slice_axis, smul, softmax_rows, transpose_last)
 
 
 def t(data):
@@ -133,6 +135,49 @@ class TestMSA:
         assert len(records) == 2
         assert records[0].layer == 1 and records[1].head == 1
         assert records[0].weights.shape == (2, 3, 3)
+
+
+def per_head_msa(z, layer, n_heads, scale):
+    """Unfused reference: a slice/softmax_rows/matmul chain per head, then concat."""
+    dh = z.shape[-1] // n_heads
+    q, k, v = (matmul(z, w) for w in (layer.w_q, layer.w_k, layer.w_v))
+    outs, weights = [], []
+    for h in range(n_heads):
+        q_h, k_h, v_h = (slice_axis(x, -1, h * dh, (h + 1) * dh) for x in (q, k, v))
+        attn = softmax_rows(smul(matmul(q_h, transpose_last(k_h)), scale))
+        outs.append(matmul(attn, v_h))
+        weights.append(attn.data)
+    return matmul(concat(outs, axis=-1), layer.w_o), weights
+
+
+class TestFusedMSA:
+    def test_bitwise_equal_to_per_head_composition(self):
+        rng = np.random.default_rng(16)
+        b, s, d, m = 2, 7, 16, 4
+        base = make_layer(rng, d, scale=0.5)
+        z0 = rng.normal(size=(b, s, d)).astype(np.float32)
+        w_loss = Tensor(rng.normal(size=(b, s, d)).astype(np.float32))
+        scale = 1.0 / np.sqrt(5.0)  # a numpy float64, as ModelConfig.attn_scale is
+        runs = []
+        for fused in (True, False):
+            layer = LayerParams(**{f.name: Tensor(getattr(base, f.name).data.copy(),
+                                                  requires_grad=True)
+                                   for f in fields(LayerParams)})
+            z = Tensor(z0.copy(), requires_grad=True)
+            if fused:
+                out, records = msa(z, layer, m, scale, record=True)
+                weights = [r.weights for r in records]
+            else:
+                out, weights = per_head_msa(z, layer, m, scale)
+            backward(mean(mul(out, w_loss)))
+            grads = [z.grad] + [getattr(layer, n).grad for n in ("w_q", "w_k", "w_v", "w_o")]
+            runs.append((out.data, weights, grads))
+        (out_f, weights_f, grads_f), (out_r, weights_r, grads_r) = runs
+        assert np.array_equal(out_f, out_r)
+        assert len(weights_f) == m
+        assert all(np.array_equal(a, b) for a, b in zip(weights_f, weights_r))
+        for a, b in zip(grads_f, grads_r):
+            assert np.array_equal(a, b)
 
 
 class TestMLP:

@@ -1,14 +1,18 @@
 """Tensor-core unit tests: op contracts, backward rules, grad checking."""
 
+import math
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from patchcount import ndtensor as nd
 from patchcount.ndtensor import (GraphError, ShapeError, Tensor, absolute, add,
-                                 backward, concat, gelu, grad_check, layer_norm,
-                                 matmul, mean, mul, reshape, slice_axis, smul,
-                                 softmax_rows, sum_axis, transpose_last)
+                                 attention_probs, backward, concat, gelu, grad_check,
+                                 layer_norm, linear, matmul, mean, merge_heads, mul,
+                                 reshape, slice_axis, smul, softmax_rows,
+                                 split_heads, sum_axis, transpose_last)
 
 
 def t(data, rg=False):
@@ -99,6 +103,21 @@ class TestGelu:
     def test_zero_asymptote(self):
         npt.assert_allclose(gelu(t([-10.0])).data, [0.0], atol=1e-4)
 
+    def test_in_place_matches_plain_formula_bitwise(self):
+        rng = np.random.default_rng(6)
+        x = np.concatenate([np.linspace(-12.0, 12.0, 2001),
+                            rng.normal(scale=3.0, size=999)]).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        c = math.sqrt(2.0 / math.pi)
+        th = np.tanh(c * (x + 0.044715 * x * x * x))
+        du = c * (1.0 + 3.0 * 0.044715 * x ** 2)
+        xt = t(x, rg=True)
+        out = gelu(xt)
+        out._backward(g)
+        assert np.array_equal(out.data, 0.5 * x * (1.0 + th))
+        assert np.array_equal(xt.grad, g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th ** 2) * du))
+        assert np.array_equal(x, xt.data)  # the input is not overwritten
+
     def test_monotone_on_grid(self):
         # gelu dips slightly below x ~ -0.75; nondecreasing to the right of it
         x = np.linspace(-0.7, 6, 241).astype(np.float32)
@@ -141,6 +160,28 @@ class TestBackward:
         backward(mean(x))
         npt.assert_allclose(x.grad, [1.0, 1.0])
 
+    def test_consumed_intermediate_freed_before_nearer_rules(self):
+        # x -> a = probe(x) -> b = smul(a) -> loss: once b's rule has run,
+        # nothing keeps b, so it is gone before the probe's rule runs
+        alive = []
+
+        def probe(x):
+            def rule(g):
+                alive.append(ref() is not None)
+                nd._accum(x, g)
+            return nd._make(x.data.copy(), (x,), rule)
+
+        def build(x):
+            b = smul(probe(x), 3.0)
+            return mean(b), weakref.ref(b)
+
+        x = t([1.0, 2.0], rg=True)
+        loss, ref = build(x)
+        assert ref() is not None
+        backward(loss)
+        assert alive == [False]
+        npt.assert_allclose(x.grad, [1.5, 1.5])
+
     def test_finite_outputs(self):
         rng = np.random.default_rng(5)
         x = t(rng.normal(size=(4, 4)), rg=True)
@@ -171,19 +212,43 @@ PRIMITIVES = [
     ("layer_norm", (4, 5), lambda p: layer_norm(
         p, Tensor(np.linspace(0.5, 1.5, 5)), Tensor(np.linspace(-1, 1, 5)))),
     ("abs", (4, 5), lambda p: absolute(p)),
+    ("split_heads", (2, 3, 4), lambda p: split_heads(p, 2)),
+    ("merge_heads", (2, 2, 3, 2), lambda p: merge_heads(p)),
+    ("attention_probs_q", (2, 2, 3, 4), lambda p: attention_probs(
+        p, Tensor(np.random.default_rng(3).normal(size=(2, 2, 5, 4))), 0.7)),
+    ("attention_probs_k", (2, 2, 5, 4), lambda p: attention_probs(
+        Tensor(np.random.default_rng(4).normal(size=(2, 2, 3, 4))), p, 0.7)),
+    ("linear_x", (2, 4, 5), lambda p: linear(
+        p, Tensor(np.random.default_rng(5).normal(size=(5, 3))), Tensor(np.arange(3.0)))),
+    ("linear_w", (5, 3), lambda p: linear(
+        Tensor(np.random.default_rng(6).normal(size=(2, 4, 5))), p, Tensor(np.arange(3.0)))),
+    ("linear_b", (3,), lambda p: linear(
+        Tensor(np.random.default_rng(7).normal(size=(2, 4, 5))),
+        Tensor(np.random.default_rng(8).normal(size=(5, 3))), p)),
 ]
+
+
+def _primitive_params(name, shape):
+    rng = np.random.default_rng(hash(name) % 2**32)
+    data = rng.normal(size=shape).astype(np.float32)
+    if name == "abs":
+        data = data + np.sign(data)  # keep away from the kink at 0
+    return Tensor(data, requires_grad=True)
 
 
 class TestGradCheck:
     @pytest.mark.parametrize("name,shape,op", PRIMITIVES, ids=[p[0] for p in PRIMITIVES])
     def test_primitive_gradients(self, name, shape, op):
-        rng = np.random.default_rng(hash(name) % 2**32)
-        data = rng.normal(size=shape).astype(np.float32)
-        if name == "abs":
-            data = data + np.sign(data)  # keep away from the kink at 0
-        params = Tensor(data, requires_grad=True)
+        params = _primitive_params(name, shape)
         err = grad_check(lambda p: _weighted_sum(op(p)), params,
                          h=1e-4, high_precision=True)
+        assert err < 1e-4, f"{name}: relative error {err}"
+
+    @pytest.mark.parametrize("name,shape,op", PRIMITIVES, ids=[p[0] for p in PRIMITIVES])
+    def test_primitive_gradients_float32(self, name, shape, op):
+        # float32 evaluations: a wider step, so rounding stays well below the bound
+        params = _primitive_params(name, shape)
+        err = grad_check(lambda p: _weighted_sum(op(p)), params, h=1e-2)
         assert err < 1e-4, f"{name}: relative error {err}"
 
     def test_sum_of_squares(self):

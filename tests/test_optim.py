@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from patchcount import patchio
+from patchcount import optim, patchio
 from patchcount.model import ModelConfig, init_params
 from patchcount.ndtensor import Tensor
 from patchcount.optim import (CheckpointError, MissingGradError,
@@ -65,6 +65,50 @@ class TestAdamStep:
         with pytest.raises(MissingGradError, match="w_q"):
             adam_step(params, state)
 
+    def test_missing_grad_changes_nothing(self):
+        rng = np.random.default_rng(1)
+        params = {n: Tensor(rng.normal(size=(3, 2)).astype(np.float32), requires_grad=True)
+                  for n in ("a", "b", "c")}
+        state = init_adam(params, lr=1e-2, weight_decay=1e-1)
+        for p in params.values():
+            p.grad = rng.normal(size=(3, 2)).astype(np.float32)
+        adam_step(params, state)  # moments and t away from their initial values
+        params["b"].grad = None  # "a", earlier in the dict, still has one
+        before = {n: (p.data.copy(), state.m[n].copy(), state.v[n].copy())
+                  for n, p in params.items()}
+        with pytest.raises(MissingGradError, match="'b'"):
+            adam_step(params, state)
+        assert state.t == 1
+        for n, p in params.items():
+            npt.assert_array_equal(p.data, before[n][0])
+            npt.assert_array_equal(state.m[n], before[n][1])
+            npt.assert_array_equal(state.v[n], before[n][2])
+
+    def test_in_place_matches_plain_formula_bitwise(self):
+        rng = np.random.default_rng(2)
+        shapes = {"w": (40, 30), "b": (30,), "s": (1,)}
+        params = {n: Tensor(rng.normal(size=sh).astype(np.float32), requires_grad=True)
+                  for n, sh in shapes.items()}
+        state = init_adam(params, lr=1e-2, weight_decay=1e-1)
+        ref = {n: (p.data.copy(), np.zeros(p.shape, np.float32), np.zeros(p.shape, np.float32))
+               for n, p in params.items()}
+        for t in range(1, 4):
+            bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for n, p in params.items():
+                p.grad = rng.normal(size=p.shape).astype(np.float32)
+                w, m, v = ref[n]
+                g = p.grad
+                w = w - np.float32(1e-2 * 1e-1) * w
+                m = 0.9 * m + (1.0 - 0.9) * g
+                v = 0.999 * v + (1.0 - 0.999) * g * g
+                w = w - 1e-2 * ((m / bc1) / (np.sqrt(v / bc2) + 1e-8))
+                ref[n] = (w, m, v)
+            adam_step(params, state)
+        for n, p in params.items():
+            assert np.array_equal(p.data, ref[n][0])
+            assert np.array_equal(state.m[n], ref[n][1])
+            assert np.array_equal(state.v[n], ref[n][2])
+
     def test_nonzero_grad_moves_every_coordinate(self):
         rng = np.random.default_rng(0)
         p = Tensor(rng.normal(size=8).astype(np.float32), requires_grad=True)
@@ -95,6 +139,24 @@ class TestTrainStep:
         state = init_adam(params, lr=0.0, weight_decay=0.0)
         losses = [train_step(batch, params, cfg, state) for _ in range(3)]
         assert losses[0] == losses[1] == losses[2]
+
+    def test_grads_cleared_before_forward(self, monkeypatch):
+        batch = tiny_batch()
+        cfg = ModelConfig(**TOY, head_variant="gap")
+        params = init_params(cfg, 3)
+        state = init_adam(params, lr=1e-3)
+        train_step(batch, params, cfg, state)
+        assert all(p.grad is not None for p in params.values())
+        cleared = []
+        real = optim.batch_predictions
+
+        def spy(*args, **kwargs):
+            cleared.append(all(p.grad is None for p in params.values()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "batch_predictions", spy)
+        train_step(batch, params, cfg, state)
+        assert cleared == [True]
 
     def test_loss_decreases_on_fixed_batch(self):
         batch = tiny_batch()
