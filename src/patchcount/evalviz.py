@@ -35,7 +35,8 @@ def predict_image(img, params, cfg, standardize=True):
     Images already at the model's tile size skip the resize and use a
     single tile; anything else is resized to 768x1152, split into six
     384x384 tiles (each resized to the model's tile size when the model is
-    smaller), and the tile predictions are summed. Clamped at zero.
+    smaller), and the tile predictions are summed. Clamped at zero; a
+    non-finite sum raises FloatingPointError rather than clamping to zero.
     """
     side = cfg.image_size
     h, w = img.shape[:2]
@@ -56,7 +57,10 @@ def predict_image(img, params, cfg, standardize=True):
                                tiles_per_image=len(tiles))
     with no_grad():
         preds, _ = batch_predictions(params, cfg, batch)
-    return max(0.0, float(preds.data[0]))
+    total = float(preds.data[0])
+    if not math.isfinite(total):
+        raise FloatingPointError(f"non-finite prediction {total!r}")
+    return max(0.0, total)
 
 
 def evaluate(pairs, params, cfg, standardize=True):

@@ -64,11 +64,44 @@ class ModelConfig:
         return 1.0 / np.sqrt(denom)
 
 
+def param_shapes(cfg):
+    """Every learnable array's name and shape, in init and checkpoint order."""
+    d, hid = cfg.dim, cfg.hidden_dim
+    with_token = cfg.head_variant == HEAD_TOKEN
+    shapes = {
+        "embed.proj": (cfg.patch_dim, d),
+        "embed.pos": (cfg.seq_len + (1 if with_token else 0), d),
+    }
+    if with_token:
+        shapes["embed.reg_token"] = (1, d)
+    for l in range(cfg.layers):
+        p = f"layer{l}."
+        shapes.update({
+            p + "ln1.gamma": (d,), p + "ln1.beta": (d,),
+            p + "w_q": (d, d), p + "w_k": (d, d), p + "w_v": (d, d),
+            p + "w_o": (d, d),
+            p + "ln2.gamma": (d,), p + "ln2.beta": (d,),
+            p + "mlp.w1": (d, 4 * d), p + "mlp.b1": (4 * d,),
+            p + "mlp.w2": (4 * d, d), p + "mlp.b2": (d,),
+        })
+    if cfg.final_ln:
+        shapes["final_ln.gamma"] = (d,)
+        shapes["final_ln.beta"] = (d,)
+    shapes.update({"head.w1": (d, hid), "head.b1": (hid,),
+                   "head.w2": (hid, 1), "head.b2": (1,)})
+    return shapes
+
+
 def init_params(cfg, seed):
-    """Initialize every learnable array; truncated-normal(0, 0.02) projections."""
+    """Initialize every learnable array; truncated-normal(0, 0.02) projections.
+
+    LayerNorm gains start at one, biases and the regression token at zero.
+    Arrays are drawn in ``param_shapes`` order, so the order is the seed's
+    contract.
+    """
     rng = np.random.default_rng(seed)
 
-    def tn(*shape):
+    def tn(shape):
         # truncated normal at 2 sigma, std 0.02
         a = rng.standard_normal(size=shape)
         while True:
@@ -76,45 +109,17 @@ def init_params(cfg, seed):
             if not bad.any():
                 break
             a[bad] = rng.standard_normal(size=int(bad.sum()))
-        return Tensor((a * 0.02).astype(np.float32), requires_grad=True)
+        return (a * 0.02).astype(np.float32)
 
-    def zeros(*shape):
-        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
-
-    d, hid = cfg.dim, cfg.hidden_dim
-    with_token = cfg.head_variant == HEAD_TOKEN
-    pos_rows = cfg.seq_len + (1 if with_token else 0)
-
-    params = {
-        "embed.proj": tn(cfg.patch_dim, d),
-        "embed.pos": tn(pos_rows, d),
-    }
-    if with_token:
-        params["embed.reg_token"] = zeros(1, d)
-    for l in range(cfg.layers):
-        p = f"layer{l}."
-        params[p + "ln1.gamma"] = ones(d)
-        params[p + "ln1.beta"] = zeros(d)
-        params[p + "w_q"] = tn(d, d)
-        params[p + "w_k"] = tn(d, d)
-        params[p + "w_v"] = tn(d, d)
-        params[p + "w_o"] = tn(d, d)
-        params[p + "ln2.gamma"] = ones(d)
-        params[p + "ln2.beta"] = zeros(d)
-        params[p + "mlp.w1"] = tn(d, 4 * d)
-        params[p + "mlp.b1"] = zeros(4 * d)
-        params[p + "mlp.w2"] = tn(4 * d, d)
-        params[p + "mlp.b2"] = zeros(d)
-    if cfg.final_ln:
-        params["final_ln.gamma"] = ones(d)
-        params["final_ln.beta"] = zeros(d)
-    params["head.w1"] = tn(d, hid)
-    params["head.b1"] = zeros(hid)
-    params["head.w2"] = tn(hid, 1)
-    params["head.b2"] = zeros(1)
+    params = {}
+    for name, shape in param_shapes(cfg).items():
+        if name.endswith(".gamma"):
+            data = np.ones(shape, dtype=np.float32)
+        elif name.endswith((".beta", ".b1", ".b2", ".reg_token")):
+            data = np.zeros(shape, dtype=np.float32)
+        else:
+            data = tn(shape)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 

@@ -10,6 +10,7 @@ counter lives in the JSON block.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field, asdict
@@ -172,8 +173,11 @@ def train(pairs, cfg, tcfg, params=None, state=None, epoch_callback=None,
     """Seeded training over (image, count) pairs; returns per-step losses.
 
     ``epoch_callback(epoch, mean_epoch_loss)`` fires after every epoch (used
-    for convergence logging and eval hooks).
+    for convergence logging and eval hooks). An empty ``pairs`` raises before
+    any step or checkpoint write.
     """
+    if len(pairs) == 0:
+        raise ValueError("no training pairs")
     if params is None:
         params = model_mod.init_params(cfg, tcfg.seed)
     if state is None:
@@ -239,64 +243,87 @@ def save_checkpoint(params, state, cfg, path):
 
 
 class _Reader:
-    def __init__(self, buf):
-        self.buf = buf
-        self.pos = 0
+    """Sequential reads from an open checkpoint, each checked first against
+    the bytes left in the file, so a forged length or shape cannot allocate
+    more than the file holds."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size
+
+    def _claim(self, n, what):
+        if n > self.left:
+            raise CheckpointError(f"truncated checkpoint while reading {what}")
+        self.left -= n
 
     def take(self, n, what):
-        if self.pos + n > len(self.buf):
+        self._claim(n, what)
+        out = self.fh.read(n)
+        if len(out) != n:
             raise CheckpointError(f"truncated checkpoint while reading {what}")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
         return out
 
     def u32(self, what):
         return struct.unpack("<I", self.take(4, what))[0]
 
+    def array(self, dims, what):
+        """A fresh, writable float32 array read straight from the file."""
+        self._claim(4 * math.prod(dims), what)
+        arr = np.empty(dims, dtype="<f4")
+        if self.fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+            raise CheckpointError(f"truncated checkpoint while reading {what}")
+        return arr
+
+
+_ADAM_KEYS = ("lr", "beta1", "beta2", "eps", "weight_decay", "t")
+
 
 def load_checkpoint(path, expected_cfg=None):
     """Read a checkpoint; returns (params, AdamState, ModelConfig).
 
-    With ``expected_cfg`` given, a variant or architecture mismatch raises
-    instead of returning a partially-compatible model.
+    Each array is read from the file into its own final buffer; no copy of
+    the whole file is held. With ``expected_cfg`` given, a variant or
+    architecture mismatch raises instead of returning a
+    partially-compatible model.
     """
     with open(path, "rb") as fh:
-        r = _Reader(fh.read())
-    if r.take(4, "magic") != MAGIC:
-        raise CheckpointError(f"bad magic, not a {MAGIC.decode()} checkpoint")
-    version = r.u32("version")
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    blob = json.loads(r.take(r.u32("config length"), "config block"))
-    cfg = model_mod.ModelConfig(**blob["model"])
-    if expected_cfg is not None and asdict(cfg) != asdict(expected_cfg):
-        raise CheckpointError(
-            f"checkpoint config {asdict(cfg)} does not match expected "
-            f"{asdict(expected_cfg)}")
-    adam = blob["adam"]
+        r = _Reader(fh)
+        if r.take(4, "magic") != MAGIC:
+            raise CheckpointError(f"bad magic, not a {MAGIC.decode()} checkpoint")
+        version = r.u32("version")
+        if version != VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        raw = r.take(r.u32("config length"), "config block")
+        try:
+            blob = json.loads(raw)
+            cfg = model_mod.ModelConfig(**blob["model"])
+            shapes = model_mod.param_shapes(cfg)
+            state = AdamState(**{k: blob["adam"][k] for k in _ADAM_KEYS})
+        except (ValueError, TypeError, KeyError) as exc:
+            raise CheckpointError(f"malformed config block: {exc!r}") from exc
+        if expected_cfg is not None and asdict(cfg) != asdict(expected_cfg):
+            raise CheckpointError(
+                f"checkpoint config {asdict(cfg)} does not match expected "
+                f"{asdict(expected_cfg)}")
 
-    arrays = {}
-    for _ in range(r.u32("array count")):
-        name = r.take(r.u32("name length"), "array name").decode()
-        rank = r.u32("rank")
-        dims = tuple(r.u32("dim") for _ in range(rank))
-        n = int(np.prod(dims)) if dims else 1
-        payload = r.take(4 * n, f"array {name!r} payload")
-        arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        arrays = {}
+        for _ in range(r.u32("array count")):
+            try:
+                name = r.take(r.u32("name length"), "array name").decode()
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"array name is not UTF-8: {exc}") from exc
+            dims = tuple(r.u32("dim") for _ in range(r.u32("rank")))
+            arrays[name] = r.array(dims, f"array {name!r} payload")
 
-    reference = model_mod.init_params(cfg, seed=0)
     params = {}
-    state = AdamState(lr=adam["lr"], beta1=adam["beta1"], beta2=adam["beta2"],
-                      eps=adam["eps"], weight_decay=adam["weight_decay"],
-                      t=adam["t"])
-    for name, ref in reference.items():
+    for name, shape in shapes.items():
         for key in (name, name + ".m", name + ".v"):
             if key not in arrays:
                 raise CheckpointError(f"checkpoint missing array {key!r}")
-            if arrays[key].shape != ref.shape:
+            if arrays[key].shape != shape:
                 raise CheckpointError(
                     f"array {key!r} has shape {arrays[key].shape}, "
-                    f"config implies {tuple(ref.shape)}")
+                    f"config implies {shape}")
         params[name] = Tensor(arrays[name], requires_grad=True)
         state.m[name] = arrays[name + ".m"]
         state.v[name] = arrays[name + ".v"]

@@ -2,14 +2,18 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import patchcount
 from patchcount import patchio
 from patchcount.cli import ConfigError, main, parse_config
+from patchcount.model import ModelConfig, init_params
+from patchcount.optim import init_adam, save_checkpoint
 
 
 class TestParseConfig:
@@ -166,3 +170,33 @@ class TestCommands:
                    "--profile", "toy", "--epochs", "1", "--seed", "0"])
         assert rc == 1
         assert not os.path.exists(ckpt)
+
+
+def _unknown_model_key(path):
+    blob = open(path, "rb").read()
+    end = 12 + struct.unpack("<I", blob[8:12])[0]
+    block = json.loads(blob[12:end])
+    block["model"]["bogus"] = 1
+    raw = json.dumps(block).encode()
+    open(path, "wb").write(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[end:])
+
+
+@pytest.mark.parametrize("case, expect", [("unknown_model_key", "malformed config block"),
+                                          ("nan_head_b2", "non-finite prediction")])
+def test_infer_bad_checkpoint_exits_1_with_error(tmp_path, capsys, case, expect):
+    cfg = ModelConfig(image_size=16, patch_size=8, dim=8, heads=2, layers=1, hidden_dim=8)
+    params = init_params(cfg, 0)
+    if case == "nan_head_b2":
+        params["head.b2"].data[:] = np.nan
+    ckpt = str(tmp_path / "m.tcwd")
+    save_checkpoint(params, init_adam(params), cfg, ckpt)
+    if case == "unknown_model_key":
+        _unknown_model_key(ckpt)
+    img = str(tmp_path / "x.ppm")
+    patchio.save_ppm(np.zeros((16, 16, 3), dtype=np.float32), img)
+    capsys.readouterr()
+    rc = main(["infer", "--checkpoint", ckpt, "--image", img])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error\t") and expect in captured.err

@@ -66,6 +66,15 @@ class TestPredictImage:
         img = np.zeros((768, 1152, 3), dtype=np.float32)
         assert predict_image(img, params, cfg) == 0.0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_raises_not_clamped(self, value):
+        cfg = ModelConfig(image_size=64, patch_size=8, dim=8, heads=2,
+                          layers=1, hidden_dim=8)
+        params = constant_head_model(cfg, value)
+        img = np.zeros((64, 64, 3), dtype=np.float32)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            predict_image(img, params, cfg)
+
     def test_toy_path_single_tile(self):
         cfg = ModelConfig(image_size=64, patch_size=8, dim=8, heads=2,
                           layers=1, hidden_dim=8)

@@ -1,5 +1,11 @@
 """Adam, training-step, and checkpoint persistence tests."""
 
+import hashlib
+import json
+import os
+import struct
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -177,6 +183,13 @@ class TestTrainLoop:
         _, _, losses_b = train(pairs, cfg, tcfg)
         assert losses_a == losses_b
 
+    def test_no_pairs_raises_before_any_save(self, tmp_path):
+        path = str(tmp_path / "m.tcwd")
+        cfg = ModelConfig(**TOY, head_variant="gap")
+        with pytest.raises(ValueError, match="no training pairs"):
+            train([], cfg, TrainConfig(epochs=2), checkpoint_path=path)
+        assert os.listdir(tmp_path) == []
+
 
 class TestCheckpoint:
     def _trained(self, tmp_path, variant="gap"):
@@ -248,3 +261,142 @@ class TestCheckpoint:
         assert straight == resumed
         for name in params:
             npt.assert_array_equal(params2[name].data, params[name].data)
+
+    def test_saved_bytes_pinned(self, tmp_path):
+        # pins format v1 byte for byte: any change to the layout, the array
+        # order or the config block changes this digest
+        cfg = ModelConfig(**TOY, head_variant="gap")
+        params = init_params(cfg, 0)
+        path = str(tmp_path / "m.tcwd")
+        save_checkpoint(params, init_adam(params, lr=1e-3), cfg, path)
+        assert hashlib.sha256(open(path, "rb").read()).hexdigest() == \
+            "3206c6391ab2887e2e2e054279e753152606195c57764cafea1800b0c5c37966"
+
+    def test_loaded_arrays_writable_contiguous_float32(self, tmp_path):
+        cfg, params, state, _ = self._trained(tmp_path, variant="token")
+        path = str(tmp_path / "m.tcwd")
+        save_checkpoint(params, state, cfg, path)
+        params2, state2, _ = load_checkpoint(path)
+        arrays = [p.data for p in params2.values()]
+        arrays += list(state2.m.values()) + list(state2.v.values())
+        assert len(arrays) == 3 * len(params)
+        for a in arrays:
+            assert a.dtype == np.float32
+            assert a.flags.writeable and a.flags.c_contiguous and a.flags.owndata
+
+
+TOY_PROFILE = dict(image_size=64, patch_size=8, dim=64, heads=4, layers=2, hidden_dim=64)
+
+
+def _saved(tmp_path, cfg_kw=TOY):
+    cfg = ModelConfig(**cfg_kw, head_variant="gap")
+    params = init_params(cfg, 0)
+    path = str(tmp_path / "m.tcwd")
+    save_checkpoint(params, init_adam(params, lr=1e-3), cfg, path)
+    return path
+
+
+def _config_offset(blob):
+    """Byte offset just past the config block (where the array count sits)."""
+    return 12 + struct.unpack("<I", blob[8:12])[0]
+
+
+def _with_config(blob, block):
+    return (blob[:8] + struct.pack("<I", len(block)) + block
+            + blob[_config_offset(blob):])
+
+
+def _edit_config(blob, edit):
+    block = json.loads(blob[12:_config_offset(blob)])
+    edit(block)
+    return _with_config(blob, json.dumps(block).encode())
+
+
+def _first_array(blob):
+    """Offsets of the first array's name length, name and rank fields."""
+    at = _config_offset(blob) + 4
+    name_len = struct.unpack("<I", blob[at:at + 4])[0]
+    return at, at + 4, at + 4 + name_len
+
+
+MALFORMED = {
+    "unknown_model_key": lambda b: _edit_config(b, lambda c: c["model"].update(bogus=1)),
+    "missing_adam_block": lambda b: _edit_config(b, lambda c: c.pop("adam")),
+    "non_dict_model": lambda b: _edit_config(b, lambda c: c.update(model=[1, 2])),
+    "missing_adam_key": lambda b: _edit_config(b, lambda c: c["adam"].pop("t")),
+    "non_int_layers": lambda b: _edit_config(b, lambda c: c["model"].update(layers="1")),
+    "bad_json": lambda b: _with_config(b, b"{not json"),
+    "non_utf8_config": lambda b: _with_config(b, b'{"model": "\xff"}'),
+    "non_object_config": lambda b: _with_config(b, b"[]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_block_raises_checkpoint_error(tmp_path, case):
+    path = _saved(tmp_path)
+    blob = open(path, "rb").read()
+    open(path, "wb").write(MALFORMED[case](blob))
+    with pytest.raises(CheckpointError, match="malformed config block"):
+        load_checkpoint(path)
+
+
+def test_non_utf8_array_name_raises_checkpoint_error(tmp_path):
+    path = _saved(tmp_path)
+    blob = bytearray(open(path, "rb").read())
+    _, name_at, _ = _first_array(blob)
+    blob[name_at] = 0xFF
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+def _load_peak(path):
+    """Bytes allocated at the peak of one load_checkpoint, above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            out = load_checkpoint(path)
+        except CheckpointError as exc:
+            out = exc
+        return tracemalloc.get_traced_memory()[1] - base, out
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_peak_close_to_file_size(tmp_path):
+    path = _saved(tmp_path, TOY_PROFILE)
+    size = os.path.getsize(path)
+    peak, out = _load_peak(path)
+    assert isinstance(out, tuple)
+    assert peak <= 1.25 * size, f"peak {peak} B for a {size} B file"
+
+
+def _forge_u32(blob, at):
+    return blob[:at] + struct.pack("<I", 2 ** 31) + blob[at + 4:]
+
+
+def _forge_dims(blob):
+    _, _, rank_at = _first_array(blob)
+    for i in range(struct.unpack("<I", blob[rank_at:rank_at + 4])[0]):
+        blob = _forge_u32(blob, rank_at + 4 + 4 * i)
+    return blob
+
+
+FORGED = {
+    "config_length": lambda b: _forge_u32(b, 8),
+    "name_length": lambda b: _forge_u32(b, _first_array(b)[0]),
+    "dims": _forge_dims,
+}
+
+
+@pytest.mark.parametrize("field", sorted(FORGED))
+def test_forged_size_is_truncation_without_allocating_it(tmp_path, field):
+    path = _saved(tmp_path, TOY_PROFILE)
+    blob = open(path, "rb").read()
+    open(path, "wb").write(FORGED[field](blob))
+    size = os.path.getsize(path)
+    peak, out = _load_peak(path)
+    assert isinstance(out, CheckpointError) and "truncated" in str(out), out
+    assert peak < size, f"peak {peak} B for a {size} B file"
