@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ndtensor import (Tensor, add, attention_probs, gelu, layer_norm, linear,
-                       matmul, merge_heads, split_heads)
+from .ndtensor import (Tensor, add, attention, attention_probs, gelu, layer_norm,
+                       linear, matmul, merge_heads, split_heads)
 
 
 @dataclass
@@ -48,11 +48,14 @@ class AttentionRecord:
 def scaled_attention(q, k, v, scale, record=False):
     """softmax(Q K^T * scale) V, batched over any leading axes (heads included).
 
-    Returns (output, attention weights as numpy or None).
+    Returns (output, attention weights as numpy or None). Without a record
+    the probabilities are kept only for backward, so an eval pass never
+    holds them whole (see ndtensor.attention).
     """
+    if not record:
+        return attention(q, k, v, scale), None
     attn = attention_probs(q, k, scale)
-    out = matmul(attn, v)
-    return out, (attn.data.copy() if record else None)
+    return matmul(attn, v), attn.data.copy()
 
 
 def msa(z, layer, n_heads, scale, layer_idx=0, record=False):

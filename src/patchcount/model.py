@@ -35,6 +35,14 @@ class ModelConfig:
     final_ln: bool = False
 
     def __post_init__(self):
+        if self.hidden_dim is None:
+            self.hidden_dim = self.dim
+        for name in ("image_size", "patch_size", "dim", "heads", "layers", "hidden_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        if not isinstance(self.final_ln, bool):
+            raise ValueError(f"final_ln must be a bool, got {self.final_ln!r}")
         if self.image_size % self.patch_size:
             raise ValueError(
                 f"image size {self.image_size} not divisible by patch size {self.patch_size}")
@@ -44,10 +52,6 @@ class ModelConfig:
             raise ValueError(f"unknown head variant {self.head_variant!r}")
         if self.attn_denominator not in (DENOM_MODEL_DIM, DENOM_HEAD_DIM):
             raise ValueError(f"unknown attention denominator {self.attn_denominator!r}")
-        if self.hidden_dim is None:
-            self.hidden_dim = self.dim
-        if self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be >= 1")
 
     @property
     def seq_len(self):

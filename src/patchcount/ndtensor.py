@@ -16,6 +16,12 @@ import numpy as np
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
 
+# Bytes of one block of a blocked op's largest array. The op's few arrays
+# then stay together in one core's 2 MB L2 across its passes over a block.
+# 768 KiB is 64 rows of the paper's MLP activation; the toy model's arrays
+# all fit in one block.
+_BLOCK_BYTES = 768 << 10
+
 _grad_enabled = True
 
 
@@ -104,10 +110,14 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _recording(parents):
+    return _grad_enabled and any(p.requires_grad or p._parents for p in parents)
+
+
 def _make(data, parents, backward):
     """Wrap an op result; records the rule only while grad is enabled."""
     out = Tensor(data, dtype=data.dtype)
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -122,6 +132,35 @@ def _unbroadcast(grad, shape):
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _blocks(shape, itemsize, core):
+    """Index tuples that cover an array of ``shape`` in C order, block by block.
+
+    The last ``core`` axes are never split, and a block holds as many whole
+    cores as fit in _BLOCK_BYTES (at least one). An array that fits is one
+    block, ``(...,)``. Blocks are basic indices, so they select views, and
+    an op whose every pass is elementwise or reduces within a core gives the
+    same bits blocked as whole.
+    """
+    split = max(len(shape) - core, 0)
+    item = math.prod(shape[split:]) * itemsize
+
+    def walk(lead):
+        if not lead or math.prod(lead) * item <= _BLOCK_BYTES:
+            yield (...,)
+            return
+        inner = math.prod(lead[1:]) * item
+        if inner <= _BLOCK_BYTES:
+            step = _BLOCK_BYTES // inner
+            for i in range(0, lead[0], step):
+                yield (slice(i, i + step),)
+            return
+        for i in range(lead[0]):
+            for rest in walk(lead[1:]):
+                yield (i,) + rest
+
+    return walk(tuple(shape[:split]))
 
 
 def _accum(t, g):
@@ -290,35 +329,78 @@ def softmax_rows(x):
     return _make(data, (x,), backward)
 
 
-def attention_probs(q, k, scale):
-    """Fused softmax(scale * Q K^T) over the last axis, batched like matmul.
-
-    The logits are scaled, shifted and normalised in place on the matmul
-    output, so only the probabilities are kept for backward. The float32
-    operations and their order are those of softmax_rows(smul(matmul(q,
-    transpose_last(k)), scale)).
-    """
+def _check_attention(q, k, v=None):
     if q.ndim < 2 or k.ndim != q.ndim or q.shape[:-2] != k.shape[:-2] \
-            or q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"attention_probs needs matching query/key shapes, got "
-                         f"{q.shape} and {k.shape}")
-    scale = float(scale)
-    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+            or q.shape[-1] != k.shape[-1] \
+            or (v is not None and (v.ndim != k.ndim or v.shape[:-1] != k.shape[:-1])):
+        shapes = (q.shape, k.shape) if v is None else (q.shape, k.shape, v.shape)
+        raise ShapeError(f"attention needs matching query/key/value shapes, got "
+                         f"{' and '.join(map(str, shapes))}")
+
+
+def _softmax_scaled_(p, scale):
+    """softmax(scale * p) over the last axis, in place."""
     p *= scale
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
+
+def attention_probs(q, k, scale):
+    """Fused softmax(scale * Q K^T) over the last axis, batched like matmul.
+
+    The logits are scaled, shifted and normalised in place on the matmul
+    output, one block of whole [Sq, Sk] matrices at a time, so only the
+    probabilities are kept for backward. The float32 operations and their
+    order are those of softmax_rows(smul(matmul(q, transpose_last(k)),
+    scale)).
+    """
+    _check_attention(q, k)
+    scale = float(scale)
+    p = np.empty(q.shape[:-1] + (k.shape[-2],), np.result_type(q.data, k.data))
+    for i in _blocks(p.shape, p.itemsize, 2):
+        np.matmul(q.data[i], np.swapaxes(k.data[i], -1, -2), out=p[i])
+        _softmax_scaled_(p[i], scale)
+
     def backward(g):
-        dl = g * p
-        dot = dl.sum(axis=-1, keepdims=True)
-        np.subtract(g, dot, out=dl)
-        dl *= p
-        dl *= scale
-        _accum(q, np.matmul(dl, k.data))
-        _accum(k, np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), dl), -1, -2))
+        dq = np.empty(q.shape, np.result_type(g, p, k.data))
+        dk_t = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]),
+                        np.result_type(q.data, g, p))
+        for i in _blocks(p.shape, p.itemsize, 2):
+            p_i, g_i = p[i], g[i]
+            dl = g_i * p_i
+            dot = dl.sum(axis=-1, keepdims=True)
+            np.subtract(g_i, dot, out=dl)
+            dl *= p_i
+            dl *= scale
+            np.matmul(dl, k.data[i], out=dq[i])
+            np.matmul(np.swapaxes(q.data[i], -1, -2), dl, out=dk_t[i])
+        _accum(q, dq)
+        _accum(k, np.swapaxes(dk_t, -1, -2))
 
     return _make(p, (q, k), backward)
+
+
+def attention(q, k, v, scale):
+    """softmax(scale * Q K^T) V, batched like attention_probs.
+
+    While the graph is recorded this is matmul(attention_probs(q, k,
+    scale), v), which keeps the probabilities for backward. Otherwise each
+    block's probabilities are computed, normalised and multiplied by V
+    while they are in cache, so the whole probability tensor is never held;
+    the float32 operations and their order are the same.
+    """
+    if _recording((q, k, v)):
+        return matmul(attention_probs(q, k, scale), v)
+    _check_attention(q, k, v)
+    scale = float(scale)
+    out = np.empty(q.shape[:-1] + v.shape[-1:], np.result_type(q.data, k.data, v.data))
+    p_shape = q.shape[:-1] + (k.shape[-2],)
+    for i in _blocks(p_shape, np.result_type(q.data, k.data).itemsize, 2):
+        p = np.matmul(q.data[i], np.swapaxes(k.data[i], -1, -2))
+        _softmax_scaled_(p, scale)
+        np.matmul(p, v.data[i], out=out[i])
+    return _make(out, (q, k, v), None)
 
 
 def split_heads(x, n_heads):
@@ -365,27 +447,42 @@ def linear(x, w, b):
 
 
 def layer_norm(x, gamma, beta, eps=1e-6):
-    """Normalize the last axis to mean 0 / population variance 1, then affine."""
+    """Normalize the last axis to mean 0 / population variance 1, then affine.
+
+    Runs over blocks of rows; the gamma and beta gradients, which sum over
+    rows, are reduced over the whole array as one.
+    """
     if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
         raise ShapeError(
             f"layer_norm feature sizes differ: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}")
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
-    data = gamma.data * xhat + beta.data
+    x_ = x.data
+    inv_std = np.empty(x_.shape[:-1] + (1,), x_.dtype)
+    xhat = np.empty(x_.shape, x_.dtype)
+    data = np.empty(x_.shape, np.result_type(gamma.data, xhat, beta.data))
+    for i in _blocks(x_.shape, x_.itemsize, 1):
+        x_i, xhat_i, out_i = x_[i], xhat[i], data[i]
+        mu = x_i.mean(axis=-1, keepdims=True)
+        var = x_i.var(axis=-1, keepdims=True)
+        np.divide(1.0, np.sqrt(var + eps), out=inv_std[i])
+        np.subtract(x_i, mu, out=xhat_i)
+        xhat_i *= inv_std[i]
+        np.multiply(gamma.data, xhat_i, out=out_i)
+        out_i += beta.data
 
     def backward(g):
-        d = x.shape[-1]
         lead = tuple(range(g.ndim - 1))
         _accum(gamma, (g * xhat).sum(axis=lead))
         _accum(beta, g.sum(axis=lead))
-        dxhat = g * gamma.data
-        dx = inv_std * (dxhat
+        dx = np.empty(g.shape, np.result_type(inv_std, g, gamma.data, xhat))
+        for i in _blocks(g.shape, g.itemsize, 1):
+            xhat_i = xhat[i]
+            dxhat = g[i] * gamma.data
+            np.multiply(inv_std[i], dxhat
                         - dxhat.mean(axis=-1, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+                        - xhat_i * (dxhat * xhat_i).mean(axis=-1, keepdims=True),
+                        out=dx[i])
         _accum(x, dx)
 
     return _make(data, (x, gamma, beta), backward)
@@ -394,35 +491,43 @@ def layer_norm(x, gamma, beta, eps=1e-6):
 def gelu(x):
     """GELU via the tanh approximation.
 
-    Runs in place on two buffers and keeps only tanh(u) for backward. Each
-    float32 operation has the operands and order of the plain formula
+    Runs in place on two buffers, one block of rows at a time, and keeps
+    only tanh(u) for backward. Each float32 operation has the operands and
+    order of the plain formula
     0.5 * x * (1 + tanh(sqrt(2/pi) * (x + C * x * x * x))).
     """
     x_ = x.data
-    # multiplied out: float32 `** 3` goes through powf, ~25x slower, and
-    # rounds however the numpy build's pow does
-    t = np.multiply(_GELU_C, x_)
-    t *= x_
-    t *= x_
-    np.add(x_, t, out=t)
-    t *= _SQRT_2_OVER_PI
-    np.tanh(t, out=t)
-    data = np.multiply(0.5, x_)
-    data *= 1.0 + t
+    t = np.empty(x_.shape, np.result_type(_GELU_C, x_))
+    data = np.empty_like(t)
+    for i in _blocks(x_.shape, t.itemsize, 1):
+        x_i, t_i, out_i = x_[i], t[i], data[i]
+        # multiplied out: float32 `** 3` goes through powf, ~25x slower, and
+        # rounds however the numpy build's pow does
+        np.multiply(_GELU_C, x_i, out=t_i)
+        t_i *= x_i
+        t_i *= x_i
+        np.add(x_i, t_i, out=t_i)
+        t_i *= _SQRT_2_OVER_PI
+        np.tanh(t_i, out=t_i)
+        np.multiply(0.5, x_i, out=out_i)
+        out_i *= 1.0 + t_i
 
     def backward(g):
-        du = np.square(x_)
-        du *= 3.0 * _GELU_C
-        du += 1.0
-        du *= _SQRT_2_OVER_PI
-        dgelu = np.add(1.0, t)
-        dgelu *= 0.5
-        rest = np.square(t)
-        np.subtract(1.0, rest, out=rest)
-        rest *= 0.5 * x_  # 0.5 * x * (1 - t**2) * du
-        rest *= du
-        dgelu += rest
-        dgelu *= g
+        dgelu = np.empty_like(t)
+        for i in _blocks(t.shape, t.itemsize, 1):
+            x_i, t_i, d_i = x_[i], t[i], dgelu[i]
+            du = np.square(x_i)
+            du *= 3.0 * _GELU_C
+            du += 1.0
+            du *= _SQRT_2_OVER_PI
+            np.add(1.0, t_i, out=d_i)
+            d_i *= 0.5
+            rest = np.square(t_i)
+            np.subtract(1.0, rest, out=rest)
+            rest *= 0.5 * x_i  # 0.5 * x * (1 - t**2) * du
+            rest *= du
+            d_i += rest
+            d_i *= g[i]
         _accum(x, dgelu)
 
     return _make(data, (x,), backward)

@@ -24,6 +24,7 @@ from .heads import l1_loss
 
 MAGIC = b"TCWD"
 VERSION = 1
+_MAX_RANK = 64  # numpy's limit on ndarray dimensions
 
 
 class CheckpointError(ValueError):
@@ -306,13 +307,20 @@ def load_checkpoint(path, expected_cfg=None):
                 f"checkpoint config {asdict(cfg)} does not match expected "
                 f"{asdict(expected_cfg)}")
 
+        named = {key for name in shapes for key in (name, name + ".m", name + ".v")}
         arrays = {}
         for _ in range(r.u32("array count")):
             try:
                 name = r.take(r.u32("name length"), "array name").decode()
             except UnicodeDecodeError as exc:
                 raise CheckpointError(f"array name is not UTF-8: {exc}") from exc
-            dims = tuple(r.u32("dim") for _ in range(r.u32("rank")))
+            if name not in named:
+                raise CheckpointError(
+                    f"array {name!r} is not in the shape table of the checkpoint's config")
+            rank = r.u32("rank")
+            if rank > _MAX_RANK:
+                raise CheckpointError(f"array {name!r} has rank {rank}, over {_MAX_RANK}")
+            dims = tuple(r.u32("dim") for _ in range(rank))
             arrays[name] = r.array(dims, f"array {name!r} payload")
 
     params = {}

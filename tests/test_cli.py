@@ -172,26 +172,35 @@ class TestCommands:
         assert not os.path.exists(ckpt)
 
 
-def _unknown_model_key(path):
+def _edit_model(path, changes):
     blob = open(path, "rb").read()
     end = 12 + struct.unpack("<I", blob[8:12])[0]
     block = json.loads(blob[12:end])
-    block["model"]["bogus"] = 1
+    block["model"].update(changes)
     raw = json.dumps(block).encode()
     open(path, "wb").write(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[end:])
 
 
+# config block edits per case
+EDITS = {"unknown_model_key": {"bogus": 1}, "negative_layers": {"layers": -1},
+         "float_dim": {"dim": 8.0}, "dropped_final_ln": {"final_ln": False}}
+
+
 @pytest.mark.parametrize("case, expect", [("unknown_model_key", "malformed config block"),
+                                          ("negative_layers", "malformed config block"),
+                                          ("float_dim", "malformed config block"),
+                                          ("dropped_final_ln", "not in the shape table"),
                                           ("nan_head_b2", "non-finite prediction")])
 def test_infer_bad_checkpoint_exits_1_with_error(tmp_path, capsys, case, expect):
-    cfg = ModelConfig(image_size=16, patch_size=8, dim=8, heads=2, layers=1, hidden_dim=8)
+    cfg = ModelConfig(image_size=16, patch_size=8, dim=8, heads=2, layers=1, hidden_dim=8,
+                      final_ln=case == "dropped_final_ln")
     params = init_params(cfg, 0)
     if case == "nan_head_b2":
         params["head.b2"].data[:] = np.nan
     ckpt = str(tmp_path / "m.tcwd")
     save_checkpoint(params, init_adam(params), cfg, ckpt)
-    if case == "unknown_model_key":
-        _unknown_model_key(ckpt)
+    if case in EDITS:
+        _edit_model(ckpt, EDITS[case])
     img = str(tmp_path / "x.ppm")
     patchio.save_ppm(np.zeros((16, 16, 3), dtype=np.float32), img)
     capsys.readouterr()

@@ -9,12 +9,15 @@ from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
+from patchcount import ndtensor, optim, patchio
 from patchcount.encoder import (LayerParams, encode, encoder_layer, mlp_block,
                                 msa, scaled_attention)
 from patchcount.model import ModelConfig
-from patchcount.ndtensor import (Tensor, backward, concat, matmul, mean, mul,
-                                 slice_axis, smul, softmax_rows, transpose_last)
+from patchcount.ndtensor import (Tensor, attention_probs, backward, concat, matmul,
+                                 mean, mul, no_grad, slice_axis, smul, softmax_rows,
+                                 split_heads, transpose_last)
 
 
 def t(data):
@@ -85,6 +88,50 @@ class TestScaledAttention:
         out, _ = scaled_attention(t(q), t(k), t(v), scale)
         expected = np_softmax(q @ k.transpose(0, 2, 1) * scale) @ v
         npt.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-6)
+
+
+# one [S, S] matrix of the B=2, H=3, S=37 attention below per block
+SMALL_BUDGET = 37 * 37 * 4
+
+
+class TestFusedNoGradAttention:
+    @pytest.mark.parametrize("budget", [None, SMALL_BUDGET])
+    def test_bitwise_equal_to_probs_then_matmul(self, monkeypatch, budget):
+        rng = np.random.default_rng(17)
+        q, k, v = (split_heads(t(rng.normal(scale=2.0, size=(2, 37, 24))), 3)
+                   for _ in range(3))
+        scale = 1.0 / np.sqrt(24.0)  # a numpy float64, as ModelConfig.attn_scale is
+        expected = matmul(attention_probs(q, k, scale), v).data
+        if budget is not None:
+            monkeypatch.setattr(ndtensor, "_BLOCK_BYTES", budget)
+        with no_grad():
+            out, weights = scaled_attention(q, k, v, scale)
+        assert weights is None
+        assert np.array_equal(out.data, expected)
+
+
+def _toy_run(head):
+    """20 toy train steps: (loss trace, every parameter and moment)."""
+    cfg = ModelConfig(image_size=64, patch_size=8, dim=64, heads=4, layers=2,
+                      hidden_dim=64, head_variant=head)
+    pairs = patchio.synth_generate(patchio.SynthSpec(side=64, count_min=0, count_max=30,
+                                                     seed=5), 32)
+    tcfg = optim.TrainConfig(batch_size=8, epochs=5, seed=3, lr=1e-2)
+    params, state, losses = optim.train(pairs, cfg, tcfg)
+    arrays = [p.data for p in params.values()]
+    arrays += list(state.m.values()) + list(state.v.values())
+    return np.array(losses), arrays
+
+
+@pytest.mark.parametrize("head", ["gap", "token"])
+def test_toy_training_same_bytes_in_blocks(monkeypatch, head):
+    whole = _toy_run(head)
+    monkeypatch.setattr(ndtensor, "_BLOCK_BYTES", 4096)
+    blocked = _toy_run(head)
+    assert len(whole[0]) == 20
+    assert whole[0].tobytes() == blocked[0].tobytes()
+    assert len(whole[1]) == len(blocked[1])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(whole[1], blocked[1]))
 
 
 class TestMSA:

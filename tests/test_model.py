@@ -46,3 +46,12 @@ def test_paper_scale_parameter_count():
     assert shapes["embed.pos"] == (576, 768)
     assert shapes["layer11.mlp.w1"] == (768, 3072)
     assert sum(math.prod(s) for s in shapes.values()) == 86_641_153
+
+
+@pytest.mark.parametrize("field, value", [
+    ("image_size", 0), ("patch_size", 0), ("dim", -8), ("dim", 8.0), ("heads", 0),
+    ("layers", -1), ("layers", True), ("layers", "2"), ("hidden_dim", 8.0),
+    ("final_ln", 1), ("final_ln", "false")])
+def test_config_rejects_bad_type_or_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        ModelConfig(**dict(TOY, **{field: value}))

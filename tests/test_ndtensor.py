@@ -9,10 +9,10 @@ import pytest
 
 from patchcount import ndtensor as nd
 from patchcount.ndtensor import (GraphError, ShapeError, Tensor, absolute, add,
-                                 attention_probs, backward, concat, gelu, grad_check,
-                                 layer_norm, linear, matmul, mean, merge_heads, mul,
-                                 reshape, slice_axis, smul, softmax_rows,
-                                 split_heads, sum_axis, transpose_last)
+                                 attention, attention_probs, backward, concat, gelu,
+                                 grad_check, layer_norm, linear, matmul, mean,
+                                 merge_heads, mul, reshape, slice_axis, smul,
+                                 softmax_rows, split_heads, sum_axis, transpose_last)
 
 
 def t(data, rg=False):
@@ -218,6 +218,15 @@ PRIMITIVES = [
         p, Tensor(np.random.default_rng(3).normal(size=(2, 2, 5, 4))), 0.7)),
     ("attention_probs_k", (2, 2, 5, 4), lambda p: attention_probs(
         Tensor(np.random.default_rng(4).normal(size=(2, 2, 3, 4))), p, 0.7)),
+    ("attention_q", (2, 2, 3, 4), lambda p: attention(
+        p, Tensor(np.random.default_rng(9).normal(size=(2, 2, 5, 4))),
+        Tensor(np.random.default_rng(10).normal(size=(2, 2, 5, 3))), 0.7)),
+    ("attention_k", (2, 2, 5, 4), lambda p: attention(
+        Tensor(np.random.default_rng(11).normal(size=(2, 2, 3, 4))), p,
+        Tensor(np.random.default_rng(12).normal(size=(2, 2, 5, 3))), 0.7)),
+    ("attention_v", (2, 2, 5, 3), lambda p: attention(
+        Tensor(np.random.default_rng(13).normal(size=(2, 2, 3, 4))),
+        Tensor(np.random.default_rng(14).normal(size=(2, 2, 5, 4))), p, 0.7)),
     ("linear_x", (2, 4, 5), lambda p: linear(
         p, Tensor(np.random.default_rng(5).normal(size=(5, 3))), Tensor(np.arange(3.0)))),
     ("linear_w", (5, 3), lambda p: linear(
@@ -236,17 +245,30 @@ def _primitive_params(name, shape):
     return Tensor(data, requires_grad=True)
 
 
+# The primitives that run block by block are checked once more with a
+# budget of one byte, which puts every row or [Sq, Sk] matrix in its own block.
+GRAD_CASES = [p + (None,) for p in PRIMITIVES] + [
+    (name + "_blocked", shape, op, 1) for name, shape, op in PRIMITIVES
+    if name.startswith(("gelu", "layer_norm", "attention"))]
+
+
 class TestGradCheck:
-    @pytest.mark.parametrize("name,shape,op", PRIMITIVES, ids=[p[0] for p in PRIMITIVES])
-    def test_primitive_gradients(self, name, shape, op):
+    @pytest.mark.parametrize("name,shape,op,budget", GRAD_CASES,
+                             ids=[c[0] for c in GRAD_CASES])
+    def test_primitive_gradients(self, monkeypatch, name, shape, op, budget):
+        if budget is not None:
+            monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
         params = _primitive_params(name, shape)
         err = grad_check(lambda p: _weighted_sum(op(p)), params,
                          h=1e-4, high_precision=True)
         assert err < 1e-4, f"{name}: relative error {err}"
 
-    @pytest.mark.parametrize("name,shape,op", PRIMITIVES, ids=[p[0] for p in PRIMITIVES])
-    def test_primitive_gradients_float32(self, name, shape, op):
+    @pytest.mark.parametrize("name,shape,op,budget", GRAD_CASES,
+                             ids=[c[0] for c in GRAD_CASES])
+    def test_primitive_gradients_float32(self, monkeypatch, name, shape, op, budget):
         # float32 evaluations: a wider step, so rounding stays well below the bound
+        if budget is not None:
+            monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
         params = _primitive_params(name, shape)
         err = grad_check(lambda p: _weighted_sum(op(p)), params, h=1e-2)
         assert err < 1e-4, f"{name}: relative error {err}"
@@ -276,6 +298,105 @@ class TestGradCheck:
         params = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         with pytest.raises(ValueError):
             grad_check(lambda p: mean(p), params, h=0.0)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("shape,core,budget", [
+        ((2, 3, 37, 37), 2, 2 * 37 * 37 * 4), ((2, 37, 24), 1, 5 * 24 * 4),
+        ((6, 5, 7), 1, 1), ((4, 5), 1, 3 * 5 * 4), ((5,), 1, 1), ((), 1, 1)])
+    def test_cover_every_element_once_in_order(self, monkeypatch, shape, core, budget):
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+        seen = np.zeros(shape, dtype=int)
+        order = np.arange(seen.size).reshape(shape)
+        firsts = []
+        for i in nd._blocks(shape, 4, core):
+            seen[i] += 1
+            firsts.append(order[i].reshape(-1)[0])
+        assert (seen == 1).all()
+        assert firsts == sorted(firsts)
+
+    def test_toy_model_arrays_are_one_block(self):
+        # attention [8, 4, 65, 65], MLP hidden [8, 65, 256], LN [8, 65, 64]
+        for shape, core in (((8, 4, 65, 65), 2), ((8, 65, 256), 1), ((8, 65, 64), 1)):
+            assert list(nd._blocks(shape, 4, core)) == [(...,)]
+
+    def test_paper_scale_blocks_fit_the_budget(self):
+        # a [576, 576] matrix (1.3 MB) is over the budget, so each of the
+        # 6 x 12 (tile, head) matrices is a block; the MLP activation goes
+        # in blocks of 64 rows
+        assert len(list(nd._blocks((6, 12, 576, 576), 4, 2))) == 72
+        blocks = list(nd._blocks((6, 576, 3072), 4, 1))
+        assert len(blocks) == 6 * 9 and blocks[1] == (0, slice(64, 128))
+
+
+def _attention_inputs(rng, b=2, h=3, s=37, dh=8):
+    # strided like split_heads' views of [B, S, D]
+    return [rng.normal(scale=2.0, size=(b, s, h, dh)).astype(np.float32).transpose(0, 2, 1, 3)
+            for _ in range(3)]
+
+
+def _outputs_and_grads(op, arrays, seed=0):
+    ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(*ts)
+    backward(_weighted_sum(out, seed))
+    return [out.data] + [x.grad for x in ts]
+
+
+# op, inputs, axes a block never splits, a budget that splits the output
+# into uneven blocks
+BLOCKED = {
+    "attention_probs": (lambda q, k: attention_probs(q, k, 1.0 / np.sqrt(24.0)),
+                        lambda rng: _attention_inputs(rng)[:2], 2, 2 * 37 * 37 * 4),
+    "gelu": (gelu, lambda rng: [rng.normal(scale=3.0, size=(2, 37, 24)).astype(np.float32)],
+             1, 5 * 24 * 4),
+    "layer_norm": (layer_norm, lambda rng: [
+        rng.normal(scale=3.0, size=(2, 37, 24)).astype(np.float32),
+        rng.normal(size=24).astype(np.float32), rng.normal(size=24).astype(np.float32)],
+        1, 5 * 24 * 4),
+}
+
+
+class TestBlockedBitExact:
+    """Blocked ops give the whole-array op's bits: each pass is elementwise
+    or reduces within one row or [Sq, Sk] matrix, and BLAS is still called
+    once per matrix."""
+
+    @pytest.mark.parametrize("name", sorted(BLOCKED))
+    def test_forward_and_every_gradient(self, monkeypatch, name):
+        op, inputs, core, budget = BLOCKED[name]
+        arrays = inputs(np.random.default_rng(20))
+        whole = _outputs_and_grads(op, arrays)
+        assert list(nd._blocks(whole[0].shape, 4, core)) == [(...,)]
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+        assert len(list(nd._blocks(whole[0].shape, 4, core))) > 2
+        blocked = _outputs_and_grads(op, arrays)
+        assert len(blocked) == len(whole)
+        for a, b in zip(whole, blocked):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("budget", [None, 2 * 37 * 37 * 4, 1])
+    def test_fused_attention_equals_probs_then_matmul(self, monkeypatch, budget):
+        q, k, v = (Tensor(a) for a in _attention_inputs(np.random.default_rng(21)))
+        scale = 1.0 / np.sqrt(24.0)  # a numpy float64, as ModelConfig.attn_scale is
+        expected = matmul(attention_probs(q, k, scale), v).data
+        if budget is not None:
+            monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+        with nd.no_grad():
+            out = attention(q, k, v, scale)
+        assert out._backward is None
+        assert out.data.shape == expected.shape and np.array_equal(out.data, expected)
+
+    def test_attention_records_its_two_nodes_under_grad(self):
+        q, k, v = (Tensor(a, requires_grad=True)
+                   for a in _attention_inputs(np.random.default_rng(22)))
+        out = attention(q, k, v, 0.5)
+        probs, v_in = out._parents
+        assert v_in is v and probs._parents == (q, k)
+
+    def test_attention_value_shape_mismatch(self):
+        q, k, v = (Tensor(a) for a in _attention_inputs(np.random.default_rng(23)))
+        with nd.no_grad(), pytest.raises(ShapeError, match="value"):
+            attention(q, k, Tensor(v.data[:, :, :5]), 0.5)
 
 
 class TestNoGrad:

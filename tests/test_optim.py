@@ -325,6 +325,9 @@ MALFORMED = {
     "non_dict_model": lambda b: _edit_config(b, lambda c: c.update(model=[1, 2])),
     "missing_adam_key": lambda b: _edit_config(b, lambda c: c["adam"].pop("t")),
     "non_int_layers": lambda b: _edit_config(b, lambda c: c["model"].update(layers="1")),
+    "negative_layers": lambda b: _edit_config(b, lambda c: c["model"].update(layers=-1)),
+    "float_dim": lambda b: _edit_config(b, lambda c: c["model"].update(dim=8.0)),
+    "non_bool_final_ln": lambda b: _edit_config(b, lambda c: c["model"].update(final_ln=0)),
     "bad_json": lambda b: _with_config(b, b"{not json"),
     "non_utf8_config": lambda b: _with_config(b, b'{"model": "\xff"}'),
     "non_object_config": lambda b: _with_config(b, b"[]"),
@@ -347,6 +350,26 @@ def test_non_utf8_array_name_raises_checkpoint_error(tmp_path):
     blob[name_at] = 0xFF
     open(path, "wb").write(bytes(blob))
     with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+def test_array_not_in_shape_table_raises_checkpoint_error(tmp_path):
+    # a config edited to fewer layers used to load, dropping layer1.*
+    path = _saved(tmp_path, TOY_PROFILE)
+    blob = open(path, "rb").read()
+    open(path, "wb").write(_edit_config(blob, lambda c: c["model"].update(layers=1)))
+    with pytest.raises(CheckpointError, match="'layer1.ln1.gamma' is not in the shape table"):
+        load_checkpoint(path)
+
+
+def test_rank_over_64_raises_checkpoint_error(tmp_path):
+    path = _saved(tmp_path)
+    blob = open(path, "rb").read()
+    _, _, rank_at = _first_array(blob)
+    rank = struct.unpack("<I", blob[rank_at:rank_at + 4])[0]
+    header = struct.pack("<I", 70) + struct.pack("<I", 1) * 70
+    open(path, "wb").write(blob[:rank_at] + header + blob[rank_at + 4 + 4 * rank:])
+    with pytest.raises(CheckpointError, match="rank 70"):
         load_checkpoint(path)
 
 
