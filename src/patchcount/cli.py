@@ -9,8 +9,8 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 
 from . import evalviz, patchio
@@ -20,23 +20,19 @@ from .optim import (CheckpointError, TrainConfig, load_checkpoint, train,
                     init_adam)
 from . import model as model_mod
 
-# closed schema: JSON key -> (target section, type)
+# closed schema: JSON key -> (target section, config field, type)
 _SCHEMA = {
-    "image": ("model", int), "patch": ("model", int), "dim": ("model", int),
-    "heads": ("model", int), "layers": ("model", int), "head": ("model", str),
-    "hidden_dim": ("model", int), "attn_denominator": ("model", str),
-    "final_ln": ("model", bool),
-    "batch_size": ("train", int), "epochs": ("train", int),
-    "seed": ("train", int), "lr": ("train", float),
-    "weight_decay": ("train", float), "augment": ("train", bool),
-    "standardize": ("train", bool), "checkpoint_every": ("train", int),
-}
-
-_MODEL_FIELD = {
-    "image": "image_size", "patch": "patch_size", "dim": "dim",
-    "heads": "heads", "layers": "layers", "head": "head_variant",
-    "hidden_dim": "hidden_dim", "attn_denominator": "attn_denominator",
-    "final_ln": "final_ln",
+    "image": ("model", "image_size", int), "patch": ("model", "patch_size", int),
+    "dim": ("model", "dim", int), "heads": ("model", "heads", int),
+    "layers": ("model", "layers", int), "head": ("model", "head_variant", str),
+    "hidden_dim": ("model", "hidden_dim", int),
+    "attn_denominator": ("model", "attn_denominator", str),
+    "final_ln": ("model", "final_ln", bool),
+    "batch_size": ("train", "batch_size", int), "epochs": ("train", "epochs", int),
+    "seed": ("train", "seed", int), "lr": ("train", "lr", float),
+    "weight_decay": ("train", "weight_decay", float), "augment": ("train", "augment", bool),
+    "standardize": ("train", "standardize", bool),
+    "checkpoint_every": ("train", "checkpoint_every", int),
 }
 
 TOY_PROFILE = {"image": 64, "patch": 8, "dim": 64, "heads": 4, "layers": 2,
@@ -60,22 +56,19 @@ def parse_config(path=None, overrides=None):
         if value is not None:
             merged[key] = value
 
-    model_kwargs, train_kwargs = {}, {}
+    kwargs = {"model": {}, "train": {}}
     for key, value in merged.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        section, typ = _SCHEMA[key]
+        section, name, typ = _SCHEMA[key]
         if typ is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
         if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
             raise ConfigError(
                 f"config key {key!r} expects {typ.__name__}, got {value!r}")
-        if section == "model":
-            model_kwargs[_MODEL_FIELD[key]] = value
-        else:
-            train_kwargs[key] = value
+        kwargs[section][name] = value
     try:
-        return ModelConfig(**model_kwargs), TrainConfig(**train_kwargs)
+        return ModelConfig(**kwargs["model"]), TrainConfig(**kwargs["train"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -131,18 +124,17 @@ def cmd_train(args):
     pairs = patchio.load_dataset(args.data)
     eval_pairs = patchio.load_dataset(args.eval_data) if args.eval_data else None
     log = evalviz.ConvergenceLog(args.log) if args.log else None
+    params = model_mod.init_params(cfg, tcfg.seed)
 
     def on_epoch(epoch, loss):
         if log is None:
             return
         mae = float("nan")
         if eval_pairs is not None:
-            _, _, mae, _ = evalviz.evaluate(eval_pairs, params_box[0], cfg,
+            _, _, mae, _ = evalviz.evaluate(eval_pairs, params, cfg,
                                             standardize=tcfg.standardize)
         log.record(epoch, loss, mae)
 
-    params = model_mod.init_params(cfg, tcfg.seed)
-    params_box = [params]
     state = init_adam(params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     try:
         train(pairs, cfg, tcfg, params=params, state=state,
@@ -156,11 +148,10 @@ def cmd_train(args):
 
 def cmd_eval(args):
     params, _, cfg = load_checkpoint(args.checkpoint)
-    with open(os.path.join(args.data, "labels.tsv")) as fh:
-        names = [line.split("\t")[0] for line in fh if line.strip()]
     pairs = patchio.load_dataset(args.data)
     preds, gts, mae, mse = evalviz.evaluate(pairs, params, cfg)
     if args.out:
+        names = [name for name, _ in patchio.read_labels(args.data)]
         evalviz.write_eval_report(names, preds, gts, args.out)
     print(f"MAE\t{mae:.4f}")
     print(f"MSE\t{mse:.4f}")
@@ -180,7 +171,7 @@ def cmd_gradcheck(args):
     variants = [cfg.head_variant] if args.head else ["gap", "token"]
     worst = 0.0
     for variant in variants:
-        vcfg = ModelConfig(**{**_cfg_dict(cfg), "head_variant": variant})
+        vcfg = dataclasses.replace(cfg, head_variant=variant)
         err = grad_check_model(vcfg, seed=tcfg.seed,
                                samples_per_param=args.samples, h=args.h)
         print(f"max_rel_err\t{variant}\t{err:.3e}")
@@ -188,11 +179,6 @@ def cmd_gradcheck(args):
     ok = worst < args.threshold
     print(f"gradcheck\t{'pass' if ok else 'fail'}\t{worst:.3e}")
     return 0 if ok else 1
-
-
-def _cfg_dict(cfg):
-    from dataclasses import asdict
-    return asdict(cfg)
 
 
 def cmd_attnmap(args):

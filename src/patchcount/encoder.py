@@ -8,32 +8,17 @@ Each layer computes
 with no dropout and no final LN by default. The heads of a layer run as
 one batched attention over [B, H, S, D/H] tensors. Attention weights can
 be captured per layer and head for map extraction.
+
+Weights are read by name from the flat params dict that
+``model.param_shapes`` defines: ``layer{l}.w_q``, ``layer{l}.mlp.w1``, ...
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ndtensor import (Tensor, add, attention, attention_probs, gelu, layer_norm,
+from .ndtensor import (add, attention, attention_probs, gelu, layer_norm,
                        linear, matmul, merge_heads, split_heads)
-
-
-@dataclass
-class LayerParams:
-    """One encoder layer's weights; Q/K/V stored as full [D, D] blocks."""
-
-    ln1_gamma: Tensor
-    ln1_beta: Tensor
-    w_q: Tensor
-    w_k: Tensor
-    w_v: Tensor
-    w_o: Tensor
-    ln2_gamma: Tensor
-    ln2_beta: Tensor
-    mlp_w1: Tensor
-    mlp_b1: Tensor
-    mlp_w2: Tensor
-    mlp_b2: Tensor
 
 
 @dataclass
@@ -58,34 +43,38 @@ def scaled_attention(q, k, v, scale, record=False):
     return matmul(attn, v), attn.data.copy()
 
 
-def msa(z, layer, n_heads, scale, layer_idx=0, record=False):
+def msa(z, params, layer, n_heads, scale, record=False):
     """Multi-head self-attention: m parallel heads, concatenated, re-projected."""
-    q, k, v = (split_heads(matmul(z, w), n_heads) for w in (layer.w_q, layer.w_k, layer.w_v))
+    p = f"layer{layer}."
+    q, k, v = (split_heads(matmul(z, params[p + w]), n_heads) for w in ("w_q", "w_k", "w_v"))
     out, weights = scaled_attention(q, k, v, scale, record=record)
-    records = [AttentionRecord(layer=layer_idx, head=h, weights=weights[:, h])
+    records = [AttentionRecord(layer=layer, head=h, weights=weights[:, h])
                for h in range(n_heads)] if record else []
-    return matmul(merge_heads(out), layer.w_o), records
+    return matmul(merge_heads(out), params[p + "w_o"]), records
 
 
-def mlp_block(z, layer):
+def mlp_block(z, params, layer):
     """Two linear layers (D -> 4D -> D) with GELU between, biases included."""
-    h = gelu(linear(z, layer.mlp_w1, layer.mlp_b1))
-    return linear(h, layer.mlp_w2, layer.mlp_b2)
+    p = f"layer{layer}.mlp."
+    h = gelu(linear(z, params[p + "w1"], params[p + "b1"]))
+    return linear(h, params[p + "w2"], params[p + "b2"])
 
 
-def encoder_layer(z, layer, n_heads, scale, layer_idx=0, record=False):
+def encoder_layer(z, params, layer, n_heads, scale, record=False):
     """Pre-LN attention block then pre-LN MLP block, each with a residual."""
-    attn_out, records = msa(layer_norm(z, layer.ln1_gamma, layer.ln1_beta),
-                            layer, n_heads, scale, layer_idx, record)
+    p = f"layer{layer}."
+    attn_out, records = msa(layer_norm(z, params[p + "ln1.gamma"], params[p + "ln1.beta"]),
+                            params, layer, n_heads, scale, record)
     z = add(attn_out, z)
-    z = add(mlp_block(layer_norm(z, layer.ln2_gamma, layer.ln2_beta), layer), z)
+    z = add(mlp_block(layer_norm(z, params[p + "ln2.gamma"], params[p + "ln2.beta"]),
+                      params, layer), z)
     return z, records
 
 
-def encode(z, layers, n_heads, scale, record=False):
-    """Apply all encoder layers in order; returns (Z_L, attention records)."""
+def encode(z, params, n_layers, n_heads, scale, record=False):
+    """Apply encoder layers 0..n_layers-1 in order; returns (Z_L, attention records)."""
     all_records = []
-    for idx, layer in enumerate(layers):
-        z, records = encoder_layer(z, layer, n_heads, scale, idx, record)
+    for layer in range(n_layers):
+        z, records = encoder_layer(z, params, layer, n_heads, scale, record)
         all_records.extend(records)
     return z, all_records

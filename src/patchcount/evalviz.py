@@ -9,8 +9,7 @@ import numpy as np
 
 from . import patchio
 from .ndtensor import no_grad
-from .model import HEAD_TOKEN
-from .optim import batch_predictions
+from .model import HEAD_TOKEN, batch_predictions
 
 
 def mae_mse(preds, gts):

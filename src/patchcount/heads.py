@@ -2,20 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ndtensor import Tensor, absolute, gelu, linear, mean, reshape, slice_axis
-
-
-@dataclass
-class HeadParams:
-    """Two-linear-layer count head with GELU between."""
-
-    variant: str  # "token" or "gap"
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
 
 
 def gap_pool(z):
@@ -29,14 +16,14 @@ def token_pool(z):
     return reshape(tok, (z.shape[0], z.shape[-1]))
 
 
-def regress(pooled, head):
-    """Pooled features [B, D] -> raw predicted counts [B].
+def regress(pooled, params):
+    """Pooled features [B, D] -> raw predicted counts [B], via head.w1 ... head.b2.
 
     Raw (possibly negative) values feed the loss; clamp at zero only when
     reporting final counts.
     """
-    h = gelu(linear(pooled, head.w1, head.b1))
-    out = linear(h, head.w2, head.b2)
+    h = gelu(linear(pooled, params["head.w1"], params["head.b1"]))
+    out = linear(h, params["head.w2"], params["head.b2"])
     return reshape(out, (pooled.shape[0],))
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embedder, encoder, heads
-from .ndtensor import Tensor
+from .ndtensor import Tensor, layer_norm, reshape, sum_axis
 
 HEAD_TOKEN = "token"
 HEAD_GAP = "gap"
@@ -127,27 +127,6 @@ def init_params(cfg, seed):
     return params
 
 
-def layer_params(params, layer_idx):
-    """View of one encoder layer's weights as an encoder.LayerParams."""
-    p = f"layer{layer_idx}."
-    return encoder.LayerParams(
-        ln1_gamma=params[p + "ln1.gamma"], ln1_beta=params[p + "ln1.beta"],
-        w_q=params[p + "w_q"], w_k=params[p + "w_k"], w_v=params[p + "w_v"],
-        w_o=params[p + "w_o"],
-        ln2_gamma=params[p + "ln2.gamma"], ln2_beta=params[p + "ln2.beta"],
-        mlp_w1=params[p + "mlp.w1"], mlp_b1=params[p + "mlp.b1"],
-        mlp_w2=params[p + "mlp.w2"], mlp_b2=params[p + "mlp.b2"],
-    )
-
-
-def head_params(params, cfg):
-    return heads.HeadParams(
-        variant=cfg.head_variant,
-        w1=params["head.w1"], b1=params["head.b1"],
-        w2=params["head.w2"], b2=params["head.b2"],
-    )
-
-
 def grad_check_model(cfg, seed=0, samples_per_param=None, h=1e-3,
                      high_precision=False):
     """Finite-difference check of the whole model's gradients.
@@ -182,25 +161,41 @@ def grad_check_model(cfg, seed=0, samples_per_param=None, h=1e-3,
     return worst
 
 
+def embed(params, cfg, patches):
+    """Patch sequences [B, N, K*K*3] -> position-embedded tokens [B, S, D].
+
+    The Token variant's regression token is prepended first, so S = N + 1.
+    """
+    x = patches if isinstance(patches, Tensor) else Tensor(patches)
+    e = embedder.linear_embed(x, params["embed.proj"])
+    if cfg.head_variant == HEAD_TOKEN:
+        e = embedder.prepend_reg_token(e, params["embed.reg_token"])
+    return embedder.add_position(e, params["embed.pos"])
+
+
 def forward(params, cfg, patches, record_attention=False):
     """Patch sequences [B, N, K*K*3] -> raw per-tile counts [B].
 
     Returns (predictions, attention records). Predictions are raw head
     outputs; clamp at zero only when reporting final counts.
     """
-    x = patches if isinstance(patches, Tensor) else Tensor(patches)
-    e = embedder.linear_embed(x, params["embed.proj"])
-    if cfg.head_variant == HEAD_TOKEN:
-        e = embedder.prepend_reg_token(e, params["embed.reg_token"])
-    z = embedder.add_position(e, params["embed.pos"])
-    layers = [layer_params(params, l) for l in range(cfg.layers)]
-    z, records = encoder.encode(z, layers, cfg.heads, cfg.attn_scale, record_attention)
+    z = embed(params, cfg, patches)
+    z, records = encoder.encode(z, params, cfg.layers, cfg.heads, cfg.attn_scale,
+                                record_attention)
     if cfg.final_ln:
-        from .ndtensor import layer_norm
         z = layer_norm(z, params["final_ln.gamma"], params["final_ln.beta"])
     if cfg.head_variant == HEAD_GAP:
         pooled = heads.gap_pool(z)
     else:
         pooled = heads.token_pool(z)
-    preds = heads.regress(pooled, head_params(params, cfg))
+    preds = heads.regress(pooled, params)
+    return preds, records
+
+
+def batch_predictions(params, cfg, batch, record_attention=False):
+    """Forward a PatchBatch into per-image predictions (tile sums)."""
+    preds, records = forward(params, cfg, batch.data, record_attention=record_attention)
+    t = batch.tiles_per_image
+    if t > 1:
+        preds = sum_axis(reshape(preds, (batch.batch, t)), 1)
     return preds, records

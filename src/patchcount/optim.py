@@ -17,10 +17,11 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import encoder, patchio
 from . import model as model_mod
-from . import patchio
-from .ndtensor import Tensor, backward, reshape, sum_axis
 from .heads import l1_loss
+from .model import batch_predictions  # also traced under this name by perfbench
+from .ndtensor import Tensor, backward, no_grad
 
 MAGIC = b"TCWD"
 VERSION = 1
@@ -63,8 +64,14 @@ class TrainConfig:
     checkpoint_every: int = 0  # epochs; 0 = only at the end
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name, low in (("batch_size", 1), ("epochs", 0), ("checkpoint_every", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
 
 
 def init_adam(params, lr=1e-5, weight_decay=1e-4, beta1=0.9, beta2=0.999,
@@ -120,16 +127,6 @@ def adam_step(params, state):
         p.data -= b
 
 
-def batch_predictions(params, cfg, batch, record_attention=False):
-    """Forward a PatchBatch into per-image predictions (tile sums)."""
-    preds, records = model_mod.forward(params, cfg, batch.data,
-                                       record_attention=record_attention)
-    t = batch.tiles_per_image
-    if t > 1:
-        preds = sum_axis(reshape(preds, (batch.batch, t)), 1)
-    return preds, records
-
-
 def train_step(batch, params, cfg, state):
     """Forward, L1 loss, backward, Adam step. Returns the pre-step loss."""
     if batch.batch == 0:
@@ -152,19 +149,12 @@ def train_step(batch, params, cfg, state):
 
 def activation_stats(params, cfg, batch):
     """Max |activation| after embedding and after each encoder layer."""
-    from . import embedder, encoder
-    from .ndtensor import no_grad
     stats = []
     with no_grad():
-        x = Tensor(batch.data)
-        e = embedder.linear_embed(x, params["embed.proj"])
-        if cfg.head_variant == model_mod.HEAD_TOKEN:
-            e = embedder.prepend_reg_token(e, params["embed.reg_token"])
-        z = embedder.add_position(e, params["embed.pos"])
+        z = model_mod.embed(params, cfg, batch.data)
         stats.append(("embed", float(np.abs(z.data).max())))
         for l in range(cfg.layers):
-            z, _ = encoder.encoder_layer(z, model_mod.layer_params(params, l),
-                                         cfg.heads, cfg.attn_scale)
+            z, _ = encoder.encoder_layer(z, params, l, cfg.heads, cfg.attn_scale)
             stats.append((f"layer{l}", float(np.abs(z.data).max())))
     return stats
 

@@ -9,6 +9,7 @@ exposes per-dot coordinates.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -27,6 +28,10 @@ class PPMError(ValueError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+class LabelsError(ValueError):
+    """Malformed labels.tsv line; the message names the file and line."""
 
 
 def _read_header_ints(buf, pos, count):
@@ -287,13 +292,39 @@ def make_batch(pairs, patch_size, rng=None, standardize=True,
                       tiles_per_image=tiles_per_image)
 
 
-def load_dataset(data_dir):
-    """Load a PPM + labels.tsv directory back into (image, count) pairs."""
-    pairs = []
-    with open(os.path.join(data_dir, "labels.tsv")) as fh:
-        for line in fh:
+def read_labels(data_dir):
+    """Parse ``data_dir/labels.tsv`` into [(name, count)] in file order.
+
+    Each non-blank line is ``name<TAB>count``. The name is a relative path
+    with no ``..`` part, listed once; the count is finite and >= 0.
+    """
+    path = os.path.join(data_dir, "labels.tsv")
+    labels, seen = [], set()
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            name, count = line.rstrip("\n").split("\t")
-            pairs.append((load_ppm(os.path.join(data_dir, name)), float(count)))
-    return pairs
+            where = f"{path} line {lineno}"
+            cols = line.rstrip("\n").split("\t")
+            if len(cols) != 2:
+                raise LabelsError(f"{where}: expected name<TAB>count, got {len(cols)} columns")
+            name, text = cols
+            try:
+                count = float(text)
+            except ValueError:
+                raise LabelsError(f"{where}: count {text!r} is not a number") from None
+            if not (math.isfinite(count) and count >= 0):
+                raise LabelsError(f"{where}: count must be finite and >= 0, got {text!r}")
+            if os.path.isabs(name) or ".." in name.split(os.sep):
+                raise LabelsError(f"{where}: name {name!r} leaves the dataset directory")
+            if name in seen:
+                raise LabelsError(f"{where}: duplicate name {name!r}")
+            seen.add(name)
+            labels.append((name, count))
+    return labels
+
+
+def load_dataset(data_dir):
+    """Load a PPM + labels.tsv directory back into (image, count) pairs."""
+    return [(load_ppm(os.path.join(data_dir, name)), count)
+            for name, count in read_labels(data_dir)]

@@ -209,3 +209,40 @@ def test_infer_bad_checkpoint_exits_1_with_error(tmp_path, capsys, case, expect)
     assert rc == 1
     assert captured.out == ""
     assert captured.err.startswith("error\t") and expect in captured.err
+
+
+def _tiny_checkpoint(tmp_path):
+    cfg = ModelConfig(image_size=16, patch_size=8, dim=8, heads=2, layers=1, hidden_dim=8)
+    params = init_params(cfg, 0)
+    ckpt = str(tmp_path / "m.tcwd")
+    save_checkpoint(params, init_adam(params), cfg, ckpt)
+    return ckpt
+
+
+def test_eval_nan_label_exits_1_with_error(tmp_path, capsys):
+    data = str(tmp_path / "data")
+    main(["synth", "--out", data, "--n", "2", "--side", "16", "--seed", "5"])
+    labels = os.path.join(data, "labels.tsv")
+    lines = open(labels).read().splitlines()
+    lines[1] = lines[1].split("\t")[0] + "\tnan"
+    open(labels, "w").write("\n".join(lines) + "\n")
+    ckpt = _tiny_checkpoint(tmp_path)
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", ckpt, "--data", data])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error\t") and "labels.tsv line 2" in captured.err
+
+
+def test_train_negative_epochs_exits_1_with_error(tmp_path, capsys):
+    data = str(tmp_path / "data")
+    main(["synth", "--out", data, "--n", "2", "--side", "64", "--seed", "5"])
+    ckpt = str(tmp_path / "m.tcwd")
+    capsys.readouterr()
+    rc = main(["train", "--data", data, "--out", ckpt, "--profile", "toy",
+               "--epochs", "-2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error\t") and "epochs must be" in captured.err
+    assert not os.path.exists(ckpt)

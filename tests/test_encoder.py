@@ -5,15 +5,13 @@ layer formulas, written independently of the autodiff primitives.
 """
 
 import math
-from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from patchcount import ndtensor, optim, patchio
-from patchcount.encoder import (LayerParams, encode, encoder_layer, mlp_block,
-                                msa, scaled_attention)
+from patchcount.encoder import encode, encoder_layer, mlp_block, msa, scaled_attention
 from patchcount.model import ModelConfig
 from patchcount.ndtensor import (Tensor, attention_probs, backward, concat, matmul,
                                  mean, mul, no_grad, slice_axis, smul, softmax_rows,
@@ -39,24 +37,30 @@ def np_gelu(x):
     return 0.5 * x * (1 + np.tanh(math.sqrt(2 / math.pi) * (x + 0.044715 * x ** 3)))
 
 
-def make_layer(rng, d, scale=0.1):
-    def w(*shape):
-        return t(rng.normal(scale=scale, size=shape).astype(np.float32))
+def _layer(d, l, w):
+    """One layer's params-dict entries, named as model.param_shapes names them."""
+    p = f"layer{l}."
+    return {
+        p + "ln1.gamma": t(np.ones(d)), p + "ln1.beta": t(np.zeros(d)),
+        p + "w_q": w(d, d), p + "w_k": w(d, d), p + "w_v": w(d, d), p + "w_o": w(d, d),
+        p + "ln2.gamma": t(np.ones(d)), p + "ln2.beta": t(np.zeros(d)),
+        p + "mlp.w1": w(d, 4 * d), p + "mlp.b1": w(4 * d),
+        p + "mlp.w2": w(4 * d, d), p + "mlp.b2": w(d)}
 
-    return LayerParams(
-        ln1_gamma=t(np.ones(d)), ln1_beta=t(np.zeros(d)),
-        w_q=w(d, d), w_k=w(d, d), w_v=w(d, d), w_o=w(d, d),
-        ln2_gamma=t(np.ones(d)), ln2_beta=t(np.zeros(d)),
-        mlp_w1=w(d, 4 * d), mlp_b1=w(4 * d), mlp_w2=w(4 * d, d), mlp_b2=w(d))
+
+def make_layer(rng, d, scale=0.1, l=0):
+    return _layer(d, l, lambda *shape: t(rng.normal(scale=scale, size=shape).astype(np.float32)))
+
+
+def make_layers(rng, n, d, scale=0.1):
+    params = {}
+    for l in range(n):
+        params.update(make_layer(rng, d, scale, l))
+    return params
 
 
 def zero_layer(d):
-    z = lambda *s: t(np.zeros(s))
-    return LayerParams(
-        ln1_gamma=t(np.ones(d)), ln1_beta=z(d),
-        w_q=z(d, d), w_k=z(d, d), w_v=z(d, d), w_o=z(d, d),
-        ln2_gamma=t(np.ones(d)), ln2_beta=z(d),
-        mlp_w1=z(d, 4 * d), mlp_b1=z(4 * d), mlp_w2=z(4 * d, d), mlp_b2=z(d))
+    return _layer(d, 0, lambda *shape: t(np.zeros(shape)))
 
 
 class TestScaledAttention:
@@ -139,12 +143,12 @@ class TestMSA:
         rng = np.random.default_rng(3)
         d = 4
         layer = make_layer(rng, d)
-        layer.w_o = t(np.eye(d))
+        layer["layer0.w_o"] = t(np.eye(d))
         z = t(rng.normal(size=(2, 3, d)).astype(np.float32))
-        out, _ = msa(z, layer, 1, 0.5)
-        q = np.matmul(z.data, layer.w_q.data)
-        k = np.matmul(z.data, layer.w_k.data)
-        v = np.matmul(z.data, layer.w_v.data)
+        out, _ = msa(z, layer, 0, 1, 0.5)
+        q = np.matmul(z.data, layer["layer0.w_q"].data)
+        k = np.matmul(z.data, layer["layer0.w_k"].data)
+        v = np.matmul(z.data, layer["layer0.w_v"].data)
         expected = np_softmax(q @ k.transpose(0, 2, 1) * 0.5) @ v
         npt.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-6)
 
@@ -154,31 +158,31 @@ class TestMSA:
         dh = d // m
         layer = make_layer(rng, d)
         z = t(rng.normal(size=(1, 5, d)).astype(np.float32))
-        out, _ = msa(z, layer, m, 0.25)
-        q = np.matmul(z.data, layer.w_q.data)
-        k = np.matmul(z.data, layer.w_k.data)
-        v = np.matmul(z.data, layer.w_v.data)
+        out, _ = msa(z, layer, 0, m, 0.25)
+        q = np.matmul(z.data, layer["layer0.w_q"].data)
+        k = np.matmul(z.data, layer["layer0.w_k"].data)
+        v = np.matmul(z.data, layer["layer0.w_v"].data)
         heads = []
         for h in range(m):
             sl = slice(h * dh, (h + 1) * dh)
             a = np_softmax(q[..., sl] @ k[..., sl].transpose(0, 2, 1) * 0.25)
             heads.append(a @ v[..., sl])
-        expected = np.concatenate(heads, axis=-1) @ layer.w_o.data
+        expected = np.concatenate(heads, axis=-1) @ layer["layer0.w_o"].data
         npt.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-6)
 
     def test_zero_values_annihilate(self):
         rng = np.random.default_rng(5)
         layer = make_layer(rng, 4)
-        layer.w_v = t(np.zeros((4, 4)))
+        layer["layer0.w_v"] = t(np.zeros((4, 4)))
         z = t(rng.normal(size=(1, 3, 4)).astype(np.float32))
-        out, _ = msa(z, layer, 2, 0.5)
+        out, _ = msa(z, layer, 0, 2, 0.5)
         npt.assert_array_equal(out.data, np.zeros((1, 3, 4)))
 
     def test_records_shape(self):
         rng = np.random.default_rng(6)
-        layer = make_layer(rng, 4)
+        layer = make_layer(rng, 4, l=1)
         z = t(rng.normal(size=(2, 3, 4)).astype(np.float32))
-        _, records = msa(z, layer, 2, 0.5, layer_idx=1, record=True)
+        _, records = msa(z, layer, 1, 2, 0.5, record=True)
         assert len(records) == 2
         assert records[0].layer == 1 and records[1].head == 1
         assert records[0].weights.shape == (2, 3, 3)
@@ -187,14 +191,14 @@ class TestMSA:
 def per_head_msa(z, layer, n_heads, scale):
     """Unfused reference: a slice/softmax_rows/matmul chain per head, then concat."""
     dh = z.shape[-1] // n_heads
-    q, k, v = (matmul(z, w) for w in (layer.w_q, layer.w_k, layer.w_v))
+    q, k, v = (matmul(z, layer[f"layer0.{w}"]) for w in ("w_q", "w_k", "w_v"))
     outs, weights = [], []
     for h in range(n_heads):
         q_h, k_h, v_h = (slice_axis(x, -1, h * dh, (h + 1) * dh) for x in (q, k, v))
         attn = softmax_rows(smul(matmul(q_h, transpose_last(k_h)), scale))
         outs.append(matmul(attn, v_h))
         weights.append(attn.data)
-    return matmul(concat(outs, axis=-1), layer.w_o), weights
+    return matmul(concat(outs, axis=-1), layer["layer0.w_o"]), weights
 
 
 class TestFusedMSA:
@@ -207,17 +211,16 @@ class TestFusedMSA:
         scale = 1.0 / np.sqrt(5.0)  # a numpy float64, as ModelConfig.attn_scale is
         runs = []
         for fused in (True, False):
-            layer = LayerParams(**{f.name: Tensor(getattr(base, f.name).data.copy(),
-                                                  requires_grad=True)
-                                   for f in fields(LayerParams)})
+            layer = {name: Tensor(p.data.copy(), requires_grad=True)
+                     for name, p in base.items()}
             z = Tensor(z0.copy(), requires_grad=True)
             if fused:
-                out, records = msa(z, layer, m, scale, record=True)
+                out, records = msa(z, layer, 0, m, scale, record=True)
                 weights = [r.weights for r in records]
             else:
                 out, weights = per_head_msa(z, layer, m, scale)
             backward(mean(mul(out, w_loss)))
-            grads = [z.grad] + [getattr(layer, n).grad for n in ("w_q", "w_k", "w_v", "w_o")]
+            grads = [z.grad] + [layer[f"layer0.{n}"].grad for n in ("w_q", "w_k", "w_v", "w_o")]
             runs.append((out.data, weights, grads))
         (out_f, weights_f, grads_f), (out_r, weights_r, grads_r) = runs
         assert np.array_equal(out_f, out_r)
@@ -230,14 +233,14 @@ class TestFusedMSA:
 class TestMLP:
     def test_zero_weights(self):
         z = t(np.random.default_rng(7).normal(size=(1, 3, 4)))
-        out = mlp_block(z, zero_layer(4))
+        out = mlp_block(z, zero_layer(4), 0)
         npt.assert_array_equal(out.data, np.zeros((1, 3, 4)))
 
     def test_hidden_width_is_4d(self):
         d = 4
         layer = zero_layer(d)
-        assert layer.mlp_w1.shape == (d, 4 * d)
-        assert layer.mlp_w2.shape == (4 * d, d)
+        assert layer["layer0.mlp.w1"].shape == (d, 4 * d)
+        assert layer["layer0.mlp.w2"].shape == (4 * d, d)
 
     def test_identity_padded_reduces_to_gelu(self):
         d = 4
@@ -246,17 +249,17 @@ class TestMLP:
         w1[:, :d] = np.eye(d)
         w2 = np.zeros((4 * d, d), dtype=np.float32)
         w2[:d, :] = np.eye(d)
-        layer.mlp_w1 = t(w1)
-        layer.mlp_w2 = t(w2)
+        layer["layer0.mlp.w1"] = t(w1)
+        layer["layer0.mlp.w2"] = t(w2)
         z = t(np.random.default_rng(8).normal(size=(2, 3, d)).astype(np.float32))
-        out = mlp_block(z, layer)
+        out = mlp_block(z, layer, 0)
         npt.assert_allclose(out.data, np_gelu(z.data), rtol=1e-5, atol=1e-6)
 
 
 class TestEncoderLayer:
     def test_zero_weights_is_identity(self):
         z = t(np.random.default_rng(9).normal(size=(2, 3, 4)).astype(np.float32))
-        out, _ = encoder_layer(z, zero_layer(4), 2, 0.5)
+        out, _ = encoder_layer(z, zero_layer(4), 0, 2, 0.5)
         npt.assert_array_equal(out.data, z.data)
 
     def test_matches_hand_trace(self):
@@ -264,32 +267,33 @@ class TestEncoderLayer:
         d = 4
         layer = make_layer(rng, d, scale=0.3)
         z = rng.normal(size=(1, 2, d)).astype(np.float32)
-        out, _ = encoder_layer(t(z), layer, 1, 0.5)
+        out, _ = encoder_layer(t(z), layer, 0, 1, 0.5)
 
         # independent step-by-step trace of the pre-LN layer
-        zn = np_layer_norm(z, layer.ln1_gamma.data, layer.ln1_beta.data)
-        q = zn @ layer.w_q.data
-        k = zn @ layer.w_k.data
-        v = zn @ layer.w_v.data
+        w = {name[len("layer0."):]: p.data for name, p in layer.items()}
+        zn = np_layer_norm(z, w["ln1.gamma"], w["ln1.beta"])
+        q = zn @ w["w_q"]
+        k = zn @ w["w_k"]
+        v = zn @ w["w_v"]
         attn = np_softmax(q @ k.transpose(0, 2, 1) * 0.5) @ v
-        z1 = attn @ layer.w_o.data + z
-        z1n = np_layer_norm(z1, layer.ln2_gamma.data, layer.ln2_beta.data)
-        hidden = np_gelu(z1n @ layer.mlp_w1.data + layer.mlp_b1.data)
-        z2 = hidden @ layer.mlp_w2.data + layer.mlp_b2.data + z1
+        z1 = attn @ w["w_o"] + z
+        z1n = np_layer_norm(z1, w["ln2.gamma"], w["ln2.beta"])
+        hidden = np_gelu(z1n @ w["mlp.w1"] + w["mlp.b1"])
+        z2 = hidden @ w["mlp.w2"] + w["mlp.b2"] + z1
         npt.assert_allclose(out.data, z2, rtol=1e-5, atol=1e-6)
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(11)
         layer = make_layer(rng, 8)
         z = t(rng.normal(size=(3, 5, 8)).astype(np.float32))
-        out, _ = encoder_layer(z, layer, 4, 0.25)
+        out, _ = encoder_layer(z, layer, 0, 4, 0.25)
         assert out.shape == z.shape
 
 
 class TestEncode:
     def test_empty_composition(self):
         z = t(np.random.default_rng(12).normal(size=(1, 3, 4)))
-        out, records = encode(z, [], 2, 0.5)
+        out, records = encode(z, {}, 0, 2, 0.5)
         npt.assert_array_equal(out.data, z.data)
         assert records == []
 
@@ -300,27 +304,28 @@ class TestEncode:
 
     def test_record_count(self):
         rng = np.random.default_rng(13)
-        layers = [make_layer(rng, 4) for _ in range(3)]
+        params = make_layers(rng, 3, 4)
         z = t(rng.normal(size=(2, 3, 4)).astype(np.float32))
-        _, records = encode(z, layers, 2, 0.5, record=True)
+        _, records = encode(z, params, 3, 2, 0.5, record=True)
         assert len(records) == 3 * 2
+        assert [r.layer for r in records] == [0, 0, 1, 1, 2, 2]
 
     def test_attention_rows_stochastic(self):
         rng = np.random.default_rng(14)
-        layers = [make_layer(rng, 8, scale=0.5) for _ in range(2)]
+        params = make_layers(rng, 2, 8, scale=0.5)
         z = t(rng.normal(size=(2, 5, 8)).astype(np.float32))
-        _, records = encode(z, layers, 4, 0.25, record=True)
+        _, records = encode(z, params, 2, 4, 0.25, record=True)
         for rec in records:
             npt.assert_allclose(rec.weights.sum(axis=-1), 1.0, atol=1e-6)
             assert ((rec.weights >= 0) & (rec.weights <= 1)).all()
 
     def test_permutation_equivariance_without_positions(self):
         rng = np.random.default_rng(15)
-        layers = [make_layer(rng, 8, scale=0.3) for _ in range(2)]
+        params = make_layers(rng, 2, 8, scale=0.3)
         z = rng.normal(size=(1, 6, 8)).astype(np.float32)
         perm = rng.permutation(6)
-        out, _ = encode(t(z), layers, 2, 0.25)
-        out_p, _ = encode(t(z[:, perm]), layers, 2, 0.25)
+        out, _ = encode(t(z), params, 2, 2, 0.25)
+        out_p, _ = encode(t(z[:, perm]), params, 2, 2, 0.25)
         npt.assert_allclose(out_p.data, out.data[:, perm], rtol=1e-5, atol=1e-6)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from patchcount.heads import HeadParams, gap_pool, l1_loss, regress
+from patchcount.heads import gap_pool, l1_loss, regress
 from patchcount.model import ModelConfig, forward, init_params
 from patchcount.ndtensor import Tensor
 
@@ -34,11 +34,10 @@ class TestGapPool:
 
 class TestRegress:
     def _head(self, d, hid, **over):
-        base = dict(variant="gap",
-                    w1=t(np.zeros((d, hid))), b1=t(np.zeros(hid)),
+        base = dict(w1=t(np.zeros((d, hid))), b1=t(np.zeros(hid)),
                     w2=t(np.zeros((hid, 1))), b2=t(np.zeros(1)))
         base.update(over)
-        return HeadParams(**base)
+        return {f"head.{name}": w for name, w in base.items()}
 
     def test_constant_head(self):
         head = self._head(3, 4, b2=t([7.0]))

@@ -164,6 +164,18 @@ class TestTrainStep:
         train_step(batch, params, cfg, state)
         assert cleared == [True]
 
+    def test_non_finite_loss_names_max_activation_per_layer(self):
+        batch = tiny_batch()
+        cfg = ModelConfig(**TOY, head_variant="token")
+        params = init_params(cfg, 3)
+        params["head.b2"].data[:] = np.nan
+        expected = optim.activation_stats(params, cfg, batch)
+        assert [name for name, _ in expected] == ["embed", "layer0"]
+        assert all(np.isfinite(v) and v > 0 for _, v in expected)
+        with pytest.raises(FloatingPointError, match="max \\|activation\\| per layer: "
+                           + ", ".join(f"{k}={v:.3e}" for k, v in expected)):
+            train_step(batch, params, cfg, init_adam(params))
+
     def test_loss_decreases_on_fixed_batch(self):
         batch = tiny_batch()
         cfg = ModelConfig(**TOY, head_variant="gap")
@@ -423,3 +435,20 @@ def test_forged_size_is_truncation_without_allocating_it(tmp_path, field):
     peak, out = _load_peak(path)
     assert isinstance(out, CheckpointError) and "truncated" in str(out), out
     assert peak < size, f"peak {peak} B for a {size} B file"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 2.0), ("batch_size", True),
+    ("epochs", -2), ("epochs", 1.5),
+    ("checkpoint_every", -1), ("checkpoint_every", True),
+    ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf")),
+    ("weight_decay", -1e-4), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+])
+def test_train_config_rejects_bad_type_or_range(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_zero_epochs_and_decay():
+    tcfg = TrainConfig(epochs=0, checkpoint_every=0, weight_decay=0.0)
+    assert (tcfg.epochs, tcfg.checkpoint_every, tcfg.weight_decay) == (0, 0, 0.0)

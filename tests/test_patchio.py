@@ -5,10 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from patchcount import patchio
-from patchcount.patchio import (PPMError, SynthSpec, augment, load_dataset,
+from patchcount.patchio import (LabelsError, PPMError, SynthSpec, augment, load_dataset,
                                 load_pgm, load_ppm, make_batch, normalize,
-                                patchify, resize_bilinear, save_ppm, split_tiles,
-                                synth_generate, unpatchify, write_dataset)
+                                patchify, read_labels, resize_bilinear, save_ppm,
+                                split_tiles, synth_generate, unpatchify, write_dataset)
 
 
 def _write_ppm(path, w, h, payload, magic=b"P6", maxval=255):
@@ -205,6 +205,8 @@ class TestSynth:
         write_dataset(pairs, tmp_path / "ds")
         loaded = load_dataset(tmp_path / "ds")
         assert len(loaded) == 5
+        assert read_labels(tmp_path / "ds") == [(f"img_{i:05d}.ppm", c)
+                                                for i, (_, c) in enumerate(pairs)]
         for (ia, ca), (ib, cb) in zip(pairs, loaded):
             assert ca == cb
             npt.assert_allclose(ia, ib, atol=0.5 / 255)
@@ -239,3 +241,34 @@ class TestBatch:
         p.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]))
         img = load_pgm(p)
         npt.assert_allclose(img, np.array([[0, 255], [128, 64]]) / 255.0)
+
+
+# one malformed third line per case (the second is blank), and the message it gives
+BAD_LABEL_LINES = {
+    "one_column": ("b.ppm\n", "got 1 columns"),
+    "three_columns": ("b.ppm\t3\t1\n", "got 3 columns"),
+    "not_a_number": ("b.ppm\tmany\n", "not a number"),
+    "nan_count": ("b.ppm\tnan\n", "finite and >= 0"),
+    "inf_count": ("b.ppm\tinf\n", "finite and >= 0"),
+    "negative_count": ("b.ppm\t-5\n", "finite and >= 0"),
+    "duplicate_name": ("a.ppm\t4\n", "duplicate name"),
+    "absolute_name": ("{outside}\t3\n", "leaves the dataset directory"),
+    "parent_name": ("../b.ppm\t3\n", "leaves the dataset directory"),
+    "inner_parent_name": ("sub/../../b.ppm\t3\n", "leaves the dataset directory"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_LABEL_LINES))
+def test_malformed_labels_line_raises_labels_error(tmp_path, case):
+    line, expect = BAD_LABEL_LINES[case]
+    data = tmp_path / "ds"
+    data.mkdir()
+    img = np.zeros((8, 8, 3), dtype=np.float32)
+    for path in (data / "a.ppm", data / "b.ppm", tmp_path / "b.ppm"):
+        save_ppm(img, path)
+    labels = data / "labels.tsv"
+    labels.write_text("a.ppm\t2\n\n" + line.format(outside=tmp_path / "b.ppm"))
+    for load in (read_labels, load_dataset):
+        with pytest.raises(LabelsError, match=expect) as exc:
+            load(data)
+        assert f"{labels} line 3" in str(exc.value)
