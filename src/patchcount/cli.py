@@ -122,7 +122,8 @@ def cmd_synth(args):
 def cmd_train(args):
     cfg, tcfg = parse_config(args.config, _overrides_from_args(args))
     pairs = patchio.load_dataset(args.data)
-    eval_pairs = patchio.load_dataset(args.eval_data) if args.eval_data else None
+    # the eval set is only ever scored into the log
+    eval_pairs = patchio.load_dataset(args.eval_data) if args.eval_data and args.log else None
     log = evalviz.ConvergenceLog(args.log) if args.log else None
     params = model_mod.init_params(cfg, tcfg.seed)
 
@@ -219,7 +220,9 @@ def build_parser():
     t = sub.add_parser("train", help="train a model on a PPM + labels.tsv dataset")
     _add_config_flags(t)
     t.add_argument("--data", required=True)
-    t.add_argument("--eval-data", dest="eval_data")
+    t.add_argument("--eval-data", dest="eval_data",
+                   help="dataset scored after every epoch into --log; "
+                        "read only when --log is given")
     t.add_argument("--out", required=True, help="checkpoint path")
     t.add_argument("--log", help="convergence TSV path")
     t.set_defaults(func=cmd_train)

@@ -492,15 +492,19 @@ def gelu(x):
     """GELU via the tanh approximation.
 
     Runs in place on two buffers, one block of rows at a time, and keeps
-    only tanh(u) for backward. Each float32 operation has the operands and
-    order of the plain formula
+    only tanh(u) for backward; while the graph is not recorded, tanh(u)
+    and then 1 + tanh(u) live in one block-sized buffer per block instead,
+    so only the output is whole-array. Each float32
+    operation has the operands and order of the plain formula
     0.5 * x * (1 + tanh(sqrt(2/pi) * (x + C * x * x * x))).
     """
     x_ = x.data
-    t = np.empty(x_.shape, np.result_type(_GELU_C, x_))
-    data = np.empty_like(t)
-    for i in _blocks(x_.shape, t.itemsize, 1):
-        x_i, t_i, out_i = x_[i], t[i], data[i]
+    dtype = np.result_type(_GELU_C, x_)
+    t = np.empty(x_.shape, dtype) if _recording((x,)) else None
+    data = np.empty(x_.shape, dtype)
+    for i in _blocks(x_.shape, dtype.itemsize, 1):
+        x_i, out_i = x_[i], data[i]
+        t_i = np.empty(x_i.shape, dtype) if t is None else t[i]
         # multiplied out: float32 `** 3` goes through powf, ~25x slower, and
         # rounds however the numpy build's pow does
         np.multiply(_GELU_C, x_i, out=t_i)
@@ -510,7 +514,8 @@ def gelu(x):
         t_i *= _SQRT_2_OVER_PI
         np.tanh(t_i, out=t_i)
         np.multiply(0.5, x_i, out=out_i)
-        out_i *= 1.0 + t_i
+        out_i *= np.add(1.0, t_i, out=t_i if t is None else None)
+        del t_i  # a no-grad block's buffer goes before the next one is made
 
     def backward(g):
         dgelu = np.empty_like(t)

@@ -4,7 +4,8 @@ Checkpoint layout (all integers 32-bit little-endian):
   magic "TCWD" | version=1 | json_len | json config block | array_count |
   per array: name_len, name utf-8, rank, dims..., float32 payload.
 Optimizer moments are stored as "<param>.m" / "<param>.v"; the step
-counter lives in the JSON block.
+counter lives in the JSON block. Loading reads only the parameters; each
+moment stays in the file until it is first used.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -38,7 +40,11 @@ class MissingGradError(RuntimeError):
 
 @dataclass
 class AdamState:
-    """First/second-moment buffers plus hyperparameters."""
+    """First/second-moment buffers plus hyperparameters.
+
+    ``m`` and ``v`` map each parameter name to its buffer: dicts from
+    ``init_adam``, read-on-first-use mappings from ``load_checkpoint``.
+    """
 
     lr: float = 1e-5
     beta1: float = 0.9
@@ -236,11 +242,15 @@ def save_checkpoint(params, state, cfg, path):
 class _Reader:
     """Sequential reads from an open checkpoint, each checked first against
     the bytes left in the file, so a forged length or shape cannot allocate
-    more than the file holds."""
+    more than the file holds. ``stamp`` tells one version of the file from
+    another: replacing, resizing or rewriting it changes the stamp (unless a
+    same-size rewrite lands within one tick of the filesystem's clock)."""
 
     def __init__(self, fh):
+        st = os.fstat(fh.fileno())
         self.fh = fh
-        self.left = os.fstat(fh.fileno()).st_size
+        self.stamp = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+        self.left = st.st_size
 
     def _claim(self, n, what):
         if n > self.left:
@@ -254,6 +264,10 @@ class _Reader:
             raise CheckpointError(f"truncated checkpoint while reading {what}")
         return out
 
+    def skip(self, n, what):
+        self._claim(n, what)
+        self.fh.seek(n, os.SEEK_CUR)
+
     def u32(self, what):
         return struct.unpack("<I", self.take(4, what))[0]
 
@@ -266,17 +280,53 @@ class _Reader:
         return arr
 
 
+class _LazyMoments(Mapping):
+    """Adam moment buffers left in a checkpoint file until first use.
+
+    Each buffer is read into its own array on first lookup and kept; the
+    file must still be the version that was loaded, or the lookup raises
+    CheckpointError rather than read other bytes.
+    """
+
+    def __init__(self, path, stamp, where):
+        self._path, self._stamp, self._where = path, stamp, where  # name -> (offset, dims)
+        self._arrays = {}
+
+    def __getitem__(self, name):
+        arr = self._arrays.get(name)
+        if arr is None:
+            offset, dims = self._where[name]
+            with open(self._path, "rb") as fh:
+                r = _Reader(fh)
+                if r.stamp != self._stamp:
+                    raise CheckpointError(
+                        f"checkpoint {self._path!r} changed since it was loaded")
+                fh.seek(offset)
+                r.left -= offset
+                arr = self._arrays[name] = r.array(dims, f"moment of {name!r}")
+        return arr
+
+    def __iter__(self):
+        return iter(self._where)
+
+    def __len__(self):
+        return len(self._where)
+
+
 _ADAM_KEYS = ("lr", "beta1", "beta2", "eps", "weight_decay", "t")
 
 
 def load_checkpoint(path, expected_cfg=None):
     """Read a checkpoint; returns (params, AdamState, ModelConfig).
 
-    Each array is read from the file into its own final buffer; no copy of
-    the whole file is held. With ``expected_cfg`` given, a variant or
-    architecture mismatch raises instead of returning a
-    partially-compatible model.
+    Every header is checked and each parameter is read from the file into
+    its own final buffer; no copy of the whole file is held. The Adam
+    moments are only located: ``state.m``/``state.v`` read each one on
+    first use, after checking that the file has not changed since. With
+    ``expected_cfg`` given, a variant or architecture mismatch raises
+    instead of returning a partially-compatible model.
     """
+    path = os.path.abspath(path)
     with open(path, "rb") as fh:
         r = _Reader(fh)
         if r.take(4, "magic") != MAGIC:
@@ -298,7 +348,7 @@ def load_checkpoint(path, expected_cfg=None):
                 f"{asdict(expected_cfg)}")
 
         named = {key for name in shapes for key in (name, name + ".m", name + ".v")}
-        arrays = {}
+        dims_of, arrays, where = {}, {}, {}  # where: moment -> (offset, dims)
         for _ in range(r.u32("array count")):
             try:
                 name = r.take(r.u32("name length"), "array name").decode()
@@ -310,19 +360,22 @@ def load_checkpoint(path, expected_cfg=None):
             rank = r.u32("rank")
             if rank > _MAX_RANK:
                 raise CheckpointError(f"array {name!r} has rank {rank}, over {_MAX_RANK}")
-            dims = tuple(r.u32("dim") for _ in range(rank))
-            arrays[name] = r.array(dims, f"array {name!r} payload")
+            dims = dims_of[name] = tuple(r.u32("dim") for _ in range(rank))
+            what = f"array {name!r} payload"
+            if name in shapes:
+                arrays[name] = r.array(dims, what)
+            else:
+                where[name] = (fh.tell(), dims)
+                r.skip(4 * math.prod(dims), what)
 
-    params = {}
     for name, shape in shapes.items():
         for key in (name, name + ".m", name + ".v"):
-            if key not in arrays:
+            if key not in dims_of:
                 raise CheckpointError(f"checkpoint missing array {key!r}")
-            if arrays[key].shape != shape:
+            if dims_of[key] != shape:
                 raise CheckpointError(
-                    f"array {key!r} has shape {arrays[key].shape}, "
-                    f"config implies {shape}")
-        params[name] = Tensor(arrays[name], requires_grad=True)
-        state.m[name] = arrays[name + ".m"]
-        state.v[name] = arrays[name + ".v"]
+                    f"array {key!r} has shape {dims_of[key]}, config implies {shape}")
+    state.m = _LazyMoments(path, r.stamp, {n: where[n + ".m"] for n in shapes})
+    state.v = _LazyMoments(path, r.stamp, {n: where[n + ".v"] for n in shapes})
+    params = {name: Tensor(arrays[name], requires_grad=True) for name in shapes}
     return params, state, cfg

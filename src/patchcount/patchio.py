@@ -197,6 +197,8 @@ def synth_generate(spec, n_images):
     Deterministic given spec.seed. Only the total count is returned as the
     label; dot positions are discarded.
     """
+    if isinstance(n_images, bool) or not isinstance(n_images, int) or n_images < 1:
+        raise ValueError(f"n_images must be an int >= 1, got {n_images!r}")
     rng = np.random.default_rng(spec.seed)
     side = spec.side
     sigma = spec.dot_radius / 2.0

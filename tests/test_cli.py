@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import patchcount
-from patchcount import patchio
+from patchcount import optim, patchio
 from patchcount.cli import ConfigError, main, parse_config
 from patchcount.model import ModelConfig, init_params
 from patchcount.optim import init_adam, save_checkpoint
@@ -246,3 +246,75 @@ def test_train_negative_epochs_exits_1_with_error(tmp_path, capsys):
     assert rc == 1
     assert captured.err.startswith("error\t") and "epochs must be" in captured.err
     assert not os.path.exists(ckpt)
+
+
+def test_train_reads_eval_data_only_with_log(tmp_path, monkeypatch):
+    data, ev = str(tmp_path / "data"), str(tmp_path / "ev")
+    main(["synth", "--out", data, "--n", "4", "--side", "16", "--seed", "5"])
+    main(["synth", "--out", ev, "--n", "20", "--side", "16", "--seed", "6"])
+    calls = []
+    load_ppm = patchio.load_ppm
+    monkeypatch.setattr(patchio, "load_ppm", lambda path: calls.append(path) or load_ppm(path))
+    flags = ["--data", data, "--eval-data", ev, "--out", str(tmp_path / "m.tcwd"),
+             "--image", "16", "--patch", "8", "--dim", "8", "--heads", "2",
+             "--layers", "1", "--hidden-dim", "8", "--epochs", "1", "--batch-size", "2"]
+    assert main(["train"] + flags) == 0
+    assert len(calls) == 4
+    calls.clear()
+    log = str(tmp_path / "conv.tsv")
+    assert main(["train"] + flags + ["--log", log]) == 0
+    assert len(calls) == 24
+    mae = float(open(log).read().splitlines()[1].split("\t")[2])
+    assert np.isfinite(mae)
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_synth_n_below_one_exits_1_and_writes_nothing(tmp_path, capsys, n):
+    out = str(tmp_path / "data")
+    rc = main(["synth", "--out", out, "--n", n])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error\t") and "n_images must be" in captured.err
+    assert not os.path.exists(out)
+
+
+def _moment_payloads(blob):
+    """(start, end) of every .m/.v array's payload in a checkpoint's bytes."""
+    at = 12 + struct.unpack("<I", blob[8:12])[0]
+    count, at = struct.unpack("<I", blob[at:at + 4])[0], at + 4
+    spans = []
+    for _ in range(count):
+        n = struct.unpack("<I", blob[at:at + 4])[0]
+        name, at = blob[at + 4:at + 4 + n].decode(), at + 4 + n
+        rank, at = struct.unpack("<I", blob[at:at + 4])[0], at + 4
+        dims = struct.unpack(f"<{rank}I", blob[at:at + 4 * rank])
+        at += 4 * rank
+        end = at + 4 * int(np.prod(dims))
+        if name.endswith((".m", ".v")):
+            spans.append((at, end))
+        at = end
+    assert at == len(blob)
+    return spans
+
+
+def test_infer_never_reads_the_moments(tmp_path, capsys, monkeypatch):
+    ckpt = _tiny_checkpoint(tmp_path)
+    blob = bytearray(open(ckpt, "rb").read())
+    spans = _moment_payloads(bytes(blob))
+    for start, end in spans:
+        blob[start:end] = np.full((end - start) // 4, np.nan, "<f4").tobytes()
+    open(ckpt, "wb").write(bytes(blob))
+    img = str(tmp_path / "x.ppm")
+    patchio.save_ppm(np.full((16, 16, 3), 0.5, dtype=np.float32), img)
+    reads = []
+    array = optim._Reader.array
+    monkeypatch.setattr(optim._Reader, "array",
+                        lambda self, dims, what: reads.append(what) or array(self, dims, what))
+    capsys.readouterr()
+    rc = main(["infer", "--checkpoint", ckpt, "--image", img])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert len(reads) == len(spans) // 2  # the parameters, and nothing else
+    assert captured.out.startswith("count\t")
+    assert np.isfinite(float(captured.out.split("\t")[1]))

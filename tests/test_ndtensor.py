@@ -1,6 +1,7 @@
 """Tensor-core unit tests: op contracts, backward rules, grad checking."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -123,6 +124,35 @@ class TestGelu:
         x = np.linspace(-0.7, 6, 241).astype(np.float32)
         y = gelu(t(x)).data
         assert (np.diff(y) >= 0).all()
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_no_grad_equals_recorded(self, monkeypatch, budget):
+        x = np.random.default_rng(7).normal(scale=3.0, size=(2, 37, 24)).astype(np.float32)
+        if budget is not None:
+            monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+        recorded = gelu(t(x, rg=True))
+        assert recorded._backward is not None
+        with nd.no_grad():
+            out = gelu(t(x, rg=True))
+        assert out._backward is None
+        assert np.array_equal(out.data, recorded.data)
+        assert np.array_equal(gelu(t(x)).data, recorded.data)  # a constant input
+
+    def test_no_grad_holds_output_plus_one_block(self):
+        # four blocks of 64 rows of the paper's MLP width
+        x = np.random.default_rng(8).normal(size=(4, 64, 3072)).astype(np.float32)
+        assert len(list(nd._blocks(x.shape, 4, 1))) == 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with nd.no_grad():
+                out = gelu(t(x))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.data.nbytes + nd._BLOCK_BYTES + 16384, \
+            f"peak {peak} B for a {out.data.nbytes} B output"
 
 
 class TestBackward:

@@ -11,7 +11,7 @@ import numpy.testing as npt
 import pytest
 
 from patchcount import optim, patchio
-from patchcount.model import ModelConfig, init_params
+from patchcount.model import ModelConfig, init_params, param_shapes
 from patchcount.ndtensor import Tensor
 from patchcount.optim import (CheckpointError, MissingGradError,
                               TrainConfig, adam_step, init_adam,
@@ -406,6 +406,74 @@ def test_load_peak_close_to_file_size(tmp_path):
     peak, out = _load_peak(path)
     assert isinstance(out, tuple)
     assert peak <= 1.25 * size, f"peak {peak} B for a {size} B file"
+
+
+def test_load_peak_under_half_file_size(tmp_path):
+    # the parameters are a third of the file; the moments stay in it
+    path = _saved(tmp_path, TOY_PROFILE)
+    size = os.path.getsize(path)
+    peak, out = _load_peak(path)
+    assert isinstance(out, tuple)
+    assert peak <= 0.5 * size, f"peak {peak} B for a {size} B file"
+
+
+def _saved_other(tmp_path, seed):
+    """Another checkpoint of the same size as _saved's, with other values."""
+    cfg = ModelConfig(**TOY_PROFILE, head_variant="gap")
+    params = init_params(cfg, seed)
+    state = init_adam(params, lr=1e-3)
+    for name in params:
+        state.m[name] += 1.0
+    path = str(tmp_path / f"other{seed}.tcwd")
+    save_checkpoint(params, state, cfg, path)
+    return path
+
+
+def test_moments_iterate_in_shape_table_order(tmp_path):
+    path = _saved(tmp_path, TOY_PROFILE)
+    params, state, cfg = load_checkpoint(path)
+    names = list(param_shapes(cfg))
+    assert list(params) == names
+    for moments in (state.m, state.v):
+        assert list(moments) == names and len(moments) == len(names)
+        assert "bogus" not in moments
+
+
+def test_moment_read_after_file_replaced_raises(tmp_path):
+    path = _saved(tmp_path, TOY_PROFILE)
+    _, state, cfg = load_checkpoint(path)
+    first, *rest = param_shapes(cfg)
+    kept = state.m[first]
+    os.replace(_saved_other(tmp_path, 1), path)
+    assert state.m[first] is kept  # read before the swap, so kept
+    for moments in (state.m, state.v):
+        with pytest.raises(CheckpointError, match="changed since it was loaded"):
+            moments[rest[0]]
+
+
+def test_moment_read_after_file_rewritten_in_place_raises(tmp_path):
+    path = _saved(tmp_path, TOY_PROFILE)
+    _, state, cfg = load_checkpoint(path)
+    before = os.stat(path)
+    other = open(_saved_other(tmp_path, 1), "rb").read()
+    assert len(other) == before.st_size
+    with open(path, "r+b") as fh:
+        fh.write(other)
+    # on a filesystem with coarse timestamps a rewrite within one clock
+    # tick keeps the old mtime; a writer one second later moves it
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10 ** 9))
+    assert os.stat(path).st_ino == before.st_ino
+    with pytest.raises(CheckpointError, match="changed since it was loaded"):
+        state.v[next(iter(param_shapes(cfg)))]
+
+
+def test_cut_inside_last_moment_is_truncation_at_load(tmp_path):
+    path = _saved(tmp_path, TOY_PROFILE)
+    blob = open(path, "rb").read()
+    open(path, "wb").write(blob[:-2])
+    with pytest.raises(CheckpointError, match="truncated checkpoint while reading "
+                                              "array 'head.b2.v' payload"):
+        load_checkpoint(path)
 
 
 def _forge_u32(blob, at):

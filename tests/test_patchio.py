@@ -193,6 +193,11 @@ class TestSynth:
         with pytest.raises(ValueError):
             SynthSpec(side=4, dot_radius=2.0)
 
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0, "3"])
+    def test_bad_image_count(self, n):
+        with pytest.raises(ValueError, match="n_images must be an int >= 1"):
+            synth_generate(SynthSpec(side=16), n)
+
     def test_region_confines_dots(self):
         spec = SynthSpec(side=64, count_min=20, count_max=20, dot_radius=2.0,
                          noise_amp=0.0, seed=6, region=(0.0, 0.5, 0.0, 0.5))
