@@ -15,7 +15,7 @@ import sys
 
 from . import evalviz, patchio
 from .model import ModelConfig, grad_check_model
-from .ndtensor import GraphError, ShapeError
+from .ndtensor import GraphError, ShapeError, no_grad
 from .optim import (CheckpointError, TrainConfig, load_checkpoint, train,
                     init_adam)
 from . import model as model_mod
@@ -31,7 +31,6 @@ _SCHEMA = {
     "batch_size": ("train", "batch_size", int), "epochs": ("train", "epochs", int),
     "seed": ("train", "seed", int), "lr": ("train", "lr", float),
     "weight_decay": ("train", "weight_decay", float), "augment": ("train", "augment", bool),
-    "standardize": ("train", "standardize", bool),
     "checkpoint_every": ("train", "checkpoint_every", int),
 }
 
@@ -84,11 +83,10 @@ def _overrides_from_args(args):
     return out
 
 
-def _add_config_flags(p, with_profile=True):
+def _add_config_flags(p):
     p.add_argument("--config", help="JSON config file")
-    if with_profile:
-        p.add_argument("--profile", choices=["toy"],
-                       help="named preset applied before other overrides")
+    p.add_argument("--profile", choices=["toy"],
+                   help="named preset applied before other overrides")
     p.add_argument("--image", type=int, help="tile side in pixels")
     p.add_argument("--patch", type=int, help="patch size K")
     p.add_argument("--dim", type=int, help="embedding dimension D")
@@ -132,8 +130,7 @@ def cmd_train(args):
             return
         mae = float("nan")
         if eval_pairs is not None:
-            _, _, mae, _ = evalviz.evaluate(eval_pairs, params, cfg,
-                                            standardize=tcfg.standardize)
+            _, _, mae, _ = evalviz.evaluate(eval_pairs, params, cfg)
         log.record(epoch, loss, mae)
 
     state = init_adam(params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
@@ -185,10 +182,8 @@ def cmd_gradcheck(args):
 def cmd_attnmap(args):
     params, _, cfg = load_checkpoint(args.checkpoint)
     img = patchio.load_ppm(args.image)
-    side = cfg.image_size
-    if img.shape[:2] != (side, side):
-        img = patchio.resize_bilinear(img, side, side)
-    from .ndtensor import no_grad
+    # one whole-image tile, not fit_to_grid's six: attention_map reads tile 0 only
+    img = patchio.resize_bilinear(img, cfg.image_size, cfg.image_size)
     batch = patchio.make_batch([(img, 0.0)], cfg.patch_size)
     with no_grad():
         _, records = model_mod.forward(params, cfg, batch.data,

@@ -28,32 +28,15 @@ def mae_mse(preds, gts):
     return float(err.mean()), float(math.sqrt((err ** 2).mean()))
 
 
-def predict_image(img, params, cfg, standardize=True):
-    """Predict a full image's count via the resize/tile/sum pipeline.
+def predict_image(img, params, cfg):
+    """Predict a full image's count as the sum of its tile predictions.
 
-    Images already at the model's tile size skip the resize and use a
-    single tile; anything else is resized to 768x1152, split into six
-    384x384 tiles (each resized to the model's tile size when the model is
-    smaller), and the tile predictions are summed. Clamped at zero; a
-    non-finite sum raises FloatingPointError rather than clamping to zero.
+    The image is tiled by ``patchio.fit_to_grid``, the same rule training
+    uses. Clamped at zero; a non-finite sum raises FloatingPointError rather
+    than clamping to zero.
     """
-    side = cfg.image_size
-    h, w = img.shape[:2]
-    if (h, w) == (side, side):
-        tiles = [img]
-    else:
-        full = patchio.resize_bilinear(img, patchio.FULL_H, patchio.FULL_W)
-        tiles = patchio.split_tiles(full)
-        if side != patchio.TILE_SIDE:
-            tiles = [patchio.resize_bilinear(t, side, side) for t in tiles]
-    seqs = []
-    for tile in tiles:
-        if standardize:
-            tile = patchio.normalize(tile)
-        seqs.append(patchio.patchify(tile, cfg.patch_size))
-    batch = patchio.PatchBatch(data=np.stack(seqs),
-                               labels=np.zeros(1, dtype=np.float32),
-                               tiles_per_image=len(tiles))
+    batch = patchio.make_batch([(patchio.fit_to_grid(img, cfg.image_size), 0.0)],
+                               cfg.patch_size)
     with no_grad():
         preds, _ = batch_predictions(params, cfg, batch)
     total = float(preds.data[0])
@@ -62,10 +45,9 @@ def predict_image(img, params, cfg, standardize=True):
     return max(0.0, total)
 
 
-def evaluate(pairs, params, cfg, standardize=True):
+def evaluate(pairs, params, cfg):
     """Per-image predictions plus aggregate MAE/MSE over a dataset."""
-    preds = [predict_image(img, params, cfg, standardize=standardize)
-             for img, _ in pairs]
+    preds = [predict_image(img, params, cfg) for img, _ in pairs]
     gts = [count for _, count in pairs]
     mae, mse = mae_mse(preds, gts)
     return preds, gts, mae, mse

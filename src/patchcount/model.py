@@ -127,8 +127,7 @@ def init_params(cfg, seed):
     return params
 
 
-def grad_check_model(cfg, seed=0, samples_per_param=None, h=1e-3,
-                     high_precision=False):
+def grad_check_model(cfg, seed=0, samples_per_param=None, h=1e-3):
     """Finite-difference check of the whole model's gradients.
 
     Builds a one-image synthetic batch, takes the L1 loss as a function of
@@ -156,8 +155,7 @@ def grad_check_model(cfg, seed=0, samples_per_param=None, h=1e-3,
         if samples_per_param is not None and p.data.size > samples_per_param:
             sample = sorted(rng.choice(p.data.size, samples_per_param,
                                        replace=False).tolist())
-        worst = max(worst, grad_check(f, p, h=h, sample=sample,
-                                      high_precision=high_precision))
+        worst = max(worst, grad_check(f, p, h=h, sample=sample))
     return worst
 
 
@@ -192,9 +190,9 @@ def forward(params, cfg, patches, record_attention=False):
     return preds, records
 
 
-def batch_predictions(params, cfg, batch, record_attention=False):
+def batch_predictions(params, cfg, batch):
     """Forward a PatchBatch into per-image predictions (tile sums)."""
-    preds, records = forward(params, cfg, batch.data, record_attention=record_attention)
+    preds, records = forward(params, cfg, batch.data)
     t = batch.tiles_per_image
     if t > 1:
         preds = sum_axis(reshape(preds, (batch.batch, t)), 1)

@@ -66,7 +66,6 @@ class TrainConfig:
     lr: float = 1e-5
     weight_decay: float = 1e-4
     augment: bool = True
-    standardize: bool = True
     checkpoint_every: int = 0  # epochs; 0 = only at the end
 
     def __post_init__(self):
@@ -80,10 +79,8 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
 
 
-def init_adam(params, lr=1e-5, weight_decay=1e-4, beta1=0.9, beta2=0.999,
-              eps=1e-8):
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                      weight_decay=weight_decay)
+def init_adam(params, lr=1e-5, weight_decay=1e-4):
+    state = AdamState(lr=lr, weight_decay=weight_decay)
     for name, p in params.items():
         state.m[name] = np.zeros_like(p.data)
         state.v[name] = np.zeros_like(p.data)
@@ -187,9 +184,11 @@ def train(pairs, cfg, tcfg, params=None, state=None, epoch_callback=None,
         epoch_losses = []
         for start in range(0, n, tcfg.batch_size):
             idx = order[start : start + tcfg.batch_size]
-            batch = patchio.make_batch([pairs[i] for i in idx], cfg.patch_size,
-                                       rng=rng if tcfg.augment else None,
-                                       standardize=tcfg.standardize)
+            # resized copies live only until make_batch has cut them
+            batch = patchio.make_batch(
+                [(patchio.fit_to_grid(img, cfg.image_size), count)
+                 for img, count in (pairs[i] for i in idx)],
+                cfg.patch_size, rng=rng if tcfg.augment else None)
             loss = train_step(batch, params, cfg, state)
             epoch_losses.append(loss)
         losses.extend(epoch_losses)

@@ -18,7 +18,6 @@ import numpy as np
 IMAGENET_MEAN = np.array([0.485, 0.456, 0.406], dtype=np.float32)
 IMAGENET_STD = np.array([0.229, 0.224, 0.225], dtype=np.float32)
 
-TILE_SIDE = 384
 FULL_H, FULL_W = 768, 1152
 
 
@@ -117,14 +116,27 @@ def resize_bilinear(img, out_h, out_w):
     return (top * (1 - fy) + bot * fy).astype(np.float32)
 
 
+def fit_to_grid(img, side):
+    """The one image -> tile-grid rule shared by training and scoring.
+
+    A ``side`` x ``side`` image is returned as it is (one tile). Any other
+    image is resized to 768x1152 and then to the 2x3 grid of ``side``
+    tiles, which ``make_batch`` cuts into six. At side 384 the second
+    resize returns its input; at smaller sides the grid equals splitting
+    first and resizing each tile, bit for bit.
+    """
+    if img.shape[:2] == (side, side):
+        return img
+    return resize_bilinear(resize_bilinear(img, FULL_H, FULL_W), 2 * side, 3 * side)
+
+
 def split_tiles(img):
-    """Partition a 768x1152 image into six 384x384 tiles, row-major."""
+    """Partition a 2s x 3s image into six s x s tiles, row-major."""
     h, w = img.shape[:2]
-    if (h, w) != (FULL_H, FULL_W):
-        raise ValueError(
-            f"split_tiles requires a {FULL_H}x{FULL_W} image, got {h}x{w}; resize first")
-    return [img[r * TILE_SIDE : (r + 1) * TILE_SIDE, c * TILE_SIDE : (c + 1) * TILE_SIDE]
-            for r in range(2) for c in range(3)]
+    if 3 * h != 2 * w:
+        raise ValueError(f"split_tiles requires a 2s x 3s image, got {h}x{w}; resize first")
+    s = h // 2
+    return [img[r * s : (r + 1) * s, c * s : (c + 1) * s] for r in range(2) for c in range(3)]
 
 
 def patchify(img, patch_size):
@@ -150,19 +162,19 @@ def unpatchify(seq, h, w, patch_size):
     return np.ascontiguousarray(grid.reshape(h, w, 3))
 
 
-def augment(img, rng, p_flip=0.5, p_gray=0.1):
-    """Random horizontal flip and random grayscaling; count label unaffected."""
-    if rng.random() < p_flip:
+def augment(img, rng):
+    """Random horizontal flip (p 0.5) and grayscaling (p 0.1); count unaffected."""
+    if rng.random() < 0.5:
         img = img[:, ::-1, :]
-    if rng.random() < p_gray:
+    if rng.random() < 0.1:
         lum = img[..., 0] * 0.299 + img[..., 1] * 0.587 + img[..., 2] * 0.114
         img = np.repeat(lum[..., None], 3, axis=2)
     return np.ascontiguousarray(img, dtype=np.float32)
 
 
-def normalize(img, mean=IMAGENET_MEAN, std=IMAGENET_STD):
-    """Per-channel standardization; output no longer confined to [0, 1]."""
-    return ((img - mean) / std).astype(np.float32)
+def normalize(img):
+    """Per-channel ImageNet standardization; output no longer confined to [0, 1]."""
+    return ((img - IMAGENET_MEAN) / IMAGENET_STD).astype(np.float32)
 
 
 @dataclass
@@ -182,6 +194,9 @@ class SynthSpec:
     region: tuple = field(default=(0.0, 1.0, 0.0, 1.0))
 
     def __post_init__(self):
+        cmin = self.count_min
+        if isinstance(cmin, bool) or not isinstance(cmin, int) or cmin < 0:
+            raise ValueError(f"count_min must be an int >= 0, got {cmin!r}")
         if self.count_min > self.count_max:
             raise ValueError("count_min must be <= count_max")
         if self.dot_radius < 1:
@@ -255,39 +270,28 @@ class PatchBatch:
     def batch(self):
         return len(self.labels)
 
-    @property
-    def seq_len(self):
-        return self.data.shape[1]
 
-    @property
-    def patch_dim(self):
-        return self.data.shape[2]
-
-
-def make_batch(pairs, patch_size, rng=None, standardize=True,
-               p_flip=0.5, p_gray=0.1):
+def make_batch(pairs, patch_size, rng=None):
     """Turn (image, count) pairs into a PatchBatch.
 
-    Images matching the model's tile size pass through whole; 768x1152
-    inputs are split into the six standard tiles first. Augmentation is
-    applied per tile when ``rng`` is given.
+    A 2s x 3s image, as ``fit_to_grid`` makes of any non-tile image, is cut
+    into its six tiles; any other image is one tile. Each tile is augmented
+    when ``rng`` is given, then normalized.
     """
     sequences = []
     labels = []
     tiles_per_image = None
     for img, count in pairs:
         h, w = img.shape[:2]
-        tiles = split_tiles(img) if (h, w) == (FULL_H, FULL_W) else [img]
+        tiles = split_tiles(img) if 3 * h == 2 * w else [img]
         if tiles_per_image is None:
             tiles_per_image = len(tiles)
         elif tiles_per_image != len(tiles):
             raise ValueError("mixed tile counts within one batch")
         for tile in tiles:
             if rng is not None:
-                tile = augment(tile, rng, p_flip=p_flip, p_gray=p_gray)
-            if standardize:
-                tile = normalize(tile)
-            sequences.append(patchify(tile, patch_size))
+                tile = augment(tile, rng)
+            sequences.append(patchify(normalize(tile), patch_size))
         labels.append(count)
     return PatchBatch(data=np.stack(sequences),
                       labels=np.asarray(labels, dtype=np.float32),

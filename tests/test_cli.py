@@ -268,6 +268,36 @@ def test_train_reads_eval_data_only_with_log(tmp_path, monkeypatch):
     assert np.isfinite(mae)
 
 
+def test_synth_negative_count_min_exits_1_and_writes_nothing(tmp_path, capsys):
+    out = str(tmp_path / "data")
+    rc = main(["synth", "--out", out, "--n", "3", "--count-min", "-5", "--count-max", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error\t") and "count_min must be" in captured.err
+    assert not os.path.exists(out)
+
+
+def test_train_and_eval_accept_the_same_image_sizes(tmp_path, capsys):
+    data, ckpt = str(tmp_path / "data"), str(tmp_path / "m.tcwd")
+    assert main(["synth", "--out", data, "--n", "2", "--side", "48", "--seed", "5"]) == 0
+    assert main(["train", "--data", data, "--out", ckpt, "--profile", "toy",
+                 "--epochs", "1", "--seed", "0"]) == 0
+    assert main(["eval", "--checkpoint", ckpt, "--data", data]) == 0
+
+
+def test_standardize_is_an_unknown_config_key(tmp_path, capsys):
+    data, f = str(tmp_path / "data"), tmp_path / "c.json"
+    main(["synth", "--out", data, "--n", "2", "--side", "64", "--seed", "5"])
+    f.write_text(json.dumps({"standardize": False}))
+    capsys.readouterr()
+    rc = main(["train", "--data", data, "--out", str(tmp_path / "m.tcwd"),
+               "--config", str(f), "--profile", "toy", "--epochs", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error\t") and "'standardize'" in captured.err
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_synth_n_below_one_exits_1_and_writes_nothing(tmp_path, capsys, n):
     out = str(tmp_path / "data")

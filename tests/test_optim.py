@@ -10,7 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from patchcount import optim, patchio
+from patchcount import evalviz, model, optim, patchio
 from patchcount.model import ModelConfig, init_params, param_shapes
 from patchcount.ndtensor import Tensor
 from patchcount.optim import (CheckpointError, MissingGradError,
@@ -194,6 +194,21 @@ class TestTrainLoop:
         _, _, losses_a = train(pairs, cfg, tcfg)
         _, _, losses_b = train(pairs, cfg, tcfg)
         assert losses_a == losses_b
+
+    def test_trains_on_the_patches_predict_image_scores(self, monkeypatch):
+        seen, forward = [], model.forward
+
+        def spy(params, cfg, patches, **kw):
+            seen.append(np.array(patches))
+            return forward(params, cfg, patches, **kw)
+
+        monkeypatch.setattr(model, "forward", spy)
+        img = np.random.default_rng(3).random((500, 900, 3)).astype(np.float32)
+        cfg = ModelConfig(**TOY_PROFILE, head_variant="gap")
+        train([(img, 4.0)], cfg, TrainConfig(batch_size=1, epochs=1, augment=False, lr=1e-3))
+        evalviz.predict_image(img, init_params(cfg, 0), cfg)
+        assert len(seen) == 2 and seen[0].shape == (6, 64, 192)
+        assert np.array_equal(seen[0], seen[1])
 
     def test_no_pairs_raises_before_any_save(self, tmp_path):
         path = str(tmp_path / "m.tcwd")

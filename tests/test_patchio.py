@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from patchcount import patchio
-from patchcount.patchio import (LabelsError, PPMError, SynthSpec, augment, load_dataset,
-                                load_pgm, load_ppm, make_batch, normalize,
+from patchcount.patchio import (LabelsError, PPMError, SynthSpec, augment, fit_to_grid,
+                                load_dataset, load_pgm, load_ppm, make_batch, normalize,
                                 patchify, read_labels, resize_bilinear, save_ppm,
                                 split_tiles, synth_generate, unpatchify, write_dataset)
 
@@ -102,6 +102,30 @@ class TestSplitTiles:
         with pytest.raises(ValueError, match="resize"):
             split_tiles(np.zeros((100, 100, 3), dtype=np.float32))
 
+    def test_any_two_by_three_grid(self):
+        img = np.random.default_rng(9).random((16, 24, 3)).astype(np.float32)
+        tiles = split_tiles(img)
+        assert [t.shape for t in tiles] == [(8, 8, 3)] * 6
+        npt.assert_array_equal(tiles[4], img[8:, 8:16])
+
+
+class TestFitToGrid:
+    def test_tile_size_image_passes_through(self):
+        img = np.zeros((64, 64, 3), dtype=np.float32)
+        assert fit_to_grid(img, 64) is img
+        assert make_batch([(img, 0.0)], 8).tiles_per_image == 1
+
+    @pytest.mark.parametrize("side", [16, 64, 100, 200, 384])
+    @pytest.mark.parametrize("shape", [(480, 480), (500, 900), (97, 131), (768, 1152)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_equals_split_then_resize_each_tile(self, shape, side):
+        img = np.random.default_rng(side).random(shape + (3,)).astype(np.float32)
+        got = make_batch([(fit_to_grid(img, side), 0.0)], 4).data
+        tiles = split_tiles(resize_bilinear(img, 768, 1152))
+        tiles = [resize_bilinear(t, side, side) for t in tiles]
+        want = np.stack([patchify(normalize(t), 4) for t in tiles])
+        assert np.array_equal(got, want)
+
 
 class TestPatchify:
     def test_standard_shape(self):
@@ -185,6 +209,11 @@ class TestSynth:
         for img, _ in pairs:
             assert img.min() >= 0.0 and img.max() <= 1.0
 
+    @pytest.mark.parametrize("count_min", [-1, -5, True, 1.0])
+    def test_count_min_must_be_non_negative_int(self, count_min):
+        with pytest.raises(ValueError, match="count_min must be an int >= 0"):
+            SynthSpec(count_min=count_min, count_max=2)
+
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             SynthSpec(count_min=5, count_max=2)
@@ -218,11 +247,6 @@ class TestSynth:
 
 
 class TestBatch:
-    def test_normalize_off_is_identity(self):
-        img = np.full((16, 16, 3), 0.5, dtype=np.float32)
-        batch = make_batch([(img, 1.0)], 8, standardize=False)
-        npt.assert_array_equal(batch.data, 0.5)
-
     def test_normalize_standardizes(self):
         img = np.zeros((16, 16, 3), dtype=np.float32)
         out = normalize(img)
@@ -231,7 +255,7 @@ class TestBatch:
 
     def test_full_size_tiling(self):
         img = np.random.default_rng(8).random((768, 1152, 3)).astype(np.float32)
-        batch = make_batch([(img, 9.0)], 16, standardize=False)
+        batch = make_batch([(img, 9.0)], 16)
         assert batch.tiles_per_image == 6
         assert batch.data.shape == (6, 576, 768)
         assert batch.batch == 1
