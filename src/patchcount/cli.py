@@ -146,11 +146,12 @@ def cmd_train(args):
 
 def cmd_eval(args):
     params, _, cfg = load_checkpoint(args.checkpoint)
-    pairs = patchio.load_dataset(args.data)
-    preds, gts, mae, mse = evalviz.evaluate(pairs, params, cfg)
+    labels = patchio.read_labels(args.data)
+    # streamed: eval memory holds one decoded image, whatever the dataset's size
+    preds, gts, mae, mse = evalviz.evaluate(patchio.iter_dataset(args.data, labels),
+                                            params, cfg)
     if args.out:
-        names = [name for name, _ in patchio.read_labels(args.data)]
-        evalviz.write_eval_report(names, preds, gts, args.out)
+        evalviz.write_eval_report([name for name, _ in labels], preds, gts, args.out)
     print(f"MAE\t{mae:.4f}")
     print(f"MSE\t{mse:.4f}")
     return 0

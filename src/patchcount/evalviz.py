@@ -46,9 +46,15 @@ def predict_image(img, params, cfg):
 
 
 def evaluate(pairs, params, cfg):
-    """Per-image predictions plus aggregate MAE/MSE over a dataset."""
-    preds = [predict_image(img, params, cfg) for img, _ in pairs]
-    gts = [count for _, count in pairs]
+    """Per-image predictions plus aggregate MAE/MSE over a dataset.
+
+    ``pairs`` is read once, so it may be an iterator that decodes each
+    image just before it is scored.
+    """
+    preds, gts = [], []
+    for img, count in pairs:
+        preds.append(predict_image(img, params, cfg))
+        gts.append(count)
     mae, mse = mae_mse(preds, gts)
     return preds, gts, mae, mse
 

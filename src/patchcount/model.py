@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embedder, encoder, heads
-from .ndtensor import Tensor, layer_norm, reshape, sum_axis
+from .ndtensor import Tensor, _recording, layer_norm, reshape, sum_axis
 
 HEAD_TOKEN = "token"
 HEAD_GAP = "gap"
@@ -176,10 +176,25 @@ def forward(params, cfg, patches, record_attention=False):
 
     Returns (predictions, attention records). Predictions are raw head
     outputs; clamp at zero only when reporting final counts.
+
+    No attention crosses tiles, so when no graph is recorded and no record
+    is asked for, the encoder runs one tile at a time and each result is
+    written over that tile's rows of the array ``embed`` just made: the
+    pass holds one tile's activations, with the same float32 operations.
     """
     z = embed(params, cfg, patches)
-    z, records = encoder.encode(z, params, cfg.layers, cfg.heads, cfg.attn_scale,
-                                record_attention)
+    if record_attention or _recording((z, *params.values())):
+        z, records = encoder.encode(z, params, cfg.layers, cfg.heads, cfg.attn_scale,
+                                    record_attention)
+    else:
+        records, out = [], z.data
+        for t in range(z.shape[0]):
+            zt = encoder.encode(Tensor(z.data[t:t + 1], dtype=z.data.dtype), params,
+                                cfg.layers, cfg.heads, cfg.attn_scale)[0].data
+            if zt.dtype != out.dtype:  # a float64 encoder weight, as grad_check sets
+                out = np.empty(z.shape, zt.dtype)
+            out[t:t + 1] = zt
+        z = Tensor(out, dtype=out.dtype)
     if cfg.final_ln:
         z = layer_norm(z, params["final_ln.gamma"], params["final_ln.beta"])
     if cfg.head_variant == HEAD_GAP:

@@ -58,6 +58,8 @@ def _load_netpbm(path, magic, channels):
     if buf[:2] != magic:
         raise PPMError(f"bad magic {buf[:2]!r}, expected {magic.decode()}", 0)
     (width, height, maxval), pos = _read_header_ints(buf, 2, 3)
+    if width == 0 or height == 0:
+        raise PPMError(f"empty image: width {width}, height {height}", 2)
     if maxval != 255:
         raise PPMError(f"unsupported maxval {maxval}, only 255", 2)
     pos += 1  # single whitespace byte after maxval
@@ -330,7 +332,12 @@ def read_labels(data_dir):
     return labels
 
 
+def iter_dataset(data_dir, labels):
+    """Decode the images that ``labels`` names one at a time, as (image, count)."""
+    for name, count in labels:
+        yield load_ppm(os.path.join(data_dir, name)), count
+
+
 def load_dataset(data_dir):
     """Load a PPM + labels.tsv directory back into (image, count) pairs."""
-    return [(load_ppm(os.path.join(data_dir, name)), count)
-            for name, count in read_labels(data_dir)]
+    return list(iter_dataset(data_dir, read_labels(data_dir)))

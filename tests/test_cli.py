@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import patchcount
-from patchcount import optim, patchio
+from patchcount import evalviz, optim, patchio
 from patchcount.cli import ConfigError, main, parse_config
 from patchcount.model import ModelConfig, init_params
 from patchcount.optim import init_adam, save_checkpoint
@@ -348,3 +348,45 @@ def test_infer_never_reads_the_moments(tmp_path, capsys, monkeypatch):
     assert len(reads) == len(spans) // 2  # the parameters, and nothing else
     assert captured.out.startswith("count\t")
     assert np.isfinite(float(captured.out.split("\t")[1]))
+
+
+@pytest.mark.parametrize("command", ["infer", "attnmap"])
+@pytest.mark.parametrize("size", ["0 0", "0 5", "5 0"])
+def test_zero_size_image_exits_1_with_error(tmp_path, capsys, command, size):
+    ckpt = _tiny_checkpoint(tmp_path)
+    img = tmp_path / "e.ppm"
+    img.write_bytes(f"P6\n{size}\n255\n".encode())
+    out = tmp_path / "a.pgm"
+    capsys.readouterr()
+    rc = main([command, "--checkpoint", ckpt, "--image", str(img)]
+              + (["--out", str(out)] if command == "attnmap" else []))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error\t") and "empty image" in captured.err
+    assert not out.exists()
+
+
+def test_eval_decodes_each_image_just_before_scoring_it(tmp_path, capsys, monkeypatch):
+    data, ckpt = str(tmp_path / "data"), _tiny_checkpoint(tmp_path)
+    main(["synth", "--out", data, "--n", "4", "--side", "20", "--seed", "5"])
+    # the report and metrics of scoring the whole decoded dataset at once
+    params, _, cfg = optim.load_checkpoint(ckpt)
+    preds, gts, mae, mse = evalviz.evaluate(patchio.load_dataset(data), params, cfg)
+    expected = str(tmp_path / "expected.tsv")
+    evalviz.write_eval_report([n for n, _ in patchio.read_labels(data)], preds, gts,
+                              expected)
+    events = []
+    load_ppm, predict_image = patchio.load_ppm, evalviz.predict_image
+    monkeypatch.setattr(patchio, "load_ppm",
+                        lambda path: events.append("load") or load_ppm(path))
+    monkeypatch.setattr(evalviz, "predict_image",
+                        lambda *a: events.append("score") or predict_image(*a))
+    monkeypatch.setattr(patchio, "read_labels",
+                        lambda d, read=patchio.read_labels: events.append("labels") or read(d))
+    capsys.readouterr()
+    report = str(tmp_path / "report.tsv")
+    assert main(["eval", "--checkpoint", ckpt, "--data", data, "--out", report]) == 0
+    assert events == ["labels"] + ["load", "score"] * 4
+    assert open(report, "rb").read() == open(expected, "rb").read()
+    assert capsys.readouterr().out == f"MAE\t{mae:.4f}\nMSE\t{mse:.4f}\n"

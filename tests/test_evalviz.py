@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from patchcount import patchio
+from patchcount import model, patchio
 from patchcount.encoder import AttentionRecord
 from patchcount.evalviz import (AttentionMap, ConvergenceLog, attention_map,
                                 export_pgm, mae_mse, predict_image,
@@ -81,6 +81,23 @@ class TestPredictImage:
         params = constant_head_model(cfg, 3.0)
         img = np.zeros((64, 64, 3), dtype=np.float32)
         npt.assert_allclose(predict_image(img, params, cfg), 3.0, rtol=1e-5)
+
+    def test_one_forward_per_image_with_all_six_tiles(self, monkeypatch):
+        # the benchmark reads an image's tile predictions off this one call
+        cfg = ModelConfig(image_size=64, patch_size=8, dim=8, heads=2,
+                          layers=1, hidden_dim=8)
+        params = init_params(cfg, 2)
+        calls = []
+        real = model.forward
+
+        def spy(params, cfg, patches, **kw):
+            calls.append(patches.shape[0])
+            return real(params, cfg, patches, **kw)
+
+        monkeypatch.setattr(model, "forward", spy)
+        for shape in ((100, 80, 3), (128, 192, 3)):
+            predict_image(np.zeros(shape, dtype=np.float32), params, cfg)
+        assert calls == [6, 6]
 
     def test_deterministic(self):
         cfg = ModelConfig(image_size=64, patch_size=8, dim=8, heads=2,

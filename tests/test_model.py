@@ -1,11 +1,14 @@
-"""Parameter shape table and initialization tests."""
+"""Parameter shape table, initialization, and forward-pass tests."""
 
 import hashlib
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from patchcount.model import ModelConfig, init_params, param_shapes
+from patchcount.model import ModelConfig, forward, init_params, param_shapes
+from patchcount.ndtensor import Tensor, no_grad
 
 TOY = dict(image_size=64, patch_size=8, dim=64, heads=4, layers=2, hidden_dim=64)
 
@@ -55,3 +58,75 @@ def test_paper_scale_parameter_count():
 def test_config_rejects_bad_type_or_range(field, value):
     with pytest.raises(ValueError, match=field):
         ModelConfig(**dict(TOY, **{field: value}))
+
+
+def _patches(cfg, tiles, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(tiles, cfg.seq_len, cfg.patch_dim)).astype(np.float32)
+
+
+@pytest.mark.parametrize("head", ["gap", "token"])
+@pytest.mark.parametrize("tiles", [1, 3, 6])
+def test_no_grad_forward_bits_equal_recorded(head, tiles):
+    # tile by tile without a graph, all tiles at once with one
+    cfg = ModelConfig(**dict(TOY, head_variant=head))
+    params, patches = init_params(cfg, 1), _patches(cfg, tiles)
+    recorded, _ = forward(params, cfg, patches)
+    assert recorded.requires_grad
+    with no_grad():
+        plain, _ = forward(params, cfg, patches)
+    assert not plain.requires_grad
+    assert plain.data.dtype == np.float32
+    assert np.array_equal(plain.data, recorded.data)
+
+
+@pytest.mark.parametrize("widened", ["all", "layer1.w_q"])
+def test_float64_weights_keep_float64_output(widened):
+    # grad_check's high-precision pass widens one parameter to float64
+    cfg = ModelConfig(**TOY)
+    params, patches = init_params(cfg, 1), _patches(cfg, 6)
+    for name, p in params.items():
+        if widened in ("all", name):
+            p.data = p.data.astype(np.float64)
+    recorded, _ = forward(params, cfg, patches)
+    with no_grad():
+        plain, _ = forward(params, cfg, patches)
+    assert plain.data.dtype == np.float64
+    assert np.array_equal(plain.data, recorded.data)
+
+
+def _no_grad_forward_peak(params, cfg, patches):
+    """Bytes allocated at the peak of one no-grad forward, above its input."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with no_grad():
+            forward(params, cfg, patches)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_grad_forward_holds_one_tile_of_activations():
+    cfg = ModelConfig(**TOY)
+    params = init_params(cfg, 1)
+    one = _no_grad_forward_peak(params, cfg, _patches(cfg, 1))
+    six = _no_grad_forward_peak(params, cfg, _patches(cfg, 6))
+    tokens = 6 * cfg.seq_len * cfg.dim * 4  # one [6, S, D] float32 array
+    assert six <= one + 2 * tokens, f"6 tiles {six} B, 1 tile {one} B, [6, S, D] {tokens} B"
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_forward_leaves_patches_unchanged(record):
+    cfg = ModelConfig(**TOY)
+    params, patches = init_params(cfg, 1), _patches(cfg, 3)
+    before = patches.copy()
+    with no_grad():
+        forward(params, cfg, patches, record_attention=record)
+    assert np.array_equal(patches, before)
+    as_tensor = Tensor(patches)
+    with no_grad():
+        forward(params, cfg, as_tensor)
+    assert as_tensor.data is patches
+    assert np.array_equal(patches, before)

@@ -272,6 +272,15 @@ class TestBatch:
         npt.assert_allclose(img, np.array([[0, 255], [128, 64]]) / 255.0)
 
 
+@pytest.mark.parametrize("load, magic", [(load_ppm, b"P6"), (load_pgm, b"P5")])
+@pytest.mark.parametrize("w, h", [(0, 0), (0, 5), (5, 0)])
+def test_zero_size_header_raises_ppm_error(tmp_path, load, magic, w, h):
+    p = tmp_path / "e.pnm"
+    _write_ppm(p, w, h, bytes(75), magic=magic)
+    with pytest.raises(PPMError, match="empty image"):
+        load(p)
+
+
 # one malformed third line per case (the second is blank), and the message it gives
 BAD_LABEL_LINES = {
     "one_column": ("b.ppm\n", "got 1 columns"),
