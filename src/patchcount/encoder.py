@@ -47,6 +47,7 @@ def msa(z, params, layer, n_heads, scale, record=False):
     """Multi-head self-attention: m parallel heads, concatenated, re-projected."""
     p = f"layer{layer}."
     q, k, v = (split_heads(matmul(z, params[p + w]), n_heads) for w in ("w_q", "w_k", "w_v"))
+    del z  # without a graph, the LN output is freed before attention
     out, weights = scaled_attention(q, k, v, scale, record=record)
     records = [AttentionRecord(layer=layer, head=h, weights=weights[:, h])
                for h in range(n_heads)] if record else []
@@ -56,8 +57,9 @@ def msa(z, params, layer, n_heads, scale, record=False):
 def mlp_block(z, params, layer):
     """Two linear layers (D -> 4D -> D) with GELU between, biases included."""
     p = f"layer{layer}.mlp."
-    h = gelu(linear(z, params[p + "w1"], params[p + "b1"]))
-    return linear(h, params[p + "w2"], params[p + "b2"])
+    h = linear(z, params[p + "w1"], params[p + "b1"])
+    del z  # without a graph, the LN output is freed before the 4D-wide GELU
+    return linear(gelu(h, inplace=True), params[p + "w2"], params[p + "b2"])
 
 
 def encoder_layer(z, params, layer, n_heads, scale, record=False):
@@ -66,6 +68,7 @@ def encoder_layer(z, params, layer, n_heads, scale, record=False):
     attn_out, records = msa(layer_norm(z, params[p + "ln1.gamma"], params[p + "ln1.beta"]),
                             params, layer, n_heads, scale, record)
     z = add(attn_out, z)
+    del attn_out  # freed before the MLP block, as above
     z = add(mlp_block(layer_norm(z, params[p + "ln2.gamma"], params[p + "ln2.beta"]),
                       params, layer), z)
     return z, records

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .ndtensor import Tensor, absolute, gelu, linear, mean, reshape, slice_axis
+from .ndtensor import Tensor, absolute, add, gelu, linear, mean, reshape, slice_axis, smul
 
 
 def gap_pool(z):
@@ -22,7 +22,7 @@ def regress(pooled, params):
     Raw (possibly negative) values feed the loss; clamp at zero only when
     reporting final counts.
     """
-    h = gelu(linear(pooled, params["head.w1"], params["head.b1"]))
+    h = gelu(linear(pooled, params["head.w1"], params["head.b1"]), inplace=True)
     out = linear(h, params["head.w2"], params["head.b2"])
     return reshape(out, (pooled.shape[0],))
 
@@ -37,4 +37,4 @@ def l1_loss(preds, targets):
         raise ValueError(f"prediction/target length mismatch: {preds.shape} vs {t.shape}")
     if preds.shape[0] == 0:
         raise ValueError("empty batch")
-    return mean(absolute(preds - t))
+    return mean(absolute(add(preds, smul(t, -1.0))))

@@ -88,22 +88,10 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
-    # operator sugar; the free functions hold the actual rules
+    # the one operator left: perfbench's tracer test reaches the patched
+    # `add` through it; the free functions hold the actual rules
     def __add__(self, other):
         return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return add(self, smul(_as_tensor(other), -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return smul(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(x):
@@ -386,17 +374,17 @@ def attention(q, k, v, scale):
 
     While the graph is recorded this is matmul(attention_probs(q, k,
     scale), v), which keeps the probabilities for backward. Otherwise each
-    block's probabilities are computed, normalised and multiplied by V
-    while they are in cache, so the whole probability tensor is never held;
-    the float32 operations and their order are the same.
+    [Sq, Sk] matrix of probabilities is computed, normalised and multiplied
+    by V while it is in cache, so the pass holds one such matrix, however
+    many heads and tiles there are; the float32 operations and their order
+    are the same.
     """
     if _recording((q, k, v)):
         return matmul(attention_probs(q, k, scale), v)
     _check_attention(q, k, v)
     scale = float(scale)
     out = np.empty(q.shape[:-1] + v.shape[-1:], np.result_type(q.data, k.data, v.data))
-    p_shape = q.shape[:-1] + (k.shape[-2],)
-    for i in _blocks(p_shape, np.result_type(q.data, k.data).itemsize, 2):
+    for i in np.ndindex(q.shape[:-2]):
         p = np.matmul(q.data[i], np.swapaxes(k.data[i], -1, -2))
         _softmax_scaled_(p, scale)
         np.matmul(p, v.data[i], out=out[i])
@@ -488,20 +476,22 @@ def layer_norm(x, gamma, beta, eps=1e-6):
     return _make(data, (x, gamma, beta), backward)
 
 
-def gelu(x):
+def gelu(x, inplace=False):
     """GELU via the tanh approximation.
 
     Runs in place on two buffers, one block of rows at a time, and keeps
     only tanh(u) for backward; while the graph is not recorded, tanh(u)
     and then 1 + tanh(u) live in one block-sized buffer per block instead,
-    so only the output is whole-array. Each float32
+    so only the output is whole-array. With ``inplace``, for a caller that
+    owns ``x``, a pass that records no graph writes the output over x's
+    buffer; a recorded pass ignores it, since backward reads x. Each float32
     operation has the operands and order of the plain formula
     0.5 * x * (1 + tanh(sqrt(2/pi) * (x + C * x * x * x))).
     """
     x_ = x.data
     dtype = np.result_type(_GELU_C, x_)
     t = np.empty(x_.shape, dtype) if _recording((x,)) else None
-    data = np.empty(x_.shape, dtype)
+    data = x_ if inplace and t is None else np.empty(x_.shape, dtype)
     for i in _blocks(x_.shape, dtype.itemsize, 1):
         x_i, out_i = x_[i], data[i]
         t_i = np.empty(x_i.shape, dtype) if t is None else t[i]

@@ -2,11 +2,17 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import patchcount
+from patchcount import encoder, model
 from patchcount.model import ModelConfig, forward, init_params, param_shapes
 from patchcount.ndtensor import Tensor, no_grad
 
@@ -130,3 +136,137 @@ def test_forward_leaves_patches_unchanged(record):
         forward(params, cfg, as_tensor)
     assert as_tensor.data is patches
     assert np.array_equal(patches, before)
+
+
+@pytest.fixture(params=["workers1", "workers2", "no_blas_symbol"])
+def tile_pool(request, monkeypatch):
+    """The no-grad tile loop with one or two threads, or serial without BLAS control."""
+    if request.param == "no_blas_symbol":
+        monkeypatch.setattr(model, "_blas_thread_control", lambda: None)
+    else:
+        monkeypatch.setattr(model, "TILE_WORKERS", int(request.param[-1]))
+    return request.param
+
+
+@pytest.mark.parametrize("head", ["gap", "token"])
+@pytest.mark.parametrize("final_ln", [False, True])
+@pytest.mark.parametrize("tiles", [1, 3, 6])
+def test_tile_pool_bits_equal_recorded(tile_pool, head, final_ln, tiles):
+    cfg = ModelConfig(**dict(TOY, head_variant=head, final_ln=final_ln))
+    params, patches = init_params(cfg, 1), _patches(cfg, tiles)
+    recorded, _ = forward(params, cfg, patches)
+    with no_grad():
+        plain, _ = forward(params, cfg, patches)
+    assert plain.data.tobytes() == recorded.data.tobytes()
+
+
+def test_tile_pool_stress_more_workers_than_cores(monkeypatch):
+    # every tile's row must land in its own slot while threads switch often
+    monkeypatch.setattr(model, "TILE_WORKERS", 4)
+    cfg = ModelConfig(**TOY)
+    params, patches = init_params(cfg, 1), _patches(cfg, 7)
+    recorded, _ = forward(params, cfg, patches)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            with no_grad():
+                plain, _ = forward(params, cfg, patches)
+            assert plain.data.tobytes() == recorded.data.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _blas_or_skip():
+    blas = model._blas_thread_control()
+    if blas is None:
+        pytest.skip("numpy's BLAS exposes no thread-count symbol")
+    return blas
+
+
+@pytest.fixture
+def blas_at_two():
+    """BLAS set to 2 threads for the test, so a hold at 1 is visible."""
+    get_threads, set_threads = _blas_or_skip()
+    before = get_threads()
+    set_threads(2)
+    try:
+        yield get_threads
+    finally:
+        set_threads(before)
+
+
+@pytest.mark.parametrize("workers, tiles", [(1, 6), (2, 1), (2, 3), (2, 6)])
+def test_tile_pool_runs_tiles_on_workers_at_one_blas_thread(monkeypatch, blas_at_two,
+                                                            workers, tiles):
+    monkeypatch.setattr(model, "TILE_WORKERS", workers)
+    seen = []  # (thread, BLAS threads) per encoded tile
+    real = encoder.encode
+
+    def encode(z, *args, **kwargs):
+        seen.append((threading.get_ident(), blas_at_two()))
+        return real(z, *args, **kwargs)
+
+    monkeypatch.setattr(encoder, "encode", encode)
+    cfg = ModelConfig(**TOY)
+    with no_grad():
+        forward(init_params(cfg, 1), cfg, _patches(cfg, tiles))
+    assert len(seen) == tiles
+    assert {b for _, b in seen} == {1}
+    assert len({t for t, _ in seen}) == min(workers, tiles)
+    assert blas_at_two() == 2
+
+
+@pytest.mark.parametrize("bad_tile", [2, 3])  # scored by the caller, by the worker
+def test_tile_failure_restores_blas_and_joins_pool(monkeypatch, blas_at_two, bad_tile):
+    monkeypatch.setattr(model, "TILE_WORKERS", 2)
+    cfg = ModelConfig(**TOY)
+    params, patches = init_params(cfg, 1), _patches(cfg, 6)
+    with no_grad():
+        bad = model.embed(params, cfg, patches[bad_tile:bad_tile + 1]).data
+    raised_on = []
+    real = encoder.encode
+
+    def encode(z, *args, **kwargs):
+        if np.array_equal(z.data, bad):
+            raised_on.append(threading.get_ident())
+            raise FloatingPointError(f"tile {bad_tile}")
+        return real(z, *args, **kwargs)
+
+    monkeypatch.setattr(encoder, "encode", encode)
+    threads = threading.active_count()
+    with no_grad(), pytest.raises(FloatingPointError, match=f"tile {bad_tile}"):
+        forward(params, cfg, patches)
+    assert (raised_on == [threading.get_ident()]) == (bad_tile % 2 == 0)
+    assert blas_at_two() == 2
+    assert threading.active_count() == threads
+
+
+_TOKEN_TILES = """
+import sys
+from patchcount import model, patchio
+from patchcount.ndtensor import no_grad
+cfg = model.ModelConfig(image_size=384, patch_size=16, dim=64, heads=1, layers=1,
+                        hidden_dim=64, head_variant="token")
+spec = patchio.SynthSpec(side=600, count_min=20, count_max=40, dot_radius=3.0, seed=3)
+img = patchio.synth_generate(spec, 1)[0][0]
+batch = patchio.make_batch([(patchio.fit_to_grid(img, cfg.image_size), 0.0)], cfg.patch_size)
+with no_grad():
+    preds, _ = model.forward(model.init_params(cfg, 0), cfg, batch.data)
+sys.stdout.write(preds.data.tobytes().hex())
+"""
+
+
+def test_no_grad_token_bytes_independent_of_blas_threads():
+    # S = 577: attention's P.V GEMM gives other bytes at 2 BLAS threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(patchcount.__file__)))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", _TOKEN_TILES], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        out.append(run.stdout)
+    assert len(out[0]) == 2 * 6 * 4  # six float32 tile predictions
+    assert out[0] == out[1]
