@@ -14,6 +14,7 @@ import json
 import sys
 
 from . import evalviz, patchio
+from .encoder import AttentionRecord
 from .model import ModelConfig, grad_check_model
 from .ndtensor import GraphError, ShapeError, no_grad
 from .optim import (CheckpointError, TrainConfig, load_checkpoint, train,
@@ -46,8 +47,11 @@ def parse_config(path=None, overrides=None):
     """Merge defaults <- JSON file <- overrides into model/train configs."""
     merged = {}
     if path is not None:
-        with open(path) as fh:
-            file_cfg = json.load(fh)
+        with open(path, "rb") as fh:
+            try:
+                file_cfg = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                raise ConfigError(f"config file {path!r} is not valid JSON: {exc!r}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         merged.update(file_cfg)
@@ -61,7 +65,10 @@ def parse_config(path=None, overrides=None):
             raise ConfigError(f"unknown config key {key!r}")
         section, name, typ = _SCHEMA[key]
         if typ is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigError(f"config key {key!r} is out of float range") from None
         if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
             raise ConfigError(
                 f"config key {key!r} expects {typ.__name__}, got {value!r}")
@@ -186,9 +193,13 @@ def cmd_attnmap(args):
     # one whole-image tile, not fit_to_grid's six: attention_map reads tile 0 only
     img = patchio.resize_bilinear(img, cfg.image_size, cfg.image_size)
     batch = patchio.make_batch([(img, 0.0)], cfg.patch_size)
+    records = [None]
+
+    def keep_last(layer, _, weights):  # attention_map reads only the last layer
+        records[0] = AttentionRecord(layer, weights)
+
     with no_grad():
-        _, records = model_mod.forward(params, cfg, batch.data,
-                                       record_attention=True)
+        model_mod.features(params, cfg, batch.data, keep_last)
     amap = evalviz.attention_map(records, cfg)
     evalviz.export_pgm(amap, args.out)
     print(f"attnmap\t{args.out}")

@@ -6,8 +6,8 @@ Each layer computes
     Z  = MLP(LN(Z')) + Z'
 
 with no dropout and no final LN by default. The heads of a layer run as
-one batched attention over [B, H, S, D/H] tensors. Attention weights can
-be captured per layer and head for map extraction.
+one batched attention over [B, H, S, D/H] tensors. An observer passed to
+``encode`` sees each layer's output and its attention weights.
 
 Weights are read by name from the flat params dict that
 ``model.param_shapes`` defines: ``layer{l}.w_q``, ``layer{l}.mlp.w1``, ...
@@ -23,10 +23,9 @@ from .ndtensor import (add, attention, attention_probs, gelu, layer_norm,
 
 @dataclass
 class AttentionRecord:
-    """Row-stochastic attention weights [B, S, S] for one layer and head."""
+    """Row-stochastic attention weights [B, H, S, S] of one layer."""
 
     layer: int
-    head: int
     weights: object  # numpy array, detached from the graph
 
 
@@ -44,14 +43,12 @@ def scaled_attention(q, k, v, scale, record=False):
 
 
 def msa(z, params, layer, n_heads, scale, record=False):
-    """Multi-head self-attention: m parallel heads, concatenated, re-projected."""
+    """Multi-head self-attention; returns (output, [B, H, S, S] weights or None)."""
     p = f"layer{layer}."
     q, k, v = (split_heads(matmul(z, params[p + w]), n_heads) for w in ("w_q", "w_k", "w_v"))
     del z  # without a graph, the LN output is freed before attention
     out, weights = scaled_attention(q, k, v, scale, record=record)
-    records = [AttentionRecord(layer=layer, head=h, weights=weights[:, h])
-               for h in range(n_heads)] if record else []
-    return matmul(merge_heads(out), params[p + "w_o"]), records
+    return matmul(merge_heads(out), params[p + "w_o"]), weights
 
 
 def mlp_block(z, params, layer):
@@ -63,21 +60,23 @@ def mlp_block(z, params, layer):
 
 
 def encoder_layer(z, params, layer, n_heads, scale, record=False):
-    """Pre-LN attention block then pre-LN MLP block, each with a residual."""
+    """Pre-LN attention then pre-LN MLP block, each with a residual; returns (Z, weights)."""
     p = f"layer{layer}."
-    attn_out, records = msa(layer_norm(z, params[p + "ln1.gamma"], params[p + "ln1.beta"]),
+    attn_out, weights = msa(layer_norm(z, params[p + "ln1.gamma"], params[p + "ln1.beta"]),
                             params, layer, n_heads, scale, record)
     z = add(attn_out, z)
     del attn_out  # freed before the MLP block, as above
     z = add(mlp_block(layer_norm(z, params[p + "ln2.gamma"], params[p + "ln2.beta"]),
                       params, layer), z)
-    return z, records
+    return z, weights
 
 
-def encode(z, params, n_layers, n_heads, scale, record=False):
-    """Apply encoder layers 0..n_layers-1 in order; returns (Z_L, attention records)."""
-    all_records = []
+def encode(z, params, n_layers, n_heads, scale, observe=None):
+    """Apply encoder layers 0..n_layers-1 in order; returns Z_L. ``observe(layer,
+    z, weights)``, if given, sees each layer's output and detached weights."""
     for layer in range(n_layers):
-        z, records = encoder_layer(z, params, layer, n_heads, scale, record)
-        all_records.extend(records)
-    return z, all_records
+        z, weights = encoder_layer(z, params, layer, n_heads, scale, observe is not None)
+        if observe is not None:
+            observe(layer, z, weights)
+            del weights  # not held through the next layer
+    return z

@@ -89,9 +89,8 @@ def attention_map(records, cfg):
     """
     if not records:
         raise ValueError("no attention records captured")
-    last = max(r.layer for r in records)
-    weights = [r.weights for r in records if r.layer == last]
-    avg = np.mean([w[0] for w in weights], axis=0)  # single-image contract
+    last = max(records, key=lambda r: r.layer)
+    avg = last.weights[0].mean(axis=0)  # single-image contract, heads averaged
     if cfg.head_variant == HEAD_TOKEN:
         row = avg[0, 1:]  # regression-token query over patch keys
     else:
@@ -104,7 +103,7 @@ def attention_map(records, cfg):
     else:
         norm = (grid - lo) / (hi - lo)
     return AttentionMap(grid=norm.astype(np.float32),
-                        provenance=f"layer={last} heads=mean variant={cfg.head_variant}")
+                        provenance=f"layer={last.layer} heads=mean variant={cfg.head_variant}")
 
 
 def export_pgm(amap, path):

@@ -185,8 +185,8 @@ def embed(params, cfg, patches):
 def forward(params, cfg, patches, record_attention=False):
     """Patch sequences [B, N, K*K*3] -> raw per-tile counts [B].
 
-    Returns (predictions, attention records). Predictions are raw head
-    outputs; clamp at zero only when reporting final counts.
+    Returns (predictions, attention records: one per layer, if asked for).
+    Predictions are raw head outputs; clamp at zero only when reporting final counts.
 
     No attention crosses tiles, so when no graph is recorded and no record
     is asked for, each tile is embedded, encoded and pooled on its own
@@ -195,29 +195,25 @@ def forward(params, cfg, patches, record_attention=False):
     operations.
     """
     x = patches if isinstance(patches, Tensor) else Tensor(patches)
+    records = []
     if record_attention or _recording((x, *params.values())):
-        z, records = encoder.encode(embed(params, cfg, x), params, cfg.layers, cfg.heads,
-                                    cfg.attn_scale, record_attention)
-        pooled = _pool(params, cfg, z)
+        def observe(layer, _, weights):
+            records.append(encoder.AttentionRecord(layer, weights))
+        pooled = features(params, cfg, x, observe if record_attention else None)
     else:
-        records, rows = [], np.concatenate(_score_tiles(params, cfg, x))
+        rows = np.concatenate(_score_tiles(params, cfg, x))
         pooled = Tensor(rows, dtype=rows.dtype)  # float64 rows stay float64
     return heads.regress(pooled, params), records
 
 
-def _pool(params, cfg, z):
-    """Encoder output [B, S, D] -> pooled features [B, D], after the optional final LN."""
+def features(params, cfg, x, observe=None):
+    """Patches [B, N, K*K*3] -> pooled [B, D]: embed, encode (observed), final LN, pool."""
+    # embed's output goes straight to encode, which drops it after layer 0
+    z = encoder.encode(embed(params, cfg, x), params, cfg.layers, cfg.heads,
+                       cfg.attn_scale, observe)
     if cfg.final_ln:
         z = layer_norm(z, params["final_ln.gamma"], params["final_ln.beta"])
     return heads.gap_pool(z) if cfg.head_variant == HEAD_GAP else heads.token_pool(z)
-
-
-def _score_tile(params, cfg, x, t):
-    """Tile t of patches x, embedded, encoded and pooled: a [1, D] array."""
-    # embed's output goes straight to encode, which drops it after layer 0
-    z, _ = encoder.encode(embed(params, cfg, Tensor(x.data[t:t + 1], dtype=x.data.dtype)),
-                          params, cfg.layers, cfg.heads, cfg.attn_scale)
-    return _pool(params, cfg, z).data
 
 
 def _score_tiles(params, cfg, x):
@@ -231,16 +227,20 @@ def _score_tiles(params, cfg, x):
     tiles run serially at the process's BLAS setting.
     """
     n = x.shape[0]
+
+    def score_tile(t):
+        return features(params, cfg, Tensor(x.data[t:t + 1], dtype=x.data.dtype)).data
+
     blas = _blas_thread_control()
     if blas is None:
-        return [_score_tile(params, cfg, x, t) for t in range(n)]
+        return [score_tile(t) for t in range(n)]
     get_threads, set_threads = blas
     workers = min(TILE_WORKERS, n)
     rows = [None] * n
 
     def score(first):
         for t in range(first, n, workers):
-            rows[t] = _score_tile(params, cfg, x, t)
+            rows[t] = score_tile(t)
 
     before = get_threads()
     set_threads(1)

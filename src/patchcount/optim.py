@@ -141,25 +141,22 @@ def train_step(batch, params, cfg, state):
     loss = l1_loss(preds, Tensor(batch.labels))
     loss_val = float(loss.data)
     if not np.isfinite(loss_val):
-        stats = activation_stats(params, cfg, batch)
+        del preds, loss  # the recorded graph goes before the diagnostic pass
+        stats = []
+
+        def note(name, z):
+            stats.append(f"{name}={float(np.abs(z.data).max()):.3e}")
+
+        with no_grad():
+            z = model_mod.embed(params, cfg, batch.data)
+            note("embed", z)
+            encoder.encode(z, params, cfg.layers, cfg.heads, cfg.attn_scale,
+                           lambda layer, z, _: note(f"layer{layer}", z))
         raise FloatingPointError(
-            "non-finite training loss; max |activation| per layer: "
-            + ", ".join(f"{k}={v:.3e}" for k, v in stats))
+            "non-finite training loss; max |activation| per layer: " + ", ".join(stats))
     backward(loss)
     adam_step(params, state)
     return loss_val
-
-
-def activation_stats(params, cfg, batch):
-    """Max |activation| after embedding and after each encoder layer."""
-    stats = []
-    with no_grad():
-        z = model_mod.embed(params, cfg, batch.data)
-        stats.append(("embed", float(np.abs(z.data).max())))
-        for l in range(cfg.layers):
-            z, _ = encoder.encoder_layer(z, params, l, cfg.heads, cfg.attn_scale)
-            stats.append((f"layer{l}", float(np.abs(z.data).max())))
-    return stats
 
 
 def train(pairs, cfg, tcfg, params=None, state=None, epoch_callback=None,
@@ -339,7 +336,7 @@ def load_checkpoint(path, expected_cfg=None):
             cfg = model_mod.ModelConfig(**blob["model"])
             shapes = model_mod.param_shapes(cfg)
             state = AdamState(**{k: blob["adam"][k] for k in _ADAM_KEYS})
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
             raise CheckpointError(f"malformed config block: {exc!r}") from exc
         if expected_cfg is not None and asdict(cfg) != asdict(expected_cfg):
             raise CheckpointError(
@@ -356,6 +353,8 @@ def load_checkpoint(path, expected_cfg=None):
             if name not in named:
                 raise CheckpointError(
                     f"array {name!r} is not in the shape table of the checkpoint's config")
+            if name in dims_of:
+                raise CheckpointError(f"array {name!r} is listed twice")
             rank = r.u32("rank")
             if rank > _MAX_RANK:
                 raise CheckpointError(f"array {name!r} has rank {rank}, over {_MAX_RANK}")

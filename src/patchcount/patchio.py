@@ -33,6 +33,9 @@ class LabelsError(ValueError):
     """Malformed labels.tsv line; the message names the file and line."""
 
 
+_MAX_HEADER_DIGITS = 9  # no real width, height or maxval needs more
+
+
 def _read_header_ints(buf, pos, count):
     """Parse `count` whitespace-separated ASCII ints, honoring # comments."""
     values = []
@@ -48,6 +51,8 @@ def _read_header_ints(buf, pos, count):
             pos += 1
         if pos == start:
             raise PPMError("expected ASCII integer in header", start)
+        if pos - start > _MAX_HEADER_DIGITS:
+            raise PPMError("header integer too long", start)
         values.append(int(buf[start:pos]))
     return values, pos
 
@@ -57,12 +62,16 @@ def _load_netpbm(path, magic, channels):
         buf = fh.read()
     if buf[:2] != magic:
         raise PPMError(f"bad magic {buf[:2]!r}, expected {magic.decode()}", 0)
+    if not (buf[2:3].isspace() or buf[2:3] == b"#"):
+        raise PPMError("expected whitespace or a comment after the magic", 2)
     (width, height, maxval), pos = _read_header_ints(buf, 2, 3)
     if width == 0 or height == 0:
         raise PPMError(f"empty image: width {width}, height {height}", 2)
     if maxval != 255:
         raise PPMError(f"unsupported maxval {maxval}, only 255", 2)
-    pos += 1  # single whitespace byte after maxval
+    if not buf[pos : pos + 1].isspace():
+        raise PPMError("expected one whitespace byte after maxval", pos)
+    pos += 1
     expected = width * height * channels
     payload = buf[pos : pos + expected]
     if len(payload) < expected:
@@ -242,7 +251,7 @@ def write_dataset(pairs, out_dir):
         name = f"img_{i:05d}.ppm"
         save_ppm(img, os.path.join(out_dir, name))
         lines.append(f"{name}\t{count:g}\n")
-    with open(os.path.join(out_dir, "labels.tsv"), "w") as fh:
+    with open(os.path.join(out_dir, "labels.tsv"), "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 
 
@@ -308,12 +317,16 @@ def read_labels(data_dir):
     """
     path = os.path.join(data_dir, "labels.tsv")
     labels, seen = [], set()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), 1):  # \n, \r\n, \r as text mode
+            where = f"{path} line {lineno}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise LabelsError(f"{where}: not UTF-8 at byte {exc.start}") from None
             if not line.strip():
                 continue
-            where = f"{path} line {lineno}"
-            cols = line.rstrip("\n").split("\t")
+            cols = line.split("\t")
             if len(cols) != 2:
                 raise LabelsError(f"{where}: expected name<TAB>count, got {len(cols)} columns")
             name, text = cols

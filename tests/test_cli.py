@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import patchcount
-from patchcount import evalviz, optim, patchio
+from patchcount import evalviz, model, optim, patchio
 from patchcount.cli import ConfigError, main, parse_config
 from patchcount.model import ModelConfig, init_params
 from patchcount.optim import init_adam, save_checkpoint
@@ -47,6 +47,16 @@ class TestParseConfig:
         f = tmp_path / "c.json"
         f.write_text(json.dumps({"layers": "twelve"}))
         with pytest.raises(ConfigError, match="layers"):
+            parse_config(str(f))
+
+    @pytest.mark.parametrize("text, expect", [('{"lr": 1' + "0" * 400 + "}", "float range"),
+                                              ("{not json", "not valid JSON"),
+                                              ('{"lr": "\xff"}', "not valid JSON")],
+                             ids=["huge_int_lr", "bad_json", "non_utf8"])
+    def test_unreadable_value_or_file(self, tmp_path, text, expect):
+        f = tmp_path / "c.json"
+        f.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ConfigError, match=expect):
             parse_config(str(f))
 
     def test_file_then_override_precedence(self, tmp_path):
@@ -235,6 +245,29 @@ def test_eval_nan_label_exits_1_with_error(tmp_path, capsys):
     assert captured.err.startswith("error\t") and "labels.tsv line 2" in captured.err
 
 
+@pytest.mark.parametrize("command", ["eval", "gradcheck"])
+def test_deeply_nested_json_exits_1_with_error(tmp_path, capsys, command):
+    deep = b"[" * 100000
+    if command == "eval":
+        ckpt = _tiny_checkpoint(tmp_path)
+        blob = open(ckpt, "rb").read()
+        end = 12 + struct.unpack("<I", blob[8:12])[0]
+        open(ckpt, "wb").write(blob[:8] + struct.pack("<I", len(deep)) + deep + blob[end:])
+        argv = ["eval", "--checkpoint", ckpt, "--data", str(tmp_path)]
+        expect = "malformed config block"
+    else:
+        config = tmp_path / "deep.json"
+        config.write_bytes(deep)
+        argv = ["gradcheck", "--config", str(config)]
+        expect = "not valid JSON"
+    capsys.readouterr()
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error\t") and expect in captured.err
+
+
 def test_train_negative_epochs_exits_1_with_error(tmp_path, capsys):
     data = str(tmp_path / "data")
     main(["synth", "--out", data, "--n", "2", "--side", "64", "--seed", "5"])
@@ -390,3 +423,30 @@ def test_eval_decodes_each_image_just_before_scoring_it(tmp_path, capsys, monkey
     assert events == ["labels"] + ["load", "score"] * 4
     assert open(report, "rb").read() == open(expected, "rb").read()
     assert capsys.readouterr().out == f"MAE\t{mae:.4f}\nMSE\t{mse:.4f}\n"
+
+
+@pytest.mark.parametrize("head", ["gap", "token"])
+def test_attnmap_keeps_only_the_last_layer(tmp_path, capsys, monkeypatch, head):
+    cfg = ModelConfig(image_size=16, patch_size=8, dim=8, heads=2, layers=3, hidden_dim=8,
+                      head_variant=head)
+    params = init_params(cfg, 4)
+    ckpt = str(tmp_path / "m.tcwd")
+    save_checkpoint(params, init_adam(params), cfg, ckpt)
+    img = str(tmp_path / "x.ppm")
+    patchio.save_ppm(np.random.default_rng(2).random((24, 24, 3)).astype(np.float32), img)
+    # the map of the last layer of a recording forward over the same one-tile batch
+    tile = patchio.resize_bilinear(patchio.load_ppm(img), 16, 16)
+    _, records = model.forward(params, cfg, patchio.make_batch([(tile, 0.0)], 8).data,
+                               record_attention=True)
+    assert [r.layer for r in records] == [0, 1, 2]
+    expected = tmp_path / "expected.pgm"
+    evalviz.export_pgm(evalviz.attention_map(records, cfg), str(expected))
+    seen = []
+    real = evalviz.attention_map
+    monkeypatch.setattr(evalviz, "attention_map",
+                        lambda recs, c: seen.append([r.layer for r in recs]) or real(recs, c))
+    pgm = tmp_path / "map.pgm"
+    capsys.readouterr()
+    assert main(["attnmap", "--checkpoint", ckpt, "--image", img, "--out", str(pgm)]) == 0
+    assert seen == [[2]]
+    assert pgm.read_bytes() == expected.read_bytes()

@@ -182,10 +182,8 @@ class TestMSA:
         rng = np.random.default_rng(6)
         layer = make_layer(rng, 4, l=1)
         z = t(rng.normal(size=(2, 3, 4)).astype(np.float32))
-        _, records = msa(z, layer, 1, 2, 0.5, record=True)
-        assert len(records) == 2
-        assert records[0].layer == 1 and records[1].head == 1
-        assert records[0].weights.shape == (2, 3, 3)
+        _, weights = msa(z, layer, 1, 2, 0.5, record=True)
+        assert weights.shape == (2, 2, 3, 3)  # [B, H, S, S]
 
 
 def per_head_msa(z, layer, n_heads, scale):
@@ -215,8 +213,8 @@ class TestFusedMSA:
                      for name, p in base.items()}
             z = Tensor(z0.copy(), requires_grad=True)
             if fused:
-                out, records = msa(z, layer, 0, m, scale, record=True)
-                weights = [r.weights for r in records]
+                out, weights = msa(z, layer, 0, m, scale, record=True)
+                weights = [weights[:, h] for h in range(m)]
             else:
                 out, weights = per_head_msa(z, layer, m, scale)
             backward(mean(mul(out, w_loss)))
@@ -293,9 +291,10 @@ class TestEncoderLayer:
 class TestEncode:
     def test_empty_composition(self):
         z = t(np.random.default_rng(12).normal(size=(1, 3, 4)))
-        out, records = encode(z, {}, 0, 2, 0.5)
+        seen = []
+        out = encode(z, {}, 0, 2, 0.5, lambda *args: seen.append(args))
         npt.assert_array_equal(out.data, z.data)
-        assert records == []
+        assert seen == []
 
     def test_paper_scale_config_accepted(self):
         cfg = ModelConfig()  # 12 layers, 12 heads, D=768, K=16
@@ -306,26 +305,30 @@ class TestEncode:
         rng = np.random.default_rng(13)
         params = make_layers(rng, 3, 4)
         z = t(rng.normal(size=(2, 3, 4)).astype(np.float32))
-        _, records = encode(z, params, 3, 2, 0.5, record=True)
-        assert len(records) == 3 * 2
-        assert [r.layer for r in records] == [0, 0, 1, 1, 2, 2]
+        seen = []
+        out = encode(z, params, 3, 2, 0.5, lambda *args: seen.append(args))
+        assert [layer for layer, _, _ in seen] == [0, 1, 2]
+        assert all(w.shape == (2, 2, 3, 3) for _, _, w in seen)
+        assert seen[-1][1] is out
 
     def test_attention_rows_stochastic(self):
         rng = np.random.default_rng(14)
         params = make_layers(rng, 2, 8, scale=0.5)
         z = t(rng.normal(size=(2, 5, 8)).astype(np.float32))
-        _, records = encode(z, params, 2, 4, 0.25, record=True)
-        for rec in records:
-            npt.assert_allclose(rec.weights.sum(axis=-1), 1.0, atol=1e-6)
-            assert ((rec.weights >= 0) & (rec.weights <= 1)).all()
+        weights = []
+        encode(z, params, 2, 4, 0.25, lambda _, __, w: weights.append(w))
+        assert len(weights) == 2
+        for w in weights:
+            npt.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
+            assert ((w >= 0) & (w <= 1)).all()
 
     def test_permutation_equivariance_without_positions(self):
         rng = np.random.default_rng(15)
         params = make_layers(rng, 2, 8, scale=0.3)
         z = rng.normal(size=(1, 6, 8)).astype(np.float32)
         perm = rng.permutation(6)
-        out, _ = encode(t(z), params, 2, 2, 0.25)
-        out_p, _ = encode(t(z[:, perm]), params, 2, 2, 0.25)
+        out = encode(t(z), params, 2, 2, 0.25)
+        out_p = encode(t(z[:, perm]), params, 2, 2, 0.25)
         npt.assert_allclose(out_p.data, out.data[:, perm], rtol=1e-5, atol=1e-6)
 
 

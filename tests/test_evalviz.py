@@ -114,35 +114,33 @@ class TestAttentionMap:
 
     def test_uniform_attention_degenerates_to_zeros(self):
         cfg = self._cfg()
-        uniform = np.full((1, 4, 4), 0.25, dtype=np.float32)
-        recs = [AttentionRecord(layer=0, head=h, weights=uniform) for h in range(2)]
+        uniform = np.full((1, 2, 4, 4), 0.25, dtype=np.float32)
+        recs = [AttentionRecord(layer=0, weights=uniform)]
         amap = attention_map(recs, cfg)
         npt.assert_array_equal(amap.grid, np.zeros((2, 2)))
 
     def test_single_token_map(self):
         cfg = ModelConfig(image_size=8, patch_size=8, dim=8, heads=1,
                           layers=1, hidden_dim=8)
-        recs = [AttentionRecord(layer=0, head=0,
-                                weights=np.ones((1, 1, 1), dtype=np.float32))]
+        recs = [AttentionRecord(layer=0, weights=np.ones((1, 1, 1, 1), dtype=np.float32))]
         amap = attention_map(recs, cfg)
         npt.assert_array_equal(amap.grid, np.zeros((1, 1)))
 
     def test_token_variant_uses_token_row(self):
         cfg = self._cfg("token")
-        w = np.zeros((1, 5, 5), dtype=np.float32)  # 4 patches + reg token
-        w[0, 0] = [0.0, 0.7, 0.1, 0.1, 0.1]  # token's query row
-        recs = [AttentionRecord(layer=0, head=0, weights=w)]
+        w = np.zeros((1, 1, 5, 5), dtype=np.float32)  # 4 patches + reg token
+        w[0, 0, 0] = [0.0, 0.7, 0.1, 0.1, 0.1]  # token's query row
+        recs = [AttentionRecord(layer=0, weights=w)]
         amap = attention_map(recs, cfg)
         assert amap.grid[0, 0] == 1.0  # patch 1 is the max after min-max
         assert amap.grid.shape == (2, 2)
 
     def test_last_layer_selected(self):
         cfg = self._cfg()
-        lo = np.full((1, 4, 4), 0.25, dtype=np.float32)
-        hi = np.zeros((1, 4, 4), dtype=np.float32)
-        hi[:, :, 0] = 1.0
-        recs = [AttentionRecord(layer=0, head=0, weights=lo),
-                AttentionRecord(layer=1, head=0, weights=hi)]
+        lo = np.full((1, 1, 4, 4), 0.25, dtype=np.float32)
+        hi = np.zeros((1, 1, 4, 4), dtype=np.float32)
+        hi[..., 0] = 1.0
+        recs = [AttentionRecord(layer=0, weights=lo), AttentionRecord(layer=1, weights=hi)]
         amap = attention_map(recs, cfg)
         assert amap.grid[0, 0] == 1.0
         assert amap.grid[1, 1] == 0.0

@@ -10,9 +10,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from patchcount import evalviz, model, optim, patchio
+from patchcount import encoder, evalviz, model, optim, patchio
 from patchcount.model import ModelConfig, init_params, param_shapes
-from patchcount.ndtensor import Tensor
+from patchcount.ndtensor import Tensor, no_grad
 from patchcount.optim import (CheckpointError, MissingGradError,
                               TrainConfig, adam_step, init_adam,
                               load_checkpoint, save_checkpoint, train,
@@ -169,7 +169,13 @@ class TestTrainStep:
         cfg = ModelConfig(**TOY, head_variant="token")
         params = init_params(cfg, 3)
         params["head.b2"].data[:] = np.nan
-        expected = optim.activation_stats(params, cfg, batch)
+        expected = []  # embed, then each encoder layer, as plain no-grad calls
+        with no_grad():
+            z = model.embed(params, cfg, batch.data)
+            expected.append(("embed", float(np.abs(z.data).max())))
+            for layer in range(cfg.layers):
+                z, _ = encoder.encoder_layer(z, params, layer, cfg.heads, cfg.attn_scale)
+                expected.append((f"layer{layer}", float(np.abs(z.data).max())))
         assert [name for name, _ in expected] == ["embed", "layer0"]
         assert all(np.isfinite(v) and v > 0 for _, v in expected)
         with pytest.raises(FloatingPointError, match="max \\|activation\\| per layer: "
@@ -358,6 +364,7 @@ MALFORMED = {
     "bad_json": lambda b: _with_config(b, b"{not json"),
     "non_utf8_config": lambda b: _with_config(b, b'{"model": "\xff"}'),
     "non_object_config": lambda b: _with_config(b, b"[]"),
+    "deep_nesting": lambda b: _with_config(b, b"[" * 100000),
 }
 
 
@@ -386,6 +393,19 @@ def test_array_not_in_shape_table_raises_checkpoint_error(tmp_path):
     blob = open(path, "rb").read()
     open(path, "wb").write(_edit_config(blob, lambda c: c["model"].update(layers=1)))
     with pytest.raises(CheckpointError, match="'layer1.ln1.gamma' is not in the shape table"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["embed.proj", "embed.proj.m"])
+def test_array_listed_twice_raises_checkpoint_error(tmp_path, name):
+    # a second copy at the end of the file used to load, the last copy winning
+    path = _saved(tmp_path)
+    blob = open(path, "rb").read()
+    at = _config_offset(blob)
+    count = struct.unpack("<I", blob[at:at + 4])[0]
+    extra = optim._pack_array(name, np.ones(param_shapes(ModelConfig(**TOY))["embed.proj"]))
+    open(path, "wb").write(blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:] + extra)
+    with pytest.raises(CheckpointError, match=f"{name!r} is listed twice"):
         load_checkpoint(path)
 
 

@@ -310,3 +310,42 @@ def test_malformed_labels_line_raises_labels_error(tmp_path, case):
         with pytest.raises(LabelsError, match=expect) as exc:
             load(data)
         assert f"{labels} line 3" in str(exc.value)
+
+
+# (header bytes, the message and byte offset of the PPMError they raise)
+BAD_SEPARATORS = {
+    "letter_after_maxval": (b"\n1 1\n255X", "one whitespace byte after maxval", 10),
+    "nothing_after_maxval": (b"\n1 1\n255", "one whitespace byte after maxval", 10),
+    "digit_after_magic": (b"1 1 255\n", "after the magic", 2),
+    "letter_after_magic": (b"x1 1 255\n", "after the magic", 2),
+    "long_integer": (b"\n" + b"1" * 5000 + b" 1\n255\n", "too long", 3),
+}
+
+
+@pytest.mark.parametrize("load, magic", [(load_ppm, b"P6"), (load_pgm, b"P5")])
+@pytest.mark.parametrize("case", sorted(BAD_SEPARATORS))
+def test_bad_header_separator_raises_ppm_error(tmp_path, load, magic, case):
+    header, expect, offset = BAD_SEPARATORS[case]
+    p = tmp_path / "s.pnm"
+    p.write_bytes(magic + header + bytes(3))
+    with pytest.raises(PPMError, match=expect) as exc:
+        load(p)
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("header", [b" 1 1 255 ", b"\t1\t1\t255\r", b"#c\n1 1\n255\n",
+                                    b"\n1 1 #c\n255\n"])
+def test_header_separators_that_decode(tmp_path, header):
+    p = tmp_path / "s.ppm"
+    p.write_bytes(b"P6" + header + bytes([0, 51, 255]))
+    npt.assert_allclose(load_ppm(p), [[[0.0, 0.2, 1.0]]])
+
+
+def test_non_utf8_labels_raise_labels_error(tmp_path):
+    labels = tmp_path / "labels.tsv"
+    labels.write_bytes("a.ppm\t2\r\nbé.ppm\t3\n".encode() + b"c\xff.ppm\t1\n")
+    with pytest.raises(LabelsError, match="not UTF-8 at byte 1") as exc:
+        read_labels(tmp_path)
+    assert f"{labels} line 3" in str(exc.value)
+    labels.write_bytes("a.ppm\t2\r\nbé.ppm\t3\rc.ppm\t1".encode())
+    assert read_labels(tmp_path) == [("a.ppm", 2.0), ("bé.ppm", 3.0), ("c.ppm", 1.0)]
