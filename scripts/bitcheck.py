@@ -1,0 +1,86 @@
+"""Print sha256 digests of training and scoring outputs, to show that a
+change moves no bit.
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bitcheck.py
+    OPENBLAS_NUM_THREADS=2 python3 scripts/bitcheck.py
+
+Run it at both thread counts on the parent commit and on the change, from
+the repository root; every line must match between the two trees. Lines:
+
+- toy-train-<head>: 38 epochs of the toy profile (64 synthetic 64x64
+  images, batch 8, lr 1e-2, augmentation on, seed 3), over the first 300
+  step losses and every parameter and Adam moment after the 304 steps;
+- paper-eval-<head>: the six tile predictions of a no-grad forward of the
+  paper config (init_params seed 71) on one 480x640 synthetic image;
+- paper-train-gap: 3 one-tile train steps of the paper config (init_params
+  seed 71, lr 1e-5, one 384x384 synthetic image), over the losses and every
+  parameter and Adam moment after them.
+
+The paper lines need about 2 GB of memory and a minute or so of CPU.
+"""
+
+import hashlib
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "src"))
+
+from patchcount import model, optim, patchio  # noqa: E402
+from patchcount.ndtensor import no_grad  # noqa: E402
+
+TOY = dict(image_size=64, patch_size=8, dim=64, heads=4, layers=2, hidden_dim=64)
+
+
+def digest(losses, params, state):
+    h = hashlib.sha256(np.asarray(losses, dtype=np.float64).tobytes())
+    for name, p in params.items():
+        for arr in (p.data, state.m[name], state.v[name]):
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def toy_train(head):
+    pairs = patchio.synth_generate(patchio.SynthSpec(side=64, count_max=30, seed=3), 64)
+    cfg = model.ModelConfig(**TOY, head_variant=head)
+    tcfg = optim.TrainConfig(batch_size=8, epochs=38, seed=3, lr=1e-2)
+    params, state, losses = optim.train(pairs, cfg, tcfg)
+    return digest(losses[:300], params, state)
+
+
+def paper_eval(head):
+    cfg = model.ModelConfig(head_variant=head)
+    params = model.init_params(cfg, 71)
+    img, _ = patchio.synth_generate(patchio.SynthSpec(side=640, dot_radius=8.0, seed=71), 1)[0]
+    batch = patchio.make_batch([(patchio.fit_to_grid(img[:480], cfg.image_size), 0.0)],
+                               cfg.patch_size)
+    with no_grad():
+        preds, _ = model.forward(params, cfg, batch.data)
+    assert preds.shape == (6,)
+    return hashlib.sha256(preds.data.tobytes()).hexdigest()
+
+
+def paper_train():
+    cfg = model.ModelConfig()
+    params = model.init_params(cfg, 71)
+    state = optim.init_adam(params, lr=1e-5)
+    pairs = patchio.synth_generate(patchio.SynthSpec(side=384, dot_radius=8.0, seed=71), 1)
+    rng = np.random.default_rng(72)
+    losses = [optim.train_step(patchio.make_batch(pairs, cfg.patch_size, rng=rng),
+                               params, cfg, state) for _ in range(3)]
+    return digest(losses, params, state)
+
+
+def main():
+    print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
+    for head in (model.HEAD_GAP, model.HEAD_TOKEN):
+        print(f"toy-train-{head}\t{toy_train(head)}", flush=True)
+    for head in (model.HEAD_GAP, model.HEAD_TOKEN):
+        print(f"paper-eval-{head}\t{paper_eval(head)}", flush=True)
+    print(f"paper-train-gap\t{paper_train()}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -113,9 +113,13 @@ def _make(data, parents, backward):
 
 
 def _unbroadcast(grad, shape):
-    """Sum a broadcast gradient back down to the original operand shape."""
+    """Sum a broadcast gradient back down to the original operand shape.
+
+    A leading axis of size 1 is dropped by indexing, which gives a view and
+    the sum's value (but keeps the sign of a -0.0, which the sum makes +0.0).
+    """
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = grad[0] if grad.shape[0] == 1 else grad.sum(axis=0)
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
@@ -151,9 +155,22 @@ def _blocks(shape, itemsize, core):
     return walk(tuple(shape[:split]))
 
 
-def _accum(t, g):
+def _accum(t, g, owned=False):
+    """Add one gradient contribution ``g`` to ``t.grad``.
+
+    A rule passes ``owned`` only for an array it allocated for this one
+    call and never touches again (or a view of such an array); a first
+    contribution of the tensor's dtype is then kept as it is. Any other
+    first contribution is copied, since it can be the rule's own input
+    ``g``, or a view of it, that other parents also receive. Later
+    contributions of ``t.grad``'s shape are added into it in place when the
+    sum keeps its dtype, and into a new array otherwise (a float32 gradient
+    meeting a float64 one widens).
+    """
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+        t.grad = g if owned and g.dtype == t.data.dtype else g.astype(t.data.dtype, copy=True)
+    elif g.shape == t.grad.shape and np.result_type(t.grad, g) == t.grad.dtype:
+        np.add(t.grad, g, out=t.grad)
     else:
         t.grad = t.grad + g
 
@@ -206,8 +223,8 @@ def _matmul_data(a, b):
 
 
 def _matmul_backward(a, b, g):
-    _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-    _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+    _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape), owned=True)
+    _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape), owned=True)
 
 
 def matmul(a, b):
@@ -363,8 +380,8 @@ def attention_probs(q, k, scale):
             dl *= scale
             np.matmul(dl, k.data[i], out=dq[i])
             np.matmul(np.swapaxes(q.data[i], -1, -2), dl, out=dk_t[i])
-        _accum(q, dq)
-        _accum(k, np.swapaxes(dk_t, -1, -2))
+        _accum(q, dq, owned=True)
+        _accum(k, np.swapaxes(dk_t, -1, -2), owned=True)
 
     return _make(p, (q, k), backward)
 
@@ -461,8 +478,8 @@ def layer_norm(x, gamma, beta, eps=1e-6):
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        _accum(gamma, (g * xhat).sum(axis=lead))
-        _accum(beta, g.sum(axis=lead))
+        _accum(gamma, (g * xhat).sum(axis=lead), owned=True)
+        _accum(beta, g.sum(axis=lead), owned=True)
         dx = np.empty(g.shape, np.result_type(inv_std, g, gamma.data, xhat))
         for i in _blocks(g.shape, g.itemsize, 1):
             xhat_i = xhat[i]
@@ -471,7 +488,7 @@ def layer_norm(x, gamma, beta, eps=1e-6):
                         - dxhat.mean(axis=-1, keepdims=True)
                         - xhat_i * (dxhat * xhat_i).mean(axis=-1, keepdims=True),
                         out=dx[i])
-        _accum(x, dx)
+        _accum(x, dx, owned=True)
 
     return _make(data, (x, gamma, beta), backward)
 
@@ -523,7 +540,7 @@ def gelu(x, inplace=False):
             rest *= du
             d_i += rest
             d_i *= g[i]
-        _accum(x, dgelu)
+        _accum(x, dgelu, owned=True)
 
     return _make(data, (x,), backward)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import encoder, patchio
+from . import encoder, ndtensor, patchio
 from . import model as model_mod
 from .heads import l1_loss
 from .model import batch_predictions  # also traced under this name by perfbench
@@ -92,9 +92,11 @@ def adam_step(params, state):
 
     Decay is applied as theta -= lr * wd * theta before the Adam delta.
     Every gradient is checked before anything changes, so a missing one
-    leaves the parameters and the state as they were. Parameters and
-    moments are updated in place through two scratch buffers shared by all
-    parameters; each float32 operation keeps the operands and order of
+    leaves the parameters and the state as they were. Each parameter is
+    updated in place one block at a time, through two block-sized scratch
+    buffers, so its parameter, gradient and moment slices and the scratch
+    stay in L2 across all of the block's passes; each float32 operation
+    keeps the operands and order of
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     p -= lr * (m/bc1) / (sqrt(v/bc2) + eps).
     """
@@ -105,29 +107,33 @@ def adam_step(params, state):
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
     decay = np.float32(state.lr * state.weight_decay)
-    size = max((p.data.size for p in params.values()), default=0)
-    scratch = np.empty((2, size), dtype=np.float32)
+    # six float32 arrays share a block: p, g, m, v and the two scratch slices
+    scratch = np.empty((2, max(ndtensor._BLOCK_BYTES // (6 * 4), 1)), dtype=np.float32)
     for name, p in params.items():
-        g, m, v = p.grad, state.m[name], state.v[name]
-        a = scratch[0, :g.size].reshape(g.shape)
-        b = scratch[1, :g.size].reshape(g.shape)
-        if state.weight_decay:
-            np.multiply(decay, p.data, out=a)
-            p.data -= a
-        m *= state.beta1
-        np.multiply(1.0 - state.beta1, g, out=a)
-        m += a
-        v *= state.beta2
-        np.multiply(1.0 - state.beta2, g, out=a)
-        a *= g
-        v += a
-        np.divide(v, bc2, out=a)
-        np.sqrt(a, out=a)
-        a += state.eps
-        np.divide(m, bc1, out=b)
-        b /= a
-        b *= state.lr
-        p.data -= b
+        grad, mom, vel = p.grad, state.m[name], state.v[name]
+        # basic indices, so the writes to p.data, m and v land whatever
+        # their memory layout
+        for i in ndtensor._blocks(p.shape, 6 * 4, 0):
+            w, g, m, v = p.data[i], grad[i], mom[i], vel[i]
+            a = scratch[0, :w.size].reshape(w.shape)
+            b = scratch[1, :w.size].reshape(w.shape)
+            if state.weight_decay:
+                np.multiply(decay, w, out=a)
+                w -= a
+            m *= state.beta1
+            np.multiply(1.0 - state.beta1, g, out=a)
+            m += a
+            v *= state.beta2
+            np.multiply(1.0 - state.beta2, g, out=a)
+            a *= g
+            v += a
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += state.eps
+            np.divide(m, bc1, out=b)
+            b /= a
+            b *= state.lr
+            w -= b
 
 
 def train_step(batch, params, cfg, state):
@@ -142,10 +148,13 @@ def train_step(batch, params, cfg, state):
     loss_val = float(loss.data)
     if not np.isfinite(loss_val):
         del preds, loss  # the recorded graph goes before the diagnostic pass
-        stats = []
+        stats, bad = [], []
 
         def note(name, z):
-            stats.append(f"{name}={float(np.abs(z.data).max()):.3e}")
+            peak = float(np.abs(z.data).max())
+            stats.append(f"{name}={peak:.3e}")
+            if not math.isfinite(peak):
+                bad.append(name)
 
         with no_grad():
             z = model_mod.embed(params, cfg, batch.data)
@@ -153,7 +162,8 @@ def train_step(batch, params, cfg, state):
             encoder.encode(z, params, cfg.layers, cfg.heads, cfg.attn_scale,
                            lambda layer, z, _: note(f"layer{layer}", z))
         raise FloatingPointError(
-            "non-finite training loss; max |activation| per layer: " + ", ".join(stats))
+            "non-finite training loss; max |activation| per layer: " + ", ".join(stats)
+            + "; first non-finite: " + (bad[0] if bad else "after the last layer"))
     backward(loss)
     adam_step(params, state)
     return loss_val
@@ -312,6 +322,24 @@ class _LazyMoments(Mapping):
 _ADAM_KEYS = ("lr", "beta1", "beta2", "eps", "weight_decay", "t")
 
 
+def _check_adam(state):
+    """Raise ValueError unless a loaded Adam block holds values adam_step can use."""
+    for name in ("lr", "beta1", "beta2", "eps", "weight_decay"):
+        value = getattr(state, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise ValueError(f"adam {name} must be a finite number, got {value!r}")
+    if not (state.lr > 0 and state.eps > 0):
+        raise ValueError(f"adam lr and eps must be > 0, got {state.lr!r} and {state.eps!r}")
+    if not (0 <= state.beta1 < 1 and 0 <= state.beta2 < 1):
+        raise ValueError(f"adam beta1 and beta2 must be in [0, 1), got "
+                         f"{state.beta1!r} and {state.beta2!r}")
+    if state.weight_decay < 0:
+        raise ValueError(f"adam weight_decay must be >= 0, got {state.weight_decay!r}")
+    if isinstance(state.t, bool) or not isinstance(state.t, int) or not 0 <= state.t < 2 ** 63:
+        raise ValueError(f"adam t must be an int in [0, 2**63), got {state.t!r}")
+
+
 def load_checkpoint(path, expected_cfg=None):
     """Read a checkpoint; returns (params, AdamState, ModelConfig).
 
@@ -336,7 +364,8 @@ def load_checkpoint(path, expected_cfg=None):
             cfg = model_mod.ModelConfig(**blob["model"])
             shapes = model_mod.param_shapes(cfg)
             state = AdamState(**{k: blob["adam"][k] for k in _ADAM_KEYS})
-        except (ValueError, TypeError, KeyError, RecursionError) as exc:
+            _check_adam(state)
+        except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
             raise CheckpointError(f"malformed config block: {exc!r}") from exc
         if expected_cfg is not None and asdict(cfg) != asdict(expected_cfg):
             raise CheckpointError(

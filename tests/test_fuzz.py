@@ -100,13 +100,16 @@ def checkpoint_blob(tmp_path_factory):
 
 
 _U32S = st.sampled_from([0, 1, 2, 3, 64, 65, 2 ** 31, 2 ** 32 - 1])
+_ADAM_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.sampled_from([0.9, 1e-8, 1e-4, -0.0, 1.0, 10 ** 400, 2 ** 63]),
+                         st.text(max_size=4))
 
 
 @FUZZ
 @given(data=st.data())
 def test_checkpoint_loads_or_raises_checkpoint_error(tmp_path, checkpoint_blob, data):
     blob = bytearray(checkpoint_blob)
-    kind = data.draw(st.sampled_from(["cut", "bytes", "u32", "config"]))
+    kind = data.draw(st.sampled_from(["cut", "bytes", "u32", "config", "adam"]))
     if kind == "cut":
         del blob[data.draw(st.integers(0, len(blob))):]
     elif kind == "bytes":  # overwrite a few bytes anywhere
@@ -116,15 +119,22 @@ def test_checkpoint_loads_or_raises_checkpoint_error(tmp_path, checkpoint_blob, 
     elif kind == "u32":  # forge a length, count, rank or dim field
         at = data.draw(st.integers(0, (len(blob) - 4) // 4)) * 4
         blob[at:at + 4] = struct.pack("<I", data.draw(_U32S))
-    else:
+    else:  # a new config block: the saved one with one Adam value changed, or any
         end = 12 + struct.unpack("<I", blob[8:12])[0]
-        block = data.draw(st.one_of(
-            st.binary(max_size=24),
-            st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-                         lambda inner: st.lists(inner, max_size=3)
-                         | st.dictionaries(st.sampled_from(["model", "adam", "dim", "t"]), inner,
-                                           max_size=3),
-                         max_leaves=8).map(lambda v: json.dumps(v).encode())))
+        if kind == "adam":
+            block = json.loads(blob[12:end])
+            block["adam"][data.draw(st.sampled_from(sorted(block["adam"])))] = \
+                data.draw(_ADAM_VALUES)
+            block = json.dumps(block).encode()
+        else:
+            block = data.draw(st.one_of(
+                st.binary(max_size=24),
+                st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
+                             | st.text(max_size=4),
+                             lambda inner: st.lists(inner, max_size=3)
+                             | st.dictionaries(st.sampled_from(["model", "adam", "dim", "t"]),
+                                               inner, max_size=3),
+                             max_leaves=8).map(lambda v: json.dumps(v).encode())))
         blob[8:end] = struct.pack("<I", len(block)) + block
     path = tmp_path / "m.tcwd"
     path.write_bytes(bytes(blob))
@@ -136,6 +146,10 @@ def test_checkpoint_loads_or_raises_checkpoint_error(tmp_path, checkpoint_blob, 
     except optim.CheckpointError:
         return
     assert isinstance(cfg, ModelConfig)
+    for p in params.values():  # whatever loads, the optimizer can step with
+        p.grad = np.ones_like(p.data)
+    with np.errstate(over="ignore", invalid="ignore"):  # payload bytes may be any float
+        optim.adam_step(params, state)
 
 
 _CONFIG_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),

@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from patchcount import heads, model, patchio
 from patchcount import ndtensor as nd
 from patchcount.ndtensor import (GraphError, ShapeError, Tensor, absolute, add,
                                  attention, attention_probs, backward, concat, gelu,
@@ -438,3 +439,112 @@ class TestNoGrad:
             loss = mean(mul(x, x))
         with pytest.raises(GraphError):
             backward(loss)
+
+
+def _toy_loss(head, batch):
+    cfg = model.ModelConfig(image_size=16, patch_size=8, dim=8, heads=2, layers=2,
+                            hidden_dim=8, head_variant=head)
+    params = model.init_params(cfg, 4)
+    pairs = patchio.synth_generate(patchio.SynthSpec(side=16, count_min=1, count_max=6,
+                                                     dot_radius=1.0, seed=5), batch)
+    data = patchio.make_batch(pairs, cfg.patch_size)
+    preds, _ = model.forward(params, cfg, data.data)
+    return params, heads.l1_loss(preds, Tensor(data.labels))
+
+
+def _leaves(seed, *shapes):
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in shapes]
+
+
+# graph, leaf shapes: each sends one leaf's gradient through a rule that
+# hands the same array (or views of it) to several parents, or one leaf
+# through several rules, so a gradient kept without a copy where it is
+# shared shows up as two leaves whose gradients move together
+ALIAS_GRAPHS = {
+    "add_one_g_to_two_leaves": (lambda a, b: add(a, b), [(3, 4), (3, 4)]),
+    "add_size1_batch": (lambda a, b: add(a, b), [(1, 3, 4), (3, 4)]),
+    "add_then_add": (lambda a, b, c: add(add(a, b), c), [(3, 4), (3, 4), (3, 4)]),
+    "leaf_feeds_two_ops": (lambda x, y: add(gelu(x), add(smul(x, 2.0), y)), [(3, 4), (3, 4)]),
+    "linear": (lambda x, w, b: add(linear(x, w, b), x),
+               [(1, 5, 4), (4, 4), (4,)]),
+    "linear_batch": (lambda x, w, b: linear(x, w, b), [(3, 5, 4), (4, 4), (4,)]),
+    "matmul_self": (lambda x: matmul(x, x), [(4, 4)]),
+    "attention_probs": (lambda q, k, v: add(matmul(attention_probs(q, k, 0.5), v), q),
+                        [(1, 2, 5, 4), (1, 2, 5, 4), (1, 2, 5, 4)]),
+    "attention_probs_shared_qk": (lambda x: attention_probs(x, x, 0.5), [(1, 2, 5, 4)]),
+    "layer_norm": (lambda x, gamma, beta: add(x, layer_norm(x, gamma, beta)),
+                   [(2, 5, 6), (6,), (6,)]),
+    "layer_norm_gamma_is_beta": (lambda x, gb: layer_norm(x, gb, gb), [(1, 5, 6), (6,)]),
+    "gelu": (lambda x, y: add(gelu(x), mul(x, y)), [(1, 5, 6), (1, 5, 6)]),
+    "heads": (lambda x: merge_heads(attention_probs(split_heads(x, 2), split_heads(x, 2), 0.5)),
+              [(1, 5, 4)]),
+}
+
+
+class TestGradientOwnership:
+    """Gradients kept without a copy never alias: a rule marks a
+    contribution as owned only when it allocated it for that one call."""
+
+    @pytest.mark.parametrize("name", sorted(ALIAS_GRAPHS))
+    def test_mutating_one_gradient_leaves_the_others(self, name):
+        graph, shapes = ALIAS_GRAPHS[name]
+        leaves = _leaves(zlib.crc32(name.encode()), *shapes)
+        backward(_weighted_sum(graph(*leaves)))
+        self._check_no_aliasing(leaves)
+
+    @pytest.mark.parametrize("head", ["gap", "token"])
+    def test_toy_model_gradients_do_not_alias(self, head):
+        params, loss = _toy_loss(head, batch=1)
+        backward(loss)
+        self._check_no_aliasing(list(params.values()))
+
+    @staticmethod
+    def _check_no_aliasing(leaves):
+        before = [x.grad.copy() for x in leaves]
+        for i, x in enumerate(leaves):
+            x.grad += 1.0
+            for j, y in enumerate(leaves):
+                if j != i:
+                    assert np.array_equal(y.grad, before[j]), f"leaf {j} moved with leaf {i}"
+            x.grad[...] = before[i]
+
+    @pytest.mark.parametrize("head", ["gap", "token"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_same_gradients_as_copying_every_contribution(self, monkeypatch, head, batch):
+        def copying_accum(t, g, owned=False):
+            t.grad = g.astype(t.data.dtype, copy=True) if t.grad is None else t.grad + g
+
+        unbroadcast = nd._unbroadcast
+
+        def summing_unbroadcast(grad, shape):
+            while grad.ndim > len(shape):
+                grad = grad.sum(axis=0)
+            return unbroadcast(grad, shape)
+
+        params, loss = _toy_loss(head, batch)
+        backward(loss)
+        monkeypatch.setattr(nd, "_accum", copying_accum)
+        monkeypatch.setattr(nd, "_unbroadcast", summing_unbroadcast)
+        ref, ref_loss = _toy_loss(head, batch)
+        backward(ref_loss)
+        for name, p in params.items():
+            assert p.grad.dtype == ref[name].grad.dtype == np.float32, name
+            assert np.array_equal(p.grad, ref[name].grad), name
+
+    @pytest.mark.parametrize("grad_shape,shape", [
+        ((1, 5, 7), (5, 7)), ((1, 1, 4), (4,)), ((1, 3, 1, 4), (3, 1, 4)),
+        ((1, 3, 4), (1, 4)), ((1, 3, 4), (3, 4)), ((1, 1), ())])
+    def test_unbroadcast_size1_axis_equals_the_sum(self, grad_shape, shape):
+        g = np.random.default_rng(0).normal(size=grad_shape).astype(np.float32)
+        g.reshape(-1)[::3] = -0.0
+        expected = g
+        while expected.ndim > len(shape):
+            expected = expected.sum(axis=0)
+        for axis, size in enumerate(shape):
+            if size == 1 and expected.shape[axis] != 1:
+                expected = expected.sum(axis=axis, keepdims=True)
+        out = nd._unbroadcast(g, shape)
+        assert out.shape == expected.shape == shape
+        assert out.dtype == expected.dtype and np.array_equal(out, expected)
+

@@ -10,7 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from patchcount import encoder, evalviz, model, optim, patchio
+from patchcount import encoder, evalviz, model, ndtensor, optim, patchio
 from patchcount.model import ModelConfig, init_params, param_shapes
 from patchcount.ndtensor import Tensor, no_grad
 from patchcount.optim import (CheckpointError, MissingGradError,
@@ -99,21 +99,93 @@ class TestAdamStep:
         ref = {n: (p.data.copy(), np.zeros(p.shape, np.float32), np.zeros(p.shape, np.float32))
                for n, p in params.items()}
         for t in range(1, 4):
-            bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
             for n, p in params.items():
                 p.grad = rng.normal(size=p.shape).astype(np.float32)
-                w, m, v = ref[n]
-                g = p.grad
-                w = w - np.float32(1e-2 * 1e-1) * w
-                m = 0.9 * m + (1.0 - 0.9) * g
-                v = 0.999 * v + (1.0 - 0.999) * g * g
-                w = w - 1e-2 * ((m / bc1) / (np.sqrt(v / bc2) + 1e-8))
-                ref[n] = (w, m, v)
+                ref[n] = _adam_formula(*ref[n], p.grad, t, 1e-2, 1e-1)
             adam_step(params, state)
         for n, p in params.items():
             assert np.array_equal(p.data, ref[n][0])
             assert np.array_equal(state.m[n], ref[n][1])
             assert np.array_equal(state.v[n], ref[n][2])
+
+    # block boundaries: 32768 floats is one block of a 1-D parameter, and a
+    # [768, 3072] one goes in blocks of 10 rows
+    @pytest.mark.parametrize("shape", [(1,), (32767,), (32768,), (32769,), (768, 3072)])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_blocked_step_equals_whole_array_formula(self, shape, weight_decay):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        p = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+        params = {"p": p}
+        state = init_adam(params, lr=1e-2, weight_decay=weight_decay)
+        w, m, v = p.data.copy(), state.m["p"].copy(), state.v["p"].copy()
+        for t in (1, 2):
+            p.grad = rng.normal(size=shape).astype(np.float32)
+            w, m, v = _adam_formula(w, m, v, p.grad, t, 1e-2, weight_decay)
+            adam_step(params, state)
+        assert np.array_equal(p.data, w)
+        assert np.array_equal(state.m["p"], m) and np.array_equal(state.v["p"], v)
+
+    def test_updates_land_in_non_contiguous_arrays(self, monkeypatch):
+        # a flat reshape of these would be a copy, and the update would be lost
+        monkeypatch.setattr(ndtensor, "_BLOCK_BYTES", 7 * 24)
+        rng = np.random.default_rng(3)
+        data = np.asfortranarray(rng.normal(size=(6, 5)).astype(np.float32))
+        p = Tensor(data, requires_grad=True)
+        assert p.data is data and not data.flags.c_contiguous
+        params = {"p": p}
+        state = init_adam(params, lr=1e-2, weight_decay=1e-1)
+        m, v = state.m["p"], state.v["p"]
+        assert not m.flags.c_contiguous
+        p.grad = rng.normal(size=(5, 6)).astype(np.float32).T
+        expected = _adam_formula(data.copy(), m.copy(), v.copy(), p.grad, 1, 1e-2, 1e-1)
+        adam_step(params, state)
+        assert p.data is data and state.m["p"] is m and state.v["p"] is v
+        for got, want in zip((data, m, v), expected):
+            assert np.array_equal(got, want)
+
+    def test_step_on_lazily_loaded_moments(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ndtensor, "_BLOCK_BYTES", 5 * 24)  # several blocks each
+        rng = np.random.default_rng(4)
+        cfg = ModelConfig(**TOY, head_variant="token")
+        params = init_params(cfg, 0)
+        state = init_adam(params, lr=1e-2, weight_decay=1e-4)
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape).astype(np.float32)
+        adam_step(params, state)  # moments away from zero
+        path = str(tmp_path / "m.tcwd")
+        save_checkpoint(params, state, cfg, path)
+        loaded, lstate, _ = load_checkpoint(path)
+        expected = {}
+        for name, p in loaded.items():
+            p.grad = rng.normal(size=p.shape).astype(np.float32)
+            expected[name] = _adam_formula(params[name].data, state.m[name], state.v[name],
+                                           p.grad, 2, 1e-2, 1e-4)
+        adam_step(loaded, lstate)
+        for name, p in loaded.items():
+            for got, want in zip((p.data, lstate.m[name], lstate.v[name]), expected[name]):
+                assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("steps_before", [0, 1])
+    def test_negative_zero_gradient_moves_no_bit(self, steps_before):
+        # a size-1 batch axis is dropped by indexing, which keeps a -0.0 that
+        # the sum made +0.0; Adam gives the same bits for both
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=64).astype(np.float32)
+        data[:4] = (0.0, -0.0, 0.0, -0.0)
+        grads = [rng.normal(size=64).astype(np.float32) for _ in range(steps_before)]
+        final = rng.normal(size=64).astype(np.float32)
+        out = []
+        for zero in (0.0, -0.0):
+            last = final.copy()
+            last[::2] = zero
+            p = Tensor(data.copy(), requires_grad=True)
+            state = init_adam({"p": p}, lr=1e-2, weight_decay=1e-1)
+            for g in grads + [last]:
+                p.grad = g
+                adam_step({"p": p}, state)
+            out.append([a.view(np.uint32).copy() for a in (p.data, state.m["p"], state.v["p"])])
+        for plus, minus in zip(*out):
+            assert np.array_equal(plus, minus)
 
     def test_nonzero_grad_moves_every_coordinate(self):
         rng = np.random.default_rng(0)
@@ -125,6 +197,16 @@ class TestAdamStep:
         before = p.data.copy()
         adam_step(params, state)
         assert (p.data != before).all()
+
+
+def _adam_formula(w, m, v, g, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam step with decoupled decay, as whole-array float32 expressions."""
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    if wd:
+        w = w - np.float32(lr * wd) * w
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    return w - lr * ((m / bc1) / (np.sqrt(v / bc2) + eps)), m, v
 
 
 class TestTrainStep:
@@ -180,6 +262,17 @@ class TestTrainStep:
         assert all(np.isfinite(v) and v > 0 for _, v in expected)
         with pytest.raises(FloatingPointError, match="max \\|activation\\| per layer: "
                            + ", ".join(f"{k}={v:.3e}" for k, v in expected)):
+            train_step(batch, params, cfg, init_adam(params))
+
+    @pytest.mark.parametrize("where,first", [
+        ("embed.proj", "embed"), ("layer0.w_q", "layer0"), ("layer1.mlp.w2", "layer1"),
+        ("layer2.ln1.gamma", "layer2"), ("head.w1", "after the last layer")])
+    def test_non_finite_loss_names_the_first_non_finite_layer(self, where, first):
+        batch = tiny_batch()
+        cfg = ModelConfig(**dict(TOY, layers=3), head_variant="gap")
+        params = init_params(cfg, 3)
+        params[where].data[0] = np.nan
+        with pytest.raises(FloatingPointError, match=f"; first non-finite: {first}$"):
             train_step(batch, params, cfg, init_adam(params))
 
     def test_loss_decreases_on_fixed_batch(self):
@@ -365,6 +458,21 @@ MALFORMED = {
     "non_utf8_config": lambda b: _with_config(b, b'{"model": "\xff"}'),
     "non_object_config": lambda b: _with_config(b, b"[]"),
     "deep_nesting": lambda b: _with_config(b, b"[" * 100000),
+    "string_lr_fractional_t": lambda b: _edit_config(b, lambda c: c["adam"].update(lr="fast", t=-3.5)),
+    "zero_lr": lambda b: _edit_config(b, lambda c: c["adam"].update(lr=0.0)),
+    "infinite_lr": lambda b: _edit_config(b, lambda c: c["adam"].update(lr=float("inf"))),
+    "int_overflowing_lr": lambda b: _edit_config(b, lambda c: c["adam"].update(lr=10 ** 400)),
+    "bool_lr": lambda b: _edit_config(b, lambda c: c["adam"].update(lr=True)),
+    "nan_eps": lambda b: _edit_config(b, lambda c: c["adam"].update(eps=float("nan"))),
+    "negative_eps": lambda b: _edit_config(b, lambda c: c["adam"].update(eps=-1e-8)),
+    "beta1_one": lambda b: _edit_config(b, lambda c: c["adam"].update(beta1=1.0)),
+    "negative_beta2": lambda b: _edit_config(b, lambda c: c["adam"].update(beta2=-0.5)),
+    "negative_weight_decay": lambda b: _edit_config(
+        b, lambda c: c["adam"].update(weight_decay=-1e-4)),
+    "negative_t": lambda b: _edit_config(b, lambda c: c["adam"].update(t=-1)),
+    "float_t": lambda b: _edit_config(b, lambda c: c["adam"].update(t=2.0)),
+    "bool_t": lambda b: _edit_config(b, lambda c: c["adam"].update(t=True)),
+    "huge_t": lambda b: _edit_config(b, lambda c: c["adam"].update(t=2 ** 63)),
 }
 
 
