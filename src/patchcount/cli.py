@@ -17,8 +17,7 @@ from . import evalviz, patchio
 from .encoder import AttentionRecord
 from .model import ModelConfig, grad_check_model
 from .ndtensor import GraphError, ShapeError, no_grad
-from .optim import (CheckpointError, TrainConfig, load_checkpoint, train,
-                    init_adam)
+from .optim import CheckpointError, TrainConfig, load_checkpoint, train
 from . import model as model_mod
 
 # closed schema: JSON key -> (target section, config field, type)
@@ -130,9 +129,8 @@ def cmd_train(args):
     # the eval set is only ever scored into the log
     eval_pairs = patchio.load_dataset(args.eval_data) if args.eval_data and args.log else None
     log = evalviz.ConvergenceLog(args.log) if args.log else None
-    params = model_mod.init_params(cfg, tcfg.seed)
 
-    def on_epoch(epoch, loss):
+    def on_epoch(epoch, loss, params):
         if log is None:
             return
         mae = float("nan")
@@ -140,10 +138,8 @@ def cmd_train(args):
             _, _, mae, _ = evalviz.evaluate(eval_pairs, params, cfg)
         log.record(epoch, loss, mae)
 
-    state = init_adam(params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     try:
-        train(pairs, cfg, tcfg, params=params, state=state,
-              epoch_callback=on_epoch, checkpoint_path=args.out)
+        train(pairs, cfg, tcfg, epoch_callback=on_epoch, checkpoint_path=args.out)
     finally:
         if log is not None:
             log.close()
@@ -200,8 +196,7 @@ def cmd_attnmap(args):
 
     with no_grad():
         model_mod.features(params, cfg, batch.data, keep_last)
-    amap = evalviz.attention_map(records, cfg)
-    evalviz.export_pgm(amap, args.out)
+    evalviz.export_pgm(evalviz.attention_map(records, cfg), args.out)
     print(f"attnmap\t{args.out}")
     return 0
 

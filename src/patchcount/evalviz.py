@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,7 @@ def predict_image(img, params, cfg):
     batch = patchio.make_batch([(patchio.fit_to_grid(img, cfg.image_size), 0.0)],
                                cfg.patch_size)
     with no_grad():
-        preds, _ = batch_predictions(params, cfg, batch)
+        preds = batch_predictions(params, cfg, batch)
     total = float(preds.data[0])
     if not math.isfinite(total):
         raise FloatingPointError(f"non-finite prediction {total!r}")
@@ -71,21 +70,13 @@ def write_eval_report(names, preds, gts, path):
     return mae, mse
 
 
-@dataclass
-class AttentionMap:
-    """Patch-grid attention weights, min-max normalized to [0, 1]."""
-
-    grid: np.ndarray
-    provenance: str
-
-
 def attention_map(records, cfg):
-    """Distill captured attention into one patch-grid map.
+    """Distill captured attention into one [g, g] float32 patch-grid map.
 
     Uses the last layer with all heads averaged. The Token variant takes
     the regression-token query row over the patch keys; the GAP variant
-    takes the per-key mean over all query rows. A constant map min-max
-    normalizes to all zeros.
+    takes the per-key mean over all query rows. The map is min-max
+    normalized to [0, 1]; a constant map normalizes to all zeros.
     """
     if not records:
         raise ValueError("no attention records captured")
@@ -102,13 +93,11 @@ def attention_map(records, cfg):
         norm = np.zeros_like(grid)
     else:
         norm = (grid - lo) / (hi - lo)
-    return AttentionMap(grid=norm.astype(np.float32),
-                        provenance=f"layer={last.layer} heads=mean variant={cfg.head_variant}")
+    return norm.astype(np.float32)
 
 
-def export_pgm(amap, path):
-    """Write an attention map as binary PGM P5, maxval 255."""
-    grid = amap.grid
+def export_pgm(grid, path):
+    """Write an attention map grid as binary PGM P5, maxval 255."""
     payload = np.clip(np.rint(grid * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode())

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .ndtensor import Tensor, absolute, add, gelu, linear, mean, reshape, slice_axis, smul
+from .ndtensor import absolute, add, gelu, linear, mean, reshape, slice_axis, smul
 
 
 def gap_pool(z):
@@ -28,13 +28,9 @@ def regress(pooled, params):
 
 
 def l1_loss(preds, targets):
-    """Mean absolute error between predictions and ground-truth counts."""
-    if isinstance(targets, Tensor):
-        t = targets
-    else:
-        t = Tensor(targets)
-    if preds.shape != t.shape:
-        raise ValueError(f"prediction/target length mismatch: {preds.shape} vs {t.shape}")
+    """Mean absolute error between predicted and ground-truth count Tensors."""
+    if preds.shape != targets.shape:
+        raise ValueError(f"prediction/target length mismatch: {preds.shape} vs {targets.shape}")
     if preds.shape[0] == 0:
         raise ValueError("empty batch")
-    return mean(absolute(add(preds, smul(t, -1.0))))
+    return mean(absolute(add(preds, smul(targets, -1.0))))

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embedder, encoder, heads
-from .ndtensor import Tensor, _recording, layer_norm, reshape, sum_axis
+from .ndtensor import (Tensor, _recording, concat, layer_norm, reshape, slice_axis,
+                       sum_axis)
 
 HEAD_TOKEN = "token"
 HEAD_GAP = "gap"
@@ -298,8 +299,11 @@ def _one_malloc_arena():
 
 def batch_predictions(params, cfg, batch):
     """Forward a PatchBatch into per-image predictions (tile sums)."""
-    preds, records = forward(params, cfg, batch.data)
-    t = batch.tiles_per_image
-    if t > 1:
-        preds = sum_axis(reshape(preds, (batch.batch, t)), 1)
-    return preds, records
+    preds, _ = forward(params, cfg, batch.data)
+    if batch.data.shape[0] == batch.batch:  # one tile per image
+        return preds
+    sums, start = [], 0
+    for n in batch.tiles:
+        sums.append(reshape(sum_axis(slice_axis(preds, 0, start, start + n), 0), (1,)))
+        start += n
+    return concat(sums, 0)

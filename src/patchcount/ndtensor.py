@@ -15,6 +15,7 @@ import numpy as np
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
+_LN_EPS = 1e-6
 
 # Bytes of one block of a blocked op's largest array. The op's few arrays
 # then stay together in one core's 2 MB L2 across its passes over a block.
@@ -75,13 +76,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self):
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else \
-            self._raise_not_scalar()
-
-    def _raise_not_scalar(self):
-        raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
-
     def zero_grad(self):
         self.grad = None
 
@@ -99,7 +93,7 @@ def _as_tensor(x):
 
 
 def _recording(parents):
-    return _grad_enabled and any(p.requires_grad or p._parents for p in parents)
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _make(data, parents, backward):
@@ -156,7 +150,7 @@ def _blocks(shape, itemsize, core):
 
 
 def _accum(t, g, owned=False):
-    """Add one gradient contribution ``g`` to ``t.grad``.
+    """Add one gradient contribution ``g`` to ``t.grad``; a constant takes none.
 
     A rule passes ``owned`` only for an array it allocated for this one
     call and never touches again (or a view of such an array); a first
@@ -167,6 +161,8 @@ def _accum(t, g, owned=False):
     sum keeps its dtype, and into a new array otherwise (a float32 gradient
     meeting a float64 one widens).
     """
+    if not t.requires_grad:
+        return
     if t.grad is None:
         t.grad = g if owned and g.dtype == t.data.dtype else g.astype(t.data.dtype, copy=True)
     elif g.shape == t.grad.shape and np.result_type(t.grad, g) == t.grad.dtype:
@@ -207,7 +203,7 @@ def smul(a, c):
     data = a.data * c
 
     def backward(g):
-        _accum(a, g * c)
+        _accum(a, g * c, owned=True)
 
     return _make(data, (a,), backward)
 
@@ -223,8 +219,10 @@ def _matmul_data(a, b):
 
 
 def _matmul_backward(a, b, g):
-    _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape), owned=True)
-    _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape), owned=True)
+    if a.requires_grad:
+        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape), owned=True)
+    if b.requires_grad:
+        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape), owned=True)
 
 
 def matmul(a, b):
@@ -262,9 +260,9 @@ def mean(a, axis=None):
 
     def backward(g):
         if axis is None:
-            _accum(a, np.full(a.shape, g / n, dtype=a.data.dtype))
+            _accum(a, np.full(a.shape, g / n, dtype=a.data.dtype), owned=True)
         else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape) / n)
+            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape) / n, owned=True)
 
     return _make(np.asarray(data), (a,), backward)
 
@@ -274,7 +272,7 @@ def sum_axis(a, axis):
     data = a.data.sum(axis=axis)
 
     def backward(g):
-        _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+        _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
 
     return _make(data, (a,), backward)
 
@@ -306,7 +304,7 @@ def slice_axis(a, axis, start, stop):
     def backward(g):
         full = np.zeros(a.shape, dtype=g.dtype)
         full[idx] = g
-        _accum(a, full)
+        _accum(a, full, owned=True)
 
     return _make(data, (a,), backward)
 
@@ -316,7 +314,7 @@ def absolute(a):
     data = np.abs(a.data)
 
     def backward(g):
-        _accum(a, g * np.sign(a.data))
+        _accum(a, g * np.sign(a.data), owned=True)
 
     return _make(data, (a,), backward)
 
@@ -451,7 +449,7 @@ def linear(x, w, b):
     return _make(data, (x, w, b), backward)
 
 
-def layer_norm(x, gamma, beta, eps=1e-6):
+def layer_norm(x, gamma, beta):
     """Normalize the last axis to mean 0 / population variance 1, then affine.
 
     Runs over blocks of rows; the gamma and beta gradients, which sum over
@@ -460,8 +458,6 @@ def layer_norm(x, gamma, beta, eps=1e-6):
     if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
         raise ShapeError(
             f"layer_norm feature sizes differ: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}")
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
     x_ = x.data
     inv_std = np.empty(x_.shape[:-1] + (1,), x_.dtype)
     xhat = np.empty(x_.shape, x_.dtype)
@@ -470,7 +466,7 @@ def layer_norm(x, gamma, beta, eps=1e-6):
         x_i, xhat_i, out_i = x_[i], xhat[i], data[i]
         mu = x_i.mean(axis=-1, keepdims=True)
         var = x_i.var(axis=-1, keepdims=True)
-        np.divide(1.0, np.sqrt(var + eps), out=inv_std[i])
+        np.divide(1.0, np.sqrt(var + _LN_EPS), out=inv_std[i])
         np.subtract(x_i, mu, out=xhat_i)
         xhat_i *= inv_std[i]
         np.multiply(gamma.data, xhat_i, out=out_i)

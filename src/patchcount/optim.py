@@ -143,7 +143,7 @@ def train_step(batch, params, cfg, state):
     # the old gradients go before the forward pass builds its graph
     for p in params.values():
         p.zero_grad()
-    preds, _ = batch_predictions(params, cfg, batch)
+    preds = batch_predictions(params, cfg, batch)
     loss = l1_loss(preds, Tensor(batch.labels))
     loss_val = float(loss.data)
     if not np.isfinite(loss_val):
@@ -169,20 +169,17 @@ def train_step(batch, params, cfg, state):
     return loss_val
 
 
-def train(pairs, cfg, tcfg, params=None, state=None, epoch_callback=None,
-          checkpoint_path=None):
-    """Seeded training over (image, count) pairs; returns per-step losses.
+def train(pairs, cfg, tcfg, epoch_callback=None, checkpoint_path=None):
+    """Seeded training over (image, count) pairs; returns (params, state, per-step losses).
 
-    ``epoch_callback(epoch, mean_epoch_loss)`` fires after every epoch (used
-    for convergence logging and eval hooks). An empty ``pairs`` raises before
-    any step or checkpoint write.
+    ``epoch_callback(epoch, mean_epoch_loss, params)`` fires after every
+    epoch with the live parameters (used for convergence logging and eval
+    hooks). An empty ``pairs`` raises before any step or checkpoint write.
     """
     if len(pairs) == 0:
         raise ValueError("no training pairs")
-    if params is None:
-        params = model_mod.init_params(cfg, tcfg.seed)
-    if state is None:
-        state = init_adam(params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
+    params = model_mod.init_params(cfg, tcfg.seed)
+    state = init_adam(params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     rng = np.random.default_rng(tcfg.seed + 1)
     losses = []
     n = len(pairs)
@@ -200,7 +197,7 @@ def train(pairs, cfg, tcfg, params=None, state=None, epoch_callback=None,
             epoch_losses.append(loss)
         losses.extend(epoch_losses)
         if epoch_callback is not None:
-            epoch_callback(epoch, float(np.mean(epoch_losses)))
+            epoch_callback(epoch, float(np.mean(epoch_losses)), params)
         if checkpoint_path and tcfg.checkpoint_every and \
                 (epoch + 1) % tcfg.checkpoint_every == 0:
             save_checkpoint(params, state, cfg, checkpoint_path)

@@ -259,21 +259,21 @@ def write_dataset(pairs, out_dir):
 class PatchBatch:
     """A batch of flattened patch sequences with count-level labels only.
 
-    ``data`` holds one row of sequences per tile, [M * tiles_per_image, N,
-    K*K*3]; tiles of the same image are consecutive. ``labels`` has one
-    image-level count per image; the sum of an image's tile predictions is
-    supervised against it.
+    ``data`` holds one row of sequences per tile, [sum(tiles), N, K*K*3];
+    tiles of the same image are consecutive, and ``tiles`` has each image's
+    tile count. ``labels`` has one image-level count per image; the sum of
+    an image's tile predictions is supervised against it.
     """
 
     data: np.ndarray
     labels: np.ndarray
-    tiles_per_image: int = 1
+    tiles: tuple
 
     def __post_init__(self):
         if self.data.ndim != 3:
             raise ValueError(f"patch data must be [M, N, P], got {self.data.shape}")
-        if self.data.shape[0] != len(self.labels) * self.tiles_per_image:
-            raise ValueError("sequence count does not match images * tiles_per_image")
+        if len(self.tiles) != len(self.labels) or self.data.shape[0] != sum(self.tiles):
+            raise ValueError("sequence count does not match the images' tile counts")
         if np.any(np.asarray(self.labels) < 0):
             raise ValueError("count labels must be non-negative")
 
@@ -291,14 +291,11 @@ def make_batch(pairs, patch_size, rng=None):
     """
     sequences = []
     labels = []
-    tiles_per_image = None
+    tile_counts = []
     for img, count in pairs:
         h, w = img.shape[:2]
         tiles = split_tiles(img) if 3 * h == 2 * w else [img]
-        if tiles_per_image is None:
-            tiles_per_image = len(tiles)
-        elif tiles_per_image != len(tiles):
-            raise ValueError("mixed tile counts within one batch")
+        tile_counts.append(len(tiles))
         for tile in tiles:
             if rng is not None:
                 tile = augment(tile, rng)
@@ -306,7 +303,7 @@ def make_batch(pairs, patch_size, rng=None):
         labels.append(count)
     return PatchBatch(data=np.stack(sequences),
                       labels=np.asarray(labels, dtype=np.float32),
-                      tiles_per_image=tiles_per_image)
+                      tiles=tuple(tile_counts))
 
 
 def read_labels(data_dir):

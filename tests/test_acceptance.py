@@ -31,6 +31,23 @@ BATCH = 8
 LR = 1e-2
 
 
+def train_config(seed):
+    """The shared toy training run's settings, at training seed ``seed``."""
+    return TrainConfig(batch_size=BATCH, epochs=EPOCHS, seed=seed, lr=LR,
+                       weight_decay=1e-4, augment=False)
+
+
+def smoothed_rises(losses):
+    """Epoch-to-epoch rises of the 20-epoch moving average of the mean epoch
+    loss of an EPOCHS-epoch run, and the slack criterion 5 allows each one.
+    """
+    epoch_losses = np.asarray(losses).reshape(EPOCHS, -1).mean(axis=1)
+    ma = np.convolve(epoch_losses, np.ones(20) / 20, mode="valid")
+    # stochastic L1/Adam oscillates at the floor by ~lr per step, so
+    # "nonincreasing" is enforced up to 2% of the initial smoothed loss
+    return np.diff(ma), 0.02 * ma[0]
+
+
 def _report(criterion, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"\nACCEPTANCE {criterion}: {status} - {detail}")
@@ -63,10 +80,8 @@ def trained(train_pairs):
     out = {}
     for variant in ("gap", "token"):
         cfg = _toy_cfg(variant)
-        tcfg = TrainConfig(batch_size=BATCH, epochs=EPOCHS, seed=TRAIN_SEED,
-                           lr=LR, weight_decay=1e-4, augment=False)
         start = time.monotonic()
-        params, state, losses = train(train_pairs, cfg, tcfg)
+        params, state, losses = train(train_pairs, cfg, train_config(TRAIN_SEED))
         out[variant] = {"cfg": cfg, "params": params, "state": state,
                         "losses": np.asarray(losses),
                         "runtime": time.monotonic() - start}
@@ -147,14 +162,9 @@ def test_criterion_5_overfit_convergence(trained, train_pairs):
         preds = [predict_image(img, run["params"], run["cfg"])
                  for img, _ in train_pairs]
         mae, _ = mae_mse(preds, [c for _, c in train_pairs])
-        epoch_losses = run["losses"].reshape(EPOCHS, -1).mean(axis=1)
-        ma = np.convolve(epoch_losses, np.ones(20) / 20, mode="valid")
-        # stochastic L1/Adam oscillates at the floor by ~lr per step, so
-        # "nonincreasing" is enforced up to 2% of the initial smoothed loss
-        slack = 0.02 * ma[0]
-        monotone = bool((np.diff(ma) <= slack).all())
+        rises, slack = smoothed_rises(run["losses"])
+        monotone = bool((rises <= slack).all())
         ok &= mae < 1.5 and run["runtime"] < 600 and monotone
-        rises = np.diff(ma)
         worst = int(np.argmax(rises))
         details.append(f"{variant}: train MAE {mae:.3f} (<1.5), "
                        f"{run['runtime']:.0f}s (<600s), smoothed-curve "
@@ -260,7 +270,7 @@ def test_criterion_10_attention_localization(trained):
         with no_grad():
             _, records = forward(run["params"], cfg, batch.data,
                                  record_attention=True)
-        grid = attention_map(records, cfg).grid
+        grid = attention_map(records, cfg)
         k = grid.size // 4
         thresh = np.sort(grid.ravel())[-k]
         mask = grid >= thresh

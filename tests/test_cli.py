@@ -311,12 +311,25 @@ def test_synth_negative_count_min_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-def test_train_and_eval_accept_the_same_image_sizes(tmp_path, capsys):
-    data, ckpt = str(tmp_path / "data"), str(tmp_path / "m.tcwd")
-    assert main(["synth", "--out", data, "--n", "2", "--side", "48", "--seed", "5"]) == 0
-    assert main(["train", "--data", data, "--out", ckpt, "--profile", "toy",
+# (side, images) per part: with the toy profile's 64-pixel tile, a 64x64
+# image is one tile and a 48x48 image six, so the mixed set's one batch
+# holds both
+@pytest.mark.parametrize("parts", [[(48, 2)], [(64, 4), (48, 4)]], ids=["48", "64+48"])
+def test_train_and_eval_accept_the_same_image_sizes(tmp_path, capsys, parts):
+    data, ckpt = tmp_path / "data", str(tmp_path / "m.tcwd")
+    data.mkdir()
+    lines = []
+    for side, n in parts:
+        part = tmp_path / f"side{side}"
+        assert main(["synth", "--out", str(part), "--n", str(n), "--side", str(side),
+                     "--seed", "5"]) == 0
+        for name, count in patchio.read_labels(str(part)):
+            (data / f"{side}_{name}").write_bytes((part / name).read_bytes())
+            lines.append(f"{side}_{name}\t{count:g}\n")
+    (data / "labels.tsv").write_text("".join(lines))
+    assert main(["train", "--data", str(data), "--out", ckpt, "--profile", "toy",
                  "--epochs", "1", "--seed", "0"]) == 0
-    assert main(["eval", "--checkpoint", ckpt, "--data", data]) == 0
+    assert main(["eval", "--checkpoint", ckpt, "--data", str(data)]) == 0
 
 
 def test_standardize_is_an_unknown_config_key(tmp_path, capsys):

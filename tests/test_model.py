@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import patchcount
-from patchcount import encoder, model
+from patchcount import encoder, model, patchio
 from patchcount.model import ModelConfig, forward, init_params, param_shapes
-from patchcount.ndtensor import Tensor, no_grad
+from patchcount.ndtensor import Tensor, backward, mean, no_grad, reshape, sum_axis
 
 TOY = dict(image_size=64, patch_size=8, dim=64, heads=4, layers=2, hidden_dim=64)
 
@@ -84,6 +84,26 @@ def test_no_grad_forward_bits_equal_recorded(head, tiles):
     assert not plain.requires_grad
     assert plain.data.dtype == np.float32
     assert np.array_equal(plain.data, recorded.data)
+
+
+@pytest.mark.parametrize("sides", [[(128, 192), (128, 192)], [(128, 192), (64, 64), (128, 192)]],
+                         ids=["6+6", "6+1+6"])
+def test_batch_predictions_sum_each_images_tiles(sides):
+    cfg = ModelConfig(**dict(TOY, head_variant="gap"))
+    params = init_params(cfg, 1)
+    rng = np.random.default_rng(2)
+    batch = patchio.make_batch([(rng.random(s + (3,)).astype(np.float32), 1.0) for s in sides],
+                               cfg.patch_size)
+    preds = model.batch_predictions(params, cfg, batch)
+    tiles, _ = forward(params, cfg, batch.data)
+    ends = np.cumsum(batch.tiles)
+    expected = [tiles.data[e - n:e].sum(axis=0) for n, e in zip(batch.tiles, ends)]
+    assert preds.data.dtype == np.float32 and np.array_equal(preds.data, expected)
+    if len(set(batch.tiles)) == 1:  # the bytes of a reshape to [images, tiles] summed
+        per_image = sum_axis(reshape(tiles, (batch.batch, batch.tiles[0])), 1)
+        assert np.array_equal(preds.data, per_image.data)
+    backward(mean(preds))
+    assert all(p.grad is not None for p in params.values())
 
 
 @pytest.mark.parametrize("widened", ["all", "layer1.w_q"])

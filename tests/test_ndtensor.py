@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from patchcount import heads, model, patchio
+from patchcount import embedder, heads, model, patchio
 from patchcount import ndtensor as nd
 from patchcount.ndtensor import (GraphError, ShapeError, Tensor, absolute, add,
                                  attention, attention_probs, backward, concat, gelu,
@@ -88,12 +88,8 @@ class TestLayerNorm:
         npt.assert_allclose(out.data, np.full((3, 5), 2.5))
 
     def test_two_point_row(self):
-        out = layer_norm(t([[1.0, -1.0]]), t(np.ones(2)), t(np.zeros(2)), eps=1e-6)
+        out = layer_norm(t([[1.0, -1.0]]), t(np.ones(2)), t(np.zeros(2)))
         npt.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-3)
-
-    def test_bad_eps(self):
-        with pytest.raises(ValueError):
-            layer_norm(t([[1.0, 2.0]]), t(np.ones(2)), t(np.zeros(2)), eps=0.0)
 
 
 class TestGelu:
@@ -479,7 +475,58 @@ ALIAS_GRAPHS = {
     "gelu": (lambda x, y: add(gelu(x), mul(x, y)), [(1, 5, 6), (1, 5, 6)]),
     "heads": (lambda x: merge_heads(attention_probs(split_heads(x, 2), split_heads(x, 2), 0.5)),
               [(1, 5, 4)]),
+    "gap_pool": (lambda x, y: add(heads.gap_pool(x), heads.gap_pool(add(x, y))),
+                 [(2, 5, 4), (2, 5, 4)]),
+    "token_pool": (lambda x, y: add(heads.token_pool(x), heads.token_pool(add(x, y))),
+                   [(2, 5, 4), (2, 5, 4)]),
+    "l1_loss": (lambda p, c: add(heads.l1_loss(add(p, c), c), heads.l1_loss(p, c)),
+                [(3,), (3,)]),
 }
+
+
+def _graph(loss):
+    """Every tensor on loss's recorded graph, loss included."""
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+class TestConstantOperands:
+    """A tensor that does not require a gradient is given none."""
+
+    def test_embed_input_and_labels_get_no_gradient(self):
+        rng = np.random.default_rng(30)
+        patches = rng.normal(size=(2, 5, 6)).astype(np.float32)
+        proj = rng.normal(size=(6, 4)).astype(np.float32)
+        labels = t([1.0, 2.0])
+
+        def weight_grad(x):
+            w = Tensor(proj, requires_grad=True)
+            preds = sum_axis(mean(embedder.linear_embed(x, w), axis=1), 1)
+            backward(heads.l1_loss(preds, labels))
+            return w.grad
+
+        x = t(patches)
+        got = weight_grad(x)
+        assert x.grad is None and labels.grad is None
+        # an input that requires a gradient still takes both matmul products
+        x_rg = t(patches, rg=True)
+        expected = weight_grad(x_rg)
+        assert x_rg.grad is not None
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("head, n_constants", [("gap", 2), ("token", 3)])
+    def test_no_constant_of_a_toy_graph_gets_a_gradient(self, head, n_constants):
+        # the patches, the negated labels, and the Token head's zeros
+        _, loss = _toy_loss(head, batch=2)
+        constants = [n for n in _graph(loss) if not n.requires_grad]
+        assert len(constants) == n_constants
+        backward(loss)
+        assert all(n.grad is None for n in constants)
 
 
 class TestGradientOwnership:

@@ -113,7 +113,7 @@ class TestFitToGrid:
     def test_tile_size_image_passes_through(self):
         img = np.zeros((64, 64, 3), dtype=np.float32)
         assert fit_to_grid(img, 64) is img
-        assert make_batch([(img, 0.0)], 8).tiles_per_image == 1
+        assert make_batch([(img, 0.0)], 8).tiles == (1,)
 
     @pytest.mark.parametrize("side", [16, 64, 100, 200, 384])
     @pytest.mark.parametrize("shape", [(480, 480), (500, 900), (97, 131), (768, 1152)],
@@ -256,7 +256,7 @@ class TestBatch:
     def test_full_size_tiling(self):
         img = np.random.default_rng(8).random((768, 1152, 3)).astype(np.float32)
         batch = make_batch([(img, 9.0)], 16)
-        assert batch.tiles_per_image == 6
+        assert batch.tiles == (6,)
         assert batch.data.shape == (6, 576, 768)
         assert batch.batch == 1
 
