@@ -14,7 +14,7 @@ Criterion 5 is pinned at one training seed, where its margin is thin, so
 one passing run says little about a change that moves bits. Such a change
 should leave the pinned test passing, no more failing runs here than at its
 parent, and a median margin no lower. Twenty runs of 2,000 toy steps take
-about 7 minutes on a 2-core Xeon.
+about 21 minutes on a 2-core Xeon.
 """
 
 import os

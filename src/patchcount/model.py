@@ -29,7 +29,7 @@ DENOM_HEAD_DIM = "head_dim"
 TILE_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
 
-_M_ARENA_MAX = -8  # glibc mallopt parameter
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # glibc mallopt parameters
 
 
 @dataclass
@@ -118,14 +118,17 @@ def init_params(cfg, seed):
     rng = np.random.default_rng(seed)
 
     def tn(shape):
-        # truncated normal at 2 sigma, std 0.02
+        # truncated normal at 2 sigma, std 0.02: out-of-range draws are
+        # redrawn in ascending index order until none is left
         a = rng.standard_normal(size=shape)
-        while True:
-            bad = np.abs(a) > 2.0
-            if not bad.any():
-                break
-            a[bad] = rng.standard_normal(size=int(bad.sum()))
-        return (a * 0.02).astype(np.float32)
+        flat = a.reshape(-1)
+        bad = np.flatnonzero(np.abs(a) > 2.0)
+        while bad.size:
+            redraw = rng.standard_normal(size=bad.size)
+            flat[bad] = redraw
+            bad = bad[np.abs(redraw) > 2.0]
+        a *= 0.02
+        return a.astype(np.float32)
 
     params = {}
     for name, shape in param_shapes(cfg).items():
@@ -195,6 +198,7 @@ def forward(params, cfg, patches, record_attention=False):
     the pass holds one tile's activations per thread, with the same float32
     operations.
     """
+    _malloc_policy()
     x = patches if isinstance(patches, Tensor) else Tensor(patches)
     records = []
     if record_attention or _recording((x, *params.values())):
@@ -249,7 +253,6 @@ def _score_tiles(params, cfg, x):
         if workers == 1:
             score(0)
         else:
-            _one_malloc_arena()
             with ThreadPoolExecutor(workers - 1) as pool:
                 futures = [pool.submit(score, w) for w in range(1, workers)]
                 score(0)
@@ -281,13 +284,20 @@ def _blas_thread_control():
 
 
 @functools.cache
-def _one_malloc_arena():
-    """Cap glibc's malloc at one arena for the rest of the process.
+def _malloc_policy():
+    """Set glibc's malloc policy for the rest of the process, once.
 
-    Without the cap the pool thread gets an arena of its own, whose freed
-    tile activations stay mapped: perfbench paper-eval peaked at 458 MB
-    RSS against 441 MB with it, on a 2-core Xeon. Where libc has no
-    ``mallopt`` this does nothing.
+    - One arena (M_ARENA_MAX 1): otherwise a tile pool thread gets an arena
+      of its own, whose freed activations stay mapped (perfbench paper-eval
+      peaked at 458 MB RSS against 441 MB, on a 2-core Xeon).
+    - A trim threshold of 256 MiB: otherwise the heap top is given back
+      when a train step's arrays are freed and faulted in again on the next
+      step (about 1,500 minor faults per toy step).
+    - An mmap threshold of 32 MiB, glibc's ceiling on 64-bit: setting the
+      trim threshold switches off the dynamic mmap threshold, which would
+      stay at 128 KiB and map, then fault in, every mid-size array afresh.
+
+    Where libc has no ``mallopt`` this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -295,6 +305,8 @@ def _one_malloc_arena():
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_ARENA_MAX, 1)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
 def batch_predictions(params, cfg, batch):

@@ -164,11 +164,13 @@ def _accum(t, g, owned=False):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g if owned and g.dtype == t.data.dtype else g.astype(t.data.dtype, copy=True)
+        # an array even where a 0-d op handed over a numpy scalar
+        t.grad = np.asarray(g) if owned and g.dtype == t.data.dtype \
+            else np.array(g, dtype=t.data.dtype)
     elif g.shape == t.grad.shape and np.result_type(t.grad, g) == t.grad.dtype:
         np.add(t.grad, g, out=t.grad)
     else:
-        t.grad = t.grad + g
+        t.grad = np.asarray(t.grad + g)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +217,25 @@ def _matmul_data(a, b):
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dimensions differ: {a.shape} x {b.shape}")
-    return np.matmul(a.data, b.data)
+    return _matmul_rows(a.data, b.data)
+
+
+def _matmul_rows(a, b):
+    """np.matmul(a, b), with a 2-D ``b`` as one GEMM over all of a's rows.
+
+    numpy would call BLAS once per leading index of ``a``; one
+    [prod(lead) * M, K] x [K, N] call does the same products at once.
+    """
+    if a.ndim <= 2 or b.ndim != 2:
+        return np.matmul(a, b)
+    rows = np.matmul(a.reshape(math.prod(a.shape[:-1]), a.shape[-1]), b)
+    return rows.reshape(a.shape[:-1] + b.shape[-1:])
 
 
 def _matmul_backward(a, b, g):
     if a.requires_grad:
-        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape), owned=True)
+        _accum(a, _unbroadcast(_matmul_rows(g, np.swapaxes(b.data, -1, -2)), a.shape),
+               owned=True)
     if b.requires_grad:
         _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape), owned=True)
 

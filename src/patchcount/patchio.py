@@ -274,8 +274,8 @@ class PatchBatch:
             raise ValueError(f"patch data must be [M, N, P], got {self.data.shape}")
         if len(self.tiles) != len(self.labels) or self.data.shape[0] != sum(self.tiles):
             raise ValueError("sequence count does not match the images' tile counts")
-        if np.any(np.asarray(self.labels) < 0):
-            raise ValueError("count labels must be non-negative")
+        if not np.all(np.isfinite(self.labels) & (np.asarray(self.labels) >= 0)):
+            raise ValueError("count labels must be finite and non-negative")
 
     @property
     def batch(self):

@@ -52,6 +52,28 @@ class TestMatmul:
         b = rng.normal(size=(4, 5)).astype(np.float32)
         npt.assert_allclose(matmul(t(a), t(b)).data, a @ b, rtol=1e-6)
 
+    @pytest.mark.parametrize("op", ["matmul", "linear"])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided"])
+    def test_batch_folded_into_rows_equals_per_batch_matmul(self, op, layout):
+        # [B, S, K] x [K, N] runs as one [B*S, K] GEMM: the output and the
+        # input gradient are the bits of B separate products
+        rng = np.random.default_rng(2)
+        x = {"contiguous": rng.normal(size=(3, 17, 24)).astype(np.float32),
+             "transposed": rng.normal(size=(17, 3, 24)).astype(np.float32).transpose(1, 0, 2),
+             "strided": rng.normal(size=(3, 17, 48)).astype(np.float32)[..., ::2]}[layout]
+        assert x.flags.c_contiguous == (layout == "contiguous")
+        w = rng.normal(size=(24, 8)).astype(np.float32)
+        bias = rng.normal(size=8).astype(np.float32)
+        g = rng.normal(size=(3, 17, 8)).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        out = matmul(xt, t(w)) if op == "matmul" else linear(xt, t(w), t(bias))
+        out._backward(g)
+        want = np.stack([np.matmul(x[i], w) for i in range(3)])
+        if op == "linear":
+            want += bias
+        assert np.array_equal(out.data, want)
+        assert np.array_equal(xt.grad, np.stack([np.matmul(g[i], w.T) for i in range(3)]))
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -187,6 +209,13 @@ class TestBackward:
         backward(mean(x))
         backward(mean(x))
         npt.assert_allclose(x.grad, [1.0, 1.0])
+
+    def test_zero_d_leaf_accumulates_across_graphs(self):
+        # a 0-d op hands its rule numpy scalars; the leaf's grad stays an array
+        x = Tensor(2.0, requires_grad=True)
+        backward(smul(x, 3.0))
+        backward(smul(x, 3.0))
+        assert isinstance(x.grad, np.ndarray) and x.grad == 6.0
 
     def test_consumed_intermediate_freed_before_nearer_rules(self):
         # x -> a = probe(x) -> b = smul(a) -> loss: once b's rule has run,

@@ -1,9 +1,12 @@
 """Adam, training-step, and checkpoint persistence tests."""
 
+import ctypes
 import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -315,6 +318,47 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="no training pairs"):
             train([], cfg, TrainConfig(epochs=2), checkpoint_path=path)
         assert os.listdir(tmp_path) == []
+
+
+_STEP_FAULTS = """
+import resource, sys
+import numpy as np
+from patchcount import model, optim, patchio
+cfg = model.ModelConfig(image_size=64, patch_size=8, dim=64, heads=4, layers=2,
+                        hidden_dim=64, head_variant="token")
+pairs = patchio.synth_generate(patchio.SynthSpec(side=64, count_max=30, seed=3), 8)
+params = model.init_params(cfg, 3)
+state = optim.init_adam(params, lr=1e-2)
+rng = np.random.default_rng(3)
+faults = 0
+for step in range(25):
+    batch = patchio.make_batch(pairs, cfg.patch_size, rng=rng)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    optim.train_step(batch, params, cfg, state)
+    if step >= 5:
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+sys.stdout.write(str(faults / 20))
+"""
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_toy_step_makes_no_page_faults_after_warm_up():
+    # without the malloc policy glibc trims the heap top after every step and
+    # faults it in again on the next: about 1,500 minor faults per toy step
+    src = os.path.dirname(os.path.dirname(os.path.abspath(model.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _STEP_FAULTS], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) <= 50
 
 
 class TestCheckpoint:

@@ -265,6 +265,13 @@ class TestBatch:
         with pytest.raises(ValueError):
             make_batch([(img, -1.0)], 8)
 
+    @pytest.mark.parametrize("label", [float("nan"), float("inf")])
+    def test_non_finite_label_rejected(self, label):
+        # NaN fails no `< 0` test; the loss would then blame the model
+        img = np.zeros((16, 16, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            make_batch([(img, label)], 8)
+
     def test_load_pgm(self, tmp_path):
         p = tmp_path / "g.pgm"
         p.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]))
