@@ -10,6 +10,11 @@ the repository root; every line must match between the two trees. Lines:
 - toy-train-<head>: 38 epochs of the toy profile (64 synthetic 64x64
   images, batch 8, lr 1e-2, augmentation on, seed 3), over the first 300
   step losses and every parameter and Adam moment after the 304 steps;
+- cli-train-token: the checkpoint that ``patchcount train --profile toy
+  --head token`` (3 epochs, batch 4, seed 3) writes for a synthesized set
+  of six 64x64 images and four 48x48 ones, which ``fit_to_grid`` cuts into
+  six tiles each. The script's own ``src`` runs the command, so copying
+  the script into another checkout checks that checkout's CLI;
 - paper-eval-<head>: the six tile predictions of a no-grad forward of the
   paper config (init_params seed 71) on one 480x640 synthetic image;
 - paper-train-gap: 3 one-tile train steps of the paper config (init_params
@@ -21,12 +26,14 @@ The paper lines need about 2 GB of memory and a minute or so of CPU.
 
 import hashlib
 import os
+import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                "src"))
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
 
 from patchcount import model, optim, patchio  # noqa: E402
 from patchcount.ndtensor import no_grad  # noqa: E402
@@ -48,6 +55,21 @@ def toy_train(head):
     tcfg = optim.TrainConfig(batch_size=8, epochs=38, seed=3, lr=1e-2)
     params, state, losses = optim.train(pairs, cfg, tcfg)
     return digest(losses[:300], params, state)
+
+
+def cli_train_token():
+    with tempfile.TemporaryDirectory() as tmp:
+        data, ckpt = os.path.join(tmp, "data"), os.path.join(tmp, "m.tcwd")
+        pairs = patchio.synth_generate(patchio.SynthSpec(side=64, count_max=20, seed=5), 6)
+        pairs += patchio.synth_generate(patchio.SynthSpec(side=48, count_max=20, seed=6), 4)
+        patchio.write_dataset(pairs, data)
+        subprocess.run([sys.executable, "-m", "patchcount.cli", "train", "--data", data,
+                        "--out", ckpt, "--profile", "toy", "--head", "token",
+                        "--epochs", "3", "--batch-size", "4", "--seed", "3"],
+                       env=dict(os.environ, PYTHONPATH=SRC), check=True,
+                       stdout=subprocess.DEVNULL)
+        with open(ckpt, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
 
 
 def paper_eval(head):
@@ -77,6 +99,7 @@ def main():
     print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     for head in (model.HEAD_GAP, model.HEAD_TOKEN):
         print(f"toy-train-{head}\t{toy_train(head)}", flush=True)
+    print(f"cli-train-token\t{cli_train_token()}", flush=True)
     for head in (model.HEAD_GAP, model.HEAD_TOKEN):
         print(f"paper-eval-{head}\t{paper_eval(head)}", flush=True)
     print(f"paper-train-gap\t{paper_train()}", flush=True)

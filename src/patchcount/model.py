@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embedder, encoder, heads
-from .ndtensor import (Tensor, _recording, concat, layer_norm, reshape, slice_axis,
-                       sum_axis)
+from .ndtensor import (Tensor, _recording, concat, layer_norm, no_grad, reshape,
+                       slice_axis, sum_axis)
 
 HEAD_TOKEN = "token"
 HEAD_GAP = "gap"
@@ -24,8 +24,8 @@ HEAD_GAP = "gap"
 DENOM_MODEL_DIM = "model_dim"
 DENOM_HEAD_DIM = "head_dim"
 
-# Threads that score a no-grad forward's tiles: the caller and up to one
-# pool worker, one per usable core. Each holds one tile's activations.
+# Threads that score a no-grad forward's tiles, one per usable core, up to
+# two. Each holds one tile's activations.
 TILE_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
 
@@ -160,7 +160,7 @@ def grad_check_model(cfg, seed=0, samples_per_param=None, h=1e-3):
     batch = patchio.make_batch(patchio.synth_generate(spec, 1), cfg.patch_size)
     labels = Tensor(batch.labels)
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errs = []
     for p in params.values():
         def f(_p):
             preds, _ = forward(params, cfg, batch.data)
@@ -170,8 +170,8 @@ def grad_check_model(cfg, seed=0, samples_per_param=None, h=1e-3):
         if samples_per_param is not None and p.data.size > samples_per_param:
             sample = sorted(rng.choice(p.data.size, samples_per_param,
                                        replace=False).tolist())
-        worst = max(worst, grad_check(f, p, h=h, sample=sample))
-    return worst
+        errs.append(grad_check(f, p, h=h, sample=sample))
+    return float(np.max(errs))  # a NaN error carries through
 
 
 def embed(params, cfg, patches):
@@ -224,43 +224,34 @@ def features(params, cfg, x, observe=None):
 def _score_tiles(params, cfg, x):
     """Every tile's pooled row, in tile order, scored on TILE_WORKERS threads.
 
-    The caller scores tiles 0, w, 2w, ... and each of w - 1 pool threads
-    one other residue mod w. OpenBLAS is held at one thread meanwhile, so
-    each thread keeps to its core and every GEMM gives the bytes it gives
-    at one thread; a tile's bytes then depend on neither the worker count
-    nor the BLAS thread count. Without a BLAS thread-count symbol the
-    tiles run serially at the process's BLAS setting.
+    The tiles are mapped over a pool of up to TILE_WORKERS threads, or run
+    on the caller when there is one worker or one tile. OpenBLAS is held at
+    one thread meanwhile, so each thread keeps to its core and every GEMM
+    gives the bytes it gives at one thread; a tile's bytes then depend on
+    neither the worker count nor the BLAS thread count. Without a BLAS
+    thread-count symbol the tiles run serially at the process's BLAS
+    setting.
     """
     n = x.shape[0]
 
     def score_tile(t):
-        return features(params, cfg, Tensor(x.data[t:t + 1], dtype=x.data.dtype)).data
+        with no_grad():  # grad mode is per thread
+            return features(params, cfg, Tensor(x.data[t:t + 1], dtype=x.data.dtype)).data
 
     blas = _blas_thread_control()
     if blas is None:
         return [score_tile(t) for t in range(n)]
     get_threads, set_threads = blas
     workers = min(TILE_WORKERS, n)
-    rows = [None] * n
-
-    def score(first):
-        for t in range(first, n, workers):
-            rows[t] = score_tile(t)
-
     before = get_threads()
     set_threads(1)
     try:
         if workers == 1:
-            score(0)
-        else:
-            with ThreadPoolExecutor(workers - 1) as pool:
-                futures = [pool.submit(score, w) for w in range(1, workers)]
-                score(0)
-                for f in futures:
-                    f.result()
+            return [score_tile(t) for t in range(n)]
+        with ThreadPoolExecutor(workers) as pool:
+            return list(pool.map(score_tile, range(n)))
     finally:
         set_threads(before)
-    return rows
 
 
 @functools.cache

@@ -10,6 +10,7 @@ the analytic gradients.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -23,8 +24,6 @@ _LN_EPS = 1e-6
 # all fit in one block.
 _BLOCK_BYTES = 768 << 10
 
-_grad_enabled = True
-
 
 class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
@@ -34,18 +33,24 @@ class GraphError(RuntimeError):
     """Raised on invalid use of the recorded operation graph."""
 
 
+class _GradMode(threading.local):
+    off = False  # a class attribute: every thread starts out recording
+
+
+_grad_mode = _GradMode()
+
+
 class no_grad:
-    """Context manager that disables graph recording inside its block."""
+    """Context manager that disables graph recording inside its block, on
+    the calling thread only."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._prev = _grad_mode.off
+        _grad_mode.off = True
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_mode.off = self._prev
         return False
 
 
@@ -93,7 +98,7 @@ def _as_tensor(x):
 
 
 def _recording(parents):
-    return _grad_enabled and any(p.requires_grad for p in parents)
+    return not _grad_mode.off and any(p.requires_grad for p in parents)
 
 
 def _make(data, parents, backward):
@@ -618,10 +623,14 @@ def grad_check(f, params, h=1e-3, high_precision=False, sample=None):
 
     ``sample`` optionally restricts the check to the given flat coordinate
     indices. With ``high_precision`` the evaluations run on a float64 copy
-    of ``params`` (the 64-bit re-check switch).
+    of ``params`` (the 64-bit re-check switch). A NaN error is returned as
+    NaN; a check of no coordinate raises.
     """
-    if h <= 0:
-        raise ValueError("grad_check step h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"grad_check step h must be finite and > 0, got {h!r}")
+    coords = range(params.data.size) if sample is None else sample
+    if len(coords) == 0:
+        raise ValueError("grad_check has no coordinate to check")
     original = params.data
     if high_precision:
         params.data = original.astype(np.float64)
@@ -638,7 +647,6 @@ def grad_check(f, params, h=1e-3, high_precision=False, sample=None):
         analytic = params.grad.reshape(-1).astype(np.float64)
 
         flat = params.data.reshape(-1)
-        coords = range(flat.size) if sample is None else sample
         max_err = 0.0
         with no_grad():
             for i in coords:
@@ -651,7 +659,7 @@ def grad_check(f, params, h=1e-3, high_precision=False, sample=None):
                 numeric = (f_plus - f_minus) / (2.0 * h)
                 a = analytic[i]
                 err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-                if err > max_err:
+                if err > max_err or math.isnan(err):  # a NaN stays
                     max_err = err
         return max_err
     finally:

@@ -69,14 +69,18 @@ class TrainConfig:
     checkpoint_every: int = 0  # epochs; 0 = only at the end
 
     def __post_init__(self):
-        for name, low in (("batch_size", 1), ("epochs", 0), ("checkpoint_every", 0)):
+        for name, low in (("batch_size", 1), ("epochs", 0), ("seed", 0),
+                          ("checkpoint_every", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
+        if isinstance(self.lr, bool) or not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+        if isinstance(self.weight_decay, bool) or \
+                not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
+        if not isinstance(self.augment, bool):
+            raise ValueError(f"augment must be a bool, got {self.augment!r}")
 
 
 def init_adam(params, lr=1e-5, weight_decay=1e-4):
@@ -172,9 +176,14 @@ def train_step(batch, params, cfg, state):
 def train(pairs, cfg, tcfg, epoch_callback=None, checkpoint_path=None):
     """Seeded training over (image, count) pairs; returns (params, state, per-step losses).
 
+    ``pairs`` is a sequence, such as a ``patchio.Dataset``; each batch's
+    pairs are looked up as the batch is built, so a dataset that decodes on
+    lookup holds one batch of images at a time.
     ``epoch_callback(epoch, mean_epoch_loss, params)`` fires after every
     epoch with the live parameters (used for convergence logging and eval
     hooks). An empty ``pairs`` raises before any step or checkpoint write.
+    A checkpoint is saved every ``checkpoint_every`` epochs before the last,
+    and once at the end.
     """
     if len(pairs) == 0:
         raise ValueError("no training pairs")
@@ -198,7 +207,7 @@ def train(pairs, cfg, tcfg, epoch_callback=None, checkpoint_path=None):
         losses.extend(epoch_losses)
         if epoch_callback is not None:
             epoch_callback(epoch, float(np.mean(epoch_losses)), params)
-        if checkpoint_path and tcfg.checkpoint_every and \
+        if checkpoint_path and tcfg.checkpoint_every and epoch + 1 < tcfg.epochs and \
                 (epoch + 1) % tcfg.checkpoint_every == 0:
             save_checkpoint(params, state, cfg, checkpoint_path)
     if checkpoint_path:

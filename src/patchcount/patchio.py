@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,8 +211,10 @@ class SynthSpec:
             raise ValueError(f"count_min must be an int >= 0, got {cmin!r}")
         if self.count_min > self.count_max:
             raise ValueError("count_min must be <= count_max")
-        if self.dot_radius < 1:
-            raise ValueError("dot_radius must be >= 1")
+        if not (math.isfinite(self.dot_radius) and self.dot_radius >= 1):
+            raise ValueError(f"dot_radius must be finite and >= 1, got {self.dot_radius!r}")
+        if not (math.isfinite(self.noise_amp) and self.noise_amp >= 0):
+            raise ValueError(f"noise_amp must be finite and >= 0, got {self.noise_amp!r}")
         if self.side < 4 * self.dot_radius:
             raise ValueError(
                 f"canvas side {self.side} too small for dot radius {self.dot_radius}")
@@ -342,12 +345,20 @@ def read_labels(data_dir):
     return labels
 
 
-def iter_dataset(data_dir, labels):
-    """Decode the images that ``labels`` names one at a time, as (image, count)."""
-    for name, count in labels:
-        yield load_ppm(os.path.join(data_dir, name)), count
+class Dataset(Sequence):
+    """A PPM + labels.tsv directory as a sequence of (image, count) pairs.
 
+    ``labels`` is read once, by ``read_labels``; each lookup decodes its
+    image afresh with ``load_ppm`` and keeps nothing.
+    """
 
-def load_dataset(data_dir):
-    """Load a PPM + labels.tsv directory back into (image, count) pairs."""
-    return list(iter_dataset(data_dir, read_labels(data_dir)))
+    def __init__(self, data_dir):
+        self.data_dir = data_dir
+        self.labels = read_labels(data_dir)
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        name, count = self.labels[i]
+        return load_ppm(os.path.join(self.data_dir, name)), count

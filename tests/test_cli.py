@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import patchcount
-from patchcount import evalviz, model, optim, patchio
+from patchcount import cli, evalviz, model, optim, patchio
 from patchcount.cli import ConfigError, main, parse_config
 from patchcount.model import ModelConfig, init_params
 from patchcount.optim import init_adam, save_checkpoint
@@ -418,10 +418,11 @@ def test_eval_decodes_each_image_just_before_scoring_it(tmp_path, capsys, monkey
     main(["synth", "--out", data, "--n", "4", "--side", "20", "--seed", "5"])
     # the report and metrics of scoring the whole decoded dataset at once
     params, _, cfg = optim.load_checkpoint(ckpt)
-    preds, gts, mae, mse = evalviz.evaluate(patchio.load_dataset(data), params, cfg)
+    labels = patchio.read_labels(data)
+    pairs = [(patchio.load_ppm(os.path.join(data, n)), c) for n, c in labels]
+    preds, gts, mae, mse = evalviz.evaluate(pairs, params, cfg)
     expected = str(tmp_path / "expected.tsv")
-    evalviz.write_eval_report([n for n, _ in patchio.read_labels(data)], preds, gts,
-                              expected)
+    evalviz.write_eval_report([n for n, _ in labels], preds, gts, expected)
     events = []
     load_ppm, predict_image = patchio.load_ppm, evalviz.predict_image
     monkeypatch.setattr(patchio, "load_ppm",
@@ -463,3 +464,72 @@ def test_attnmap_keeps_only_the_last_layer(tmp_path, capsys, monkeypatch, head):
     assert main(["attnmap", "--checkpoint", ckpt, "--image", img, "--out", str(pgm)]) == 0
     assert seen == [[2]]
     assert pgm.read_bytes() == expected.read_bytes()
+
+
+def test_train_decodes_each_batch_just_before_its_step(tmp_path, monkeypatch):
+    data = str(tmp_path / "data")
+    main(["synth", "--out", data, "--n", "5", "--side", "16", "--seed", "5"])
+    events = []
+    load_ppm, train_step = patchio.load_ppm, optim.train_step
+    monkeypatch.setattr(patchio, "load_ppm",
+                        lambda path: events.append("load") or load_ppm(path))
+    monkeypatch.setattr(optim, "train_step",
+                        lambda *a: events.append("step") or train_step(*a))
+    assert main(["train", "--data", data, "--out", str(tmp_path / "m.tcwd"),
+                 "--image", "16", "--patch", "8", "--dim", "8", "--heads", "2",
+                 "--layers", "1", "--hidden-dim", "8", "--epochs", "2",
+                 "--batch-size", "2"]) == 0
+    epoch = ["load", "load", "step"] * 2 + ["load", "step"]
+    assert events == epoch * 2
+
+
+def test_train_truncated_image_exits_1_and_writes_no_checkpoint(tmp_path, capsys):
+    data, ckpt, config = tmp_path / "data", str(tmp_path / "m.tcwd"), tmp_path / "c.json"
+    main(["synth", "--out", str(data), "--n", "6", "--side", "16", "--seed", "5"])
+    bad = data / "img_00004.ppm"
+    bad.write_bytes(bad.read_bytes()[:-10])
+    config.write_text(json.dumps({"checkpoint_every": 1}))  # a save after every epoch
+    capsys.readouterr()
+    rc = main(["train", "--data", str(data), "--out", ckpt, "--config", str(config),
+               "--image", "16", "--patch", "8", "--dim", "8", "--heads", "2",
+               "--layers", "1", "--hidden-dim", "8", "--epochs", "2", "--batch-size", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error\t") and "truncated payload" in captured.err
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "data"]
+
+
+@pytest.mark.parametrize("flags, expect", [
+    (["--radius", "nan"], "dot_radius must be"), (["--radius", "inf"], "dot_radius must be"),
+    (["--noise", "nan"], "noise_amp must be"), (["--noise", "-1"], "noise_amp must be")],
+    ids=["radius_nan", "radius_inf", "noise_nan", "noise_negative"])
+def test_synth_bad_radius_or_noise_exits_1_and_writes_nothing(tmp_path, capsys, flags,
+                                                              expect):
+    out = str(tmp_path / "data")
+    rc = main(["synth", "--out", out, "--n", "2", "--side", "16"] + flags)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error\t") and expect in captured.err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flags, expect", [
+    (["--samples", "0"], "no coordinate"), (["--h", "nan"], "finite and > 0"),
+    (["--h", "inf"], "finite and > 0")], ids=["samples_0", "h_nan", "h_inf"])
+def test_gradcheck_that_checks_nothing_exits_1(capsys, flags, expect):
+    rc = main(["gradcheck", "--profile", "toy", "--layers", "1", "--dim", "16",
+               "--heads", "2", "--image", "16", "--patch", "8", "--hidden-dim", "8"] + flags)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "gradcheck\tpass" not in captured.out
+    assert captured.err.startswith("error\t") and expect in captured.err
+
+
+def test_gradcheck_nan_error_fails(monkeypatch, capsys):
+    # a NaN error for the second head must not be dropped by a max
+    errs = iter([1e-4, float("nan")])
+    monkeypatch.setattr(cli, "grad_check_model", lambda *a, **k: next(errs))
+    assert main(["gradcheck", "--profile", "toy"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "gradcheck\tfail\tnan"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import patchcount
-from patchcount import encoder, model, patchio
+from patchcount import encoder, model, ndtensor, patchio
 from patchcount.model import ModelConfig, forward, init_params, param_shapes
 from patchcount.ndtensor import Tensor, backward, mean, no_grad, reshape, sum_axis
 
@@ -69,6 +69,14 @@ def test_config_rejects_bad_type_or_range(field, value):
 def _patches(cfg, tiles, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(tiles, cfg.seq_len, cfg.patch_dim)).astype(np.float32)
+
+
+def test_grad_check_model_keeps_a_nan_error(monkeypatch):
+    # the first tensor's error is NaN: a running max would drop it
+    errs = iter([math.nan] + [1e-4] * 100)
+    monkeypatch.setattr(ndtensor, "grad_check", lambda *a, **k: next(errs))
+    cfg = ModelConfig(image_size=16, patch_size=8, dim=8, heads=2, layers=1, hidden_dim=8)
+    assert math.isnan(model.grad_check_model(cfg, samples_per_param=1))
 
 
 @pytest.mark.parametrize("head", ["gap", "token"])
@@ -220,24 +228,51 @@ def blas_at_two():
 def test_tile_pool_runs_tiles_on_workers_at_one_blas_thread(monkeypatch, blas_at_two,
                                                             workers, tiles):
     monkeypatch.setattr(model, "TILE_WORKERS", workers)
-    seen = []  # (thread, BLAS threads) per encoded tile
+    in_flight = min(workers, tiles)
+    # the first `in_flight` tiles meet here, so they must all be running at once
+    barrier = threading.Barrier(in_flight, timeout=30)
+    seen = []  # (tile input, thread, BLAS threads) per encoded tile
     real = encoder.encode
 
     def encode(z, *args, **kwargs):
-        seen.append((threading.get_ident(), blas_at_two()))
+        seen.append((z.data.tobytes(), threading.get_ident(), blas_at_two()))
+        if len(seen) <= in_flight:
+            barrier.wait()
         return real(z, *args, **kwargs)
 
     monkeypatch.setattr(encoder, "encode", encode)
     cfg = ModelConfig(**TOY)
     with no_grad():
         forward(init_params(cfg, 1), cfg, _patches(cfg, tiles))
-    assert len(seen) == tiles
-    assert {b for _, b in seen} == {1}
-    assert len({t for t, _ in seen}) == min(workers, tiles)
+    assert len({z for z, _, _ in seen}) == len(seen) == tiles
+    assert {b for _, _, b in seen} == {1}
+    # one worker or one tile runs on the caller, two only on pool threads
+    on_caller = {t == threading.get_ident() for _, t, _ in seen}
+    assert on_caller == {in_flight == 1}
     assert blas_at_two() == 2
 
 
-@pytest.mark.parametrize("bad_tile", [2, 3])  # scored by the caller, by the worker
+def test_pool_threads_record_no_graph(monkeypatch):
+    monkeypatch.setattr(model, "TILE_WORKERS", 2)
+    recording = []
+    real = encoder.encode
+
+    def encode(z, params, *args, **kwargs):
+        recording.append(ndtensor._recording((z, *params.values())))
+        out = real(z, params, *args, **kwargs)
+        recording.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(encoder, "encode", encode)
+    cfg = ModelConfig(**TOY)
+    params = init_params(cfg, 1)
+    with no_grad():
+        forward(params, cfg, _patches(cfg, 6))
+    assert recording == [False] * 12
+    assert all(p.grad is None for p in params.values())
+
+
+@pytest.mark.parametrize("bad_tile", [2, 3])
 def test_tile_failure_restores_blas_and_joins_pool(monkeypatch, blas_at_two, bad_tile):
     monkeypatch.setattr(model, "TILE_WORKERS", 2)
     cfg = ModelConfig(**TOY)
@@ -257,7 +292,7 @@ def test_tile_failure_restores_blas_and_joins_pool(monkeypatch, blas_at_two, bad
     threads = threading.active_count()
     with no_grad(), pytest.raises(FloatingPointError, match=f"tile {bad_tile}"):
         forward(params, cfg, patches)
-    assert (raised_on == [threading.get_ident()]) == (bad_tile % 2 == 0)
+    assert len(raised_on) == 1 and raised_on[0] != threading.get_ident()  # a pool thread
     assert blas_at_two() == 2
     assert threading.active_count() == threads
 

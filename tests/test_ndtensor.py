@@ -1,6 +1,7 @@
 """Tensor-core unit tests: op contracts, backward rules, grad checking."""
 
 import math
+import threading
 import tracemalloc
 import weakref
 import zlib
@@ -173,6 +174,27 @@ class TestGelu:
             tracemalloc.stop()
         assert peak <= out.data.nbytes + nd._BLOCK_BYTES + 16384, \
             f"peak {peak} B for a {out.data.nbytes} B output"
+
+
+def test_no_grad_holds_only_on_its_own_thread():
+    entered, leave = threading.Event(), threading.Event()
+
+    def hold():
+        with nd.no_grad():
+            entered.set()
+            leave.wait(30)
+
+    other = threading.Thread(target=hold)
+    other.start()
+    try:
+        assert entered.wait(30)
+        assert smul(Tensor(2.0, requires_grad=True), 3.0).requires_grad
+        with nd.no_grad():
+            assert not smul(Tensor(2.0, requires_grad=True), 3.0).requires_grad
+    finally:
+        leave.set()
+        other.join(30)
+    assert not other.is_alive()
 
 
 class TestBackward:
@@ -354,8 +376,27 @@ class TestGradCheck:
 
     def test_bad_h(self):
         params = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        with pytest.raises(ValueError):
-            grad_check(lambda p: mean(p), params, h=0.0)
+        for h in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                grad_check(lambda p: mean(p), params, h=h)
+
+    @pytest.mark.parametrize("sample", [[], np.array([], dtype=np.int64)])
+    def test_empty_sample_rejected(self, sample):
+        params = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        with pytest.raises(ValueError, match="no coordinate"):
+            grad_check(lambda p: mean(p), params, sample=sample)
+
+    def test_nan_gradient_gives_nan(self):
+        # the value is p's sum, but the rule hands coordinate 0 a NaN: the
+        # NaN error comes first and must outlast the finite ones after it
+        params = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        bad = np.array([np.nan, 1.0, 1.0], dtype=np.float32)
+
+        def f(p):
+            return nd._make(np.asarray(p.data.sum()), (p,),
+                            lambda g: nd._accum(p, bad * g, owned=True))
+
+        assert math.isnan(grad_check(f, params))
 
 
 class TestBlocks:

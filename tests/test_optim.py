@@ -312,6 +312,26 @@ class TestTrainLoop:
         assert len(seen) == 2 and seen[0].shape == (6, 64, 192)
         assert np.array_equal(seen[0], seen[1])
 
+    # (epochs, checkpoint_every) -> epochs whose end saves; the last save is the final one
+    @pytest.mark.parametrize("epochs, every, saved_after", [
+        (2, 1, [0, 1]), (3, 2, [1, 2]), (2, 0, [1]), (0, 1, [None])])
+    def test_checkpoint_written_once_per_due_epoch(self, tmp_path, monkeypatch,
+                                                  epochs, every, saved_after):
+        events, save = [], optim.save_checkpoint
+        monkeypatch.setattr(optim, "save_checkpoint",
+                            lambda *a: events.append("save") or save(*a))
+        pairs = patchio.synth_generate(patchio.SynthSpec(side=16, count_max=5, seed=1), 4)
+        path = str(tmp_path / "m.tcwd")
+        train(pairs, ModelConfig(**TOY, head_variant="gap"),
+              TrainConfig(batch_size=4, epochs=epochs, checkpoint_every=every, lr=1e-3),
+              epoch_callback=lambda epoch, *_: events.append(epoch),
+              checkpoint_path=path)
+        # each save follows the end of the epoch it records
+        assert [events[i - 1] if i else None for i, e in enumerate(events) if e == "save"] \
+            == saved_after
+        assert events.count("save") == len(saved_after)
+        assert load_checkpoint(path)[1].t == epochs
+
     def test_no_pairs_raises_before_any_save(self, tmp_path):
         path = str(tmp_path / "m.tcwd")
         cfg = ModelConfig(**TOY, head_variant="gap")
@@ -698,6 +718,8 @@ def test_forged_size_is_truncation_without_allocating_it(tmp_path, field):
     ("checkpoint_every", -1), ("checkpoint_every", True),
     ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf")),
     ("weight_decay", -1e-4), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+    ("seed", "3"), ("seed", 1.5), ("seed", -1), ("seed", True),
+    ("lr", True), ("weight_decay", True), ("augment", "no"), ("augment", 1),
 ])
 def test_train_config_rejects_bad_type_or_range(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):

@@ -1,12 +1,14 @@
 """Image I/O, preprocessing, patching, and synthetic dataset tests."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from patchcount import patchio
-from patchcount.patchio import (LabelsError, PPMError, SynthSpec, augment, fit_to_grid,
-                                load_dataset, load_pgm, load_ppm, make_batch, normalize,
+from patchcount.patchio import (Dataset, LabelsError, PPMError, SynthSpec, augment,
+                                fit_to_grid, load_pgm, load_ppm, make_batch, normalize,
                                 patchify, read_labels, resize_bilinear, save_ppm,
                                 split_tiles, synth_generate, unpatchify, write_dataset)
 
@@ -219,6 +221,12 @@ class TestSynth:
             SynthSpec(count_min=5, count_max=2)
         with pytest.raises(ValueError):
             SynthSpec(dot_radius=0.5)
+        for radius in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="dot_radius must be finite and >= 1"):
+                SynthSpec(dot_radius=radius)
+        for noise in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise_amp must be finite and >= 0"):
+                SynthSpec(noise_amp=noise)
         with pytest.raises(ValueError):
             SynthSpec(side=4, dot_radius=2.0)
 
@@ -237,13 +245,28 @@ class TestSynth:
     def test_dataset_roundtrip(self, tmp_path):
         pairs = synth_generate(SynthSpec(side=16, count_min=0, count_max=3, seed=7), 5)
         write_dataset(pairs, tmp_path / "ds")
-        loaded = load_dataset(tmp_path / "ds")
+        loaded = Dataset(tmp_path / "ds")
         assert len(loaded) == 5
-        assert read_labels(tmp_path / "ds") == [(f"img_{i:05d}.ppm", c)
-                                                for i, (_, c) in enumerate(pairs)]
-        for (ia, ca), (ib, cb) in zip(pairs, loaded):
+        assert loaded.labels == [(f"img_{i:05d}.ppm", c) for i, (_, c) in enumerate(pairs)]
+        for (ia, ca), (ib, cb) in zip(pairs, loaded, strict=True):
             assert ca == cb
             npt.assert_allclose(ia, ib, atol=0.5 / 255)
+
+    def test_dataset_decodes_on_every_lookup_only(self, tmp_path, monkeypatch):
+        write_dataset(synth_generate(SynthSpec(side=16, seed=7), 3), tmp_path)
+        calls, reads = [], []
+        monkeypatch.setattr(patchio, "load_ppm",
+                            lambda path, load=load_ppm: calls.append(path) or load(path))
+        monkeypatch.setattr(patchio, "read_labels",
+                            lambda d, read=read_labels: reads.append(d) or read(d))
+        data = Dataset(tmp_path)
+        assert (len(data), reads, calls) == (3, [tmp_path], [])
+        first, again = data[1], data[-2]
+        assert calls == [str(tmp_path / "img_00001.ppm")] * 2 and reads == [tmp_path]
+        assert first[1] == again[1] and first[0] is not again[0]
+        npt.assert_array_equal(first[0], again[0])
+        with pytest.raises(IndexError):
+            data[3]
 
 
 class TestBatch:
@@ -313,7 +336,7 @@ def test_malformed_labels_line_raises_labels_error(tmp_path, case):
         save_ppm(img, path)
     labels = data / "labels.tsv"
     labels.write_text("a.ppm\t2\n\n" + line.format(outside=tmp_path / "b.ppm"))
-    for load in (read_labels, load_dataset):
+    for load in (read_labels, Dataset):
         with pytest.raises(LabelsError, match=expect) as exc:
             load(data)
         assert f"{labels} line 3" in str(exc.value)
