@@ -19,7 +19,16 @@ the repository root; every line must match between the two trees. Lines:
   paper config (init_params seed 71) on one 480x640 synthetic image;
 - paper-train-gap: 3 one-tile train steps of the paper config (init_params
   seed 71, lr 1e-5, one 384x384 synthetic image), over the losses and every
-  parameter and Adam moment after them.
+  parameter and Adam moment after them;
+- attnmap-<head>: the PGM that ``patchcount attnmap`` writes for a toy
+  checkpoint (init_params seed 3) and a 48x64 synthetic PPM, run through
+  the script's own ``src`` as cli-train-token is;
+- paper-attn-<head>: the last layer's attention weights from a no-grad
+  ``model.features`` pass with an observer, at the paper config
+  (init_params seed 71), on one 384x384 synthetic tile. The Token weights
+  differ between 1 and 2 BLAS threads (the observed pass runs the whole
+  batch at the process's BLAS setting), so compare each thread count
+  with itself.
 
 The paper lines need about 2 GB of memory and a minute or so of CPU.
 """
@@ -84,6 +93,33 @@ def paper_eval(head):
     return hashlib.sha256(preds.data.tobytes()).hexdigest()
 
 
+def attnmap(head):
+    cfg = model.ModelConfig(**TOY, head_variant=head)
+    params = model.init_params(cfg, 3)
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt, img, pgm = (os.path.join(tmp, n) for n in ("m.tcwd", "x.ppm", "map.pgm"))
+        optim.save_checkpoint(params, optim.init_adam(params), cfg, ckpt)
+        pixels, _ = patchio.synth_generate(patchio.SynthSpec(side=64, count_max=20, seed=7), 1)[0]
+        patchio.save_ppm(pixels[:48], img)
+        subprocess.run([sys.executable, "-m", "patchcount.cli", "attnmap", "--checkpoint", ckpt,
+                        "--image", img, "--out", pgm],
+                       env=dict(os.environ, PYTHONPATH=SRC), check=True,
+                       stdout=subprocess.DEVNULL)
+        with open(pgm, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
+def paper_attn(head):
+    cfg = model.ModelConfig(head_variant=head)
+    params = model.init_params(cfg, 71)
+    pairs = patchio.synth_generate(patchio.SynthSpec(side=384, dot_radius=8.0, seed=71), 1)
+    last = {}
+    with no_grad():
+        model.features(params, cfg, patchio.make_batch(pairs, cfg.patch_size).data,
+                       lambda _, __, w: last.update(weights=w))
+    return hashlib.sha256(np.ascontiguousarray(last["weights"]).tobytes()).hexdigest()
+
+
 def paper_train():
     cfg = model.ModelConfig()
     params = model.init_params(cfg, 71)
@@ -103,6 +139,10 @@ def main():
     for head in (model.HEAD_GAP, model.HEAD_TOKEN):
         print(f"paper-eval-{head}\t{paper_eval(head)}", flush=True)
     print(f"paper-train-gap\t{paper_train()}", flush=True)
+    for head in (model.HEAD_GAP, model.HEAD_TOKEN):
+        print(f"attnmap-{head}\t{attnmap(head)}", flush=True)
+    for head in (model.HEAD_GAP, model.HEAD_TOKEN):
+        print(f"paper-attn-{head}\t{paper_attn(head)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from . import evalviz, patchio
-from .encoder import AttentionRecord
 from .model import ModelConfig, grad_check_model
 from .ndtensor import GraphError, ShapeError, no_grad
 from .optim import CheckpointError, TrainConfig, load_checkpoint, train
@@ -190,14 +189,10 @@ def cmd_attnmap(args):
     # one whole-image tile, not fit_to_grid's six: attention_map reads tile 0 only
     img = patchio.resize_bilinear(img, cfg.image_size, cfg.image_size)
     batch = patchio.make_batch([(img, 0.0)], cfg.patch_size)
-    records = [None]
-
-    def keep_last(layer, _, weights):  # attention_map reads only the last layer
-        records[0] = AttentionRecord(layer, weights)
-
-    with no_grad():
-        model_mod.features(params, cfg, batch.data, keep_last)
-    evalviz.export_pgm(evalviz.attention_map(records, cfg), args.out)
+    last = {}
+    with no_grad():  # the map is the last layer's; each layer's weights replace the one before
+        model_mod.features(params, cfg, batch.data, lambda _, __, w: last.update(weights=w))
+    patchio.save_pgm(evalviz.attention_map(last["weights"], cfg), args.out)
     print(f"attnmap\t{args.out}")
     return 0
 

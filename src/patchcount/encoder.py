@@ -15,18 +15,8 @@ Weights are read by name from the flat params dict that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ndtensor import (add, attention, attention_probs, gelu, layer_norm,
                        linear, matmul, merge_heads, split_heads)
-
-
-@dataclass
-class AttentionRecord:
-    """Row-stochastic attention weights [B, H, S, S] of one layer."""
-
-    layer: int
-    weights: object  # numpy array, detached from the graph
 
 
 def scaled_attention(q, k, v, scale, record=False):
@@ -34,12 +24,13 @@ def scaled_attention(q, k, v, scale, record=False):
 
     Returns (output, attention weights as numpy or None). Without a record
     the probabilities are kept only for backward, so an eval pass never
-    holds them whole (see ndtensor.attention).
+    holds them whole (see ndtensor.attention). A record is the probabilities
+    themselves, which no operation writes.
     """
     if not record:
         return attention(q, k, v, scale), None
     attn = attention_probs(q, k, scale)
-    return matmul(attn, v), attn.data.copy()
+    return matmul(attn, v), attn.data
 
 
 def msa(z, params, layer, n_heads, scale, record=False):
@@ -73,7 +64,7 @@ def encoder_layer(z, params, layer, n_heads, scale, record=False):
 
 def encode(z, params, n_layers, n_heads, scale, observe=None):
     """Apply encoder layers 0..n_layers-1 in order; returns Z_L. ``observe(layer,
-    z, weights)``, if given, sees each layer's output and detached weights."""
+    z, weights)``, if given, sees each layer's output and [B, H, S, S] weights."""
     for layer in range(n_layers):
         z, weights = encoder_layer(z, params, layer, n_heads, scale, observe is not None)
         if observe is not None:

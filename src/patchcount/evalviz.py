@@ -70,18 +70,15 @@ def write_eval_report(names, preds, gts, path):
     return mae, mse
 
 
-def attention_map(records, cfg):
-    """Distill captured attention into one [g, g] float32 patch-grid map.
+def attention_map(weights, cfg):
+    """Distill one layer's [B, H, S, S] weights into one [g, g] float32 patch-grid map.
 
-    Uses the last layer with all heads averaged. The Token variant takes
-    the regression-token query row over the patch keys; the GAP variant
-    takes the per-key mean over all query rows. The map is min-max
-    normalized to [0, 1]; a constant map normalizes to all zeros.
+    Reads tile 0 with all heads averaged. The Token variant takes the
+    regression-token query row over the patch keys; the GAP variant takes
+    the per-key mean over all query rows. The map is min-max normalized to
+    [0, 1]; a constant map normalizes to all zeros.
     """
-    if not records:
-        raise ValueError("no attention records captured")
-    last = max(records, key=lambda r: r.layer)
-    avg = last.weights[0].mean(axis=0)  # single-image contract, heads averaged
+    avg = weights[0].mean(axis=0)  # single-image contract, heads averaged
     if cfg.head_variant == HEAD_TOKEN:
         row = avg[0, 1:]  # regression-token query over patch keys
     else:
@@ -94,14 +91,6 @@ def attention_map(records, cfg):
     else:
         norm = (grid - lo) / (hi - lo)
     return norm.astype(np.float32)
-
-
-def export_pgm(grid, path):
-    """Write an attention map grid as binary PGM P5, maxval 255."""
-    payload = np.clip(np.rint(grid * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode())
-        fh.write(payload.tobytes())
 
 
 class ConvergenceLog:

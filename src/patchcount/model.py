@@ -189,7 +189,7 @@ def embed(params, cfg, patches):
 def forward(params, cfg, patches, record_attention=False):
     """Patch sequences [B, N, K*K*3] -> raw per-tile counts [B].
 
-    Returns (predictions, attention records: one per layer, if asked for).
+    Returns (predictions, [B, H, S, S] attention weights per layer if asked for).
     Predictions are raw head outputs; clamp at zero only when reporting final counts.
 
     No attention crosses tiles, so when no graph is recorded and no record
@@ -200,15 +200,14 @@ def forward(params, cfg, patches, record_attention=False):
     """
     _malloc_policy()
     x = patches if isinstance(patches, Tensor) else Tensor(patches)
-    records = []
+    weights = []
     if record_attention or _recording((x, *params.values())):
-        def observe(layer, _, weights):
-            records.append(encoder.AttentionRecord(layer, weights))
-        pooled = features(params, cfg, x, observe if record_attention else None)
+        pooled = features(params, cfg, x, (lambda _, __, w: weights.append(w))
+                          if record_attention else None)
     else:
         rows = np.concatenate(_score_tiles(params, cfg, x))
         pooled = Tensor(rows, dtype=rows.dtype)  # float64 rows stay float64
-    return heads.regress(pooled, params), records
+    return heads.regress(pooled, params), weights
 
 
 def features(params, cfg, x, observe=None):

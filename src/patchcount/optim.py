@@ -24,6 +24,7 @@ from . import model as model_mod
 from .heads import l1_loss
 from .model import batch_predictions  # also traced under this name by perfbench
 from .ndtensor import Tensor, backward, no_grad
+from .patchio import finite_real
 
 MAGIC = b"TCWD"
 VERSION = 1
@@ -55,6 +56,23 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name in ("lr", "beta1", "beta2", "eps", "weight_decay"):
+            if not finite_real(value := getattr(self, name)):
+                raise ValueError(f"adam {name} must be a finite number, got {value!r}")
+        if not (self.lr >= 0 and self.eps > 0):  # lr 0 is a step that moves nothing
+            raise ValueError(f"adam lr must be >= 0 and eps > 0, got {self.lr!r} and {self.eps!r}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError(f"adam beta1 and beta2 must be in [0, 1), got "
+                             f"{self.beta1!r} and {self.beta2!r}")
+        if self.weight_decay < 0:
+            raise ValueError(f"adam weight_decay must be >= 0, got {self.weight_decay!r}")
+        if isinstance(self.t, bool) or not isinstance(self.t, int) or not 0 <= self.t < 2 ** 63:
+            raise ValueError(f"adam t must be an int in [0, 2**63), got {self.t!r}")
+
+
+_ADAM_KEYS = ("lr", "beta1", "beta2", "eps", "weight_decay", "t")
+
 
 @dataclass
 class TrainConfig:
@@ -74,10 +92,9 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
-        if isinstance(self.lr, bool) or not (math.isfinite(self.lr) and self.lr > 0):
+        if not (finite_real(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
-        if isinstance(self.weight_decay, bool) or \
-                not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+        if not (finite_real(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
         if not isinstance(self.augment, bool):
             raise ValueError(f"augment must be a bool, got {self.augment!r}")
@@ -231,9 +248,7 @@ def save_checkpoint(params, state, cfg, path):
     """Write model + optimizer state atomically (tmp file then rename)."""
     config_block = {
         "model": asdict(cfg),
-        "adam": {"lr": state.lr, "beta1": state.beta1, "beta2": state.beta2,
-                 "eps": state.eps, "weight_decay": state.weight_decay,
-                 "t": state.t},
+        "adam": {k: getattr(state, k) for k in _ADAM_KEYS},
     }
     blob = json.dumps(config_block).encode()
     arrays = [(name, p.data) for name, p in params.items()]
@@ -325,27 +340,6 @@ class _LazyMoments(Mapping):
         return len(self._where)
 
 
-_ADAM_KEYS = ("lr", "beta1", "beta2", "eps", "weight_decay", "t")
-
-
-def _check_adam(state):
-    """Raise ValueError unless a loaded Adam block holds values adam_step can use."""
-    for name in ("lr", "beta1", "beta2", "eps", "weight_decay"):
-        value = getattr(state, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value):
-            raise ValueError(f"adam {name} must be a finite number, got {value!r}")
-    if not (state.lr > 0 and state.eps > 0):
-        raise ValueError(f"adam lr and eps must be > 0, got {state.lr!r} and {state.eps!r}")
-    if not (0 <= state.beta1 < 1 and 0 <= state.beta2 < 1):
-        raise ValueError(f"adam beta1 and beta2 must be in [0, 1), got "
-                         f"{state.beta1!r} and {state.beta2!r}")
-    if state.weight_decay < 0:
-        raise ValueError(f"adam weight_decay must be >= 0, got {state.weight_decay!r}")
-    if isinstance(state.t, bool) or not isinstance(state.t, int) or not 0 <= state.t < 2 ** 63:
-        raise ValueError(f"adam t must be an int in [0, 2**63), got {state.t!r}")
-
-
 def load_checkpoint(path, expected_cfg=None):
     """Read a checkpoint; returns (params, AdamState, ModelConfig).
 
@@ -368,11 +362,16 @@ def load_checkpoint(path, expected_cfg=None):
         try:
             blob = json.loads(raw)
             cfg = model_mod.ModelConfig(**blob["model"])
-            shapes = model_mod.param_shapes(cfg)
             state = AdamState(**{k: blob["adam"][k] for k in _ADAM_KEYS})
-            _check_adam(state)
+            if state.lr == 0:  # train saves none: TrainConfig.lr > 0
+                raise ValueError("adam lr must be > 0 in a checkpoint")
         except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
             raise CheckpointError(f"malformed config block: {exc!r}") from exc
+        # param_shapes' 12 arrays a layer, each with .m and .v, every record >= 12 bytes
+        if 36 * 12 * cfg.layers > r.left:
+            raise CheckpointError(f"truncated checkpoint: {cfg.layers} layers cannot fit "
+                                  f"in the {r.left} bytes left")
+        shapes = model_mod.param_shapes(cfg)
         if expected_cfg is not None and asdict(cfg) != asdict(expected_cfg):
             raise CheckpointError(
                 f"checkpoint config {asdict(cfg)} does not match expected "

@@ -10,7 +10,9 @@ exposes per-dot coordinates.
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -35,6 +37,12 @@ class LabelsError(ValueError):
 
 
 _MAX_HEADER_DIGITS = 9  # no real width, height or maxval needs more
+
+
+def finite_real(value):
+    """True for an int or float, not a bool, that a float64 holds as a finite value."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _read_header_ints(buf, pos, count):
@@ -93,13 +101,22 @@ def load_pgm(path):
     return _load_netpbm(path, b"P5", 1)
 
 
-def save_ppm(img, path):
-    """Write an (H, W, 3) float image in [0, 1] as binary PPM P6."""
-    h, w, _ = img.shape
+def _save_netpbm(img, path, magic, channels):
+    h, w, _ = img.shape if channels == 3 else (*img.shape, 1)  # a wrong rank raises
     payload = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode())
         fh.write(payload.tobytes())
+
+
+def save_ppm(img, path):
+    """Write an (H, W, 3) float image in [0, 1] as binary PPM P6."""
+    _save_netpbm(img, path, "P6", 3)
+
+
+def save_pgm(img, path):
+    """Write an (H, W) float image in [0, 1], such as an attention map, as binary PGM P5."""
+    _save_netpbm(img, path, "P5", 1)
 
 
 def resize_bilinear(img, out_h, out_w):
@@ -206,15 +223,22 @@ class SynthSpec:
     region: tuple = field(default=(0.0, 1.0, 0.0, 1.0))
 
     def __post_init__(self):
-        cmin = self.count_min
-        if isinstance(cmin, bool) or not isinstance(cmin, int) or cmin < 0:
-            raise ValueError(f"count_min must be an int >= 0, got {cmin!r}")
+        for name, low in (("side", 1), ("count_min", 0), ("count_max", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
         if self.count_min > self.count_max:
             raise ValueError("count_min must be <= count_max")
-        if not (math.isfinite(self.dot_radius) and self.dot_radius >= 1):
-            raise ValueError(f"dot_radius must be finite and >= 1, got {self.dot_radius!r}")
-        if not (math.isfinite(self.noise_amp) and self.noise_amp >= 0):
-            raise ValueError(f"noise_amp must be finite and >= 0, got {self.noise_amp!r}")
+        for name, low in (("dot_radius", 1), ("noise_amp", 0)):
+            value = getattr(self, name)
+            if not (finite_real(value) and value >= low):
+                raise ValueError(f"{name} must be finite and >= {low}, got {value!r}")
+        r = self.region
+        if not (isinstance(r, (tuple, list)) and len(r) == 4
+                and all(finite_real(b) and 0 <= b <= 1 for b in r)
+                and r[0] <= r[1] and r[2] <= r[3]):
+            raise ValueError(f"region must be (y0, y1, x0, x1) with 0 <= y0 <= y1 <= 1 "
+                             f"and 0 <= x0 <= x1 <= 1, got {r!r}")
         if self.side < 4 * self.dot_radius:
             raise ValueError(
                 f"canvas side {self.side} too small for dot radius {self.dot_radius}")

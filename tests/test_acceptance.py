@@ -147,10 +147,10 @@ def test_criterion_4_attention_stochasticity():
         x = rng.normal(scale=rng.uniform(0.1, 3.0),
                        size=(1, cfg.seq_len, cfg.patch_dim)).astype(np.float32)
         with no_grad():
-            _, records = forward(params, cfg, x, record_attention=True)
-        for rec in records:
-            worst = max(worst, float(np.abs(rec.weights.sum(axis=-1) - 1.0).max()))
-            assert ((rec.weights >= 0) & (rec.weights <= 1)).all()
+            _, weights = forward(params, cfg, x, record_attention=True)
+        for w in weights:
+            worst = max(worst, float(np.abs(w.sum(axis=-1) - 1.0).max()))
+            assert ((w >= 0) & (w <= 1)).all()
     _report(4, worst < 1e-6, f"100-pass fuzz, worst row-sum error {worst:.1e}")
 
 
@@ -268,9 +268,9 @@ def test_criterion_10_attention_localization(trained):
     for img, _ in quad:
         batch = patchio.make_batch([(img, 0.0)], cfg.patch_size)
         with no_grad():
-            _, records = forward(run["params"], cfg, batch.data,
+            _, weights = forward(run["params"], cfg, batch.data,
                                  record_attention=True)
-        grid = attention_map(records, cfg)
+        grid = attention_map(weights[-1], cfg)
         k = grid.size // 4
         thresh = np.sort(grid.ravel())[-k]
         mask = grid >= thresh

@@ -450,19 +450,20 @@ def test_attnmap_keeps_only_the_last_layer(tmp_path, capsys, monkeypatch, head):
     patchio.save_ppm(np.random.default_rng(2).random((24, 24, 3)).astype(np.float32), img)
     # the map of the last layer of a recording forward over the same one-tile batch
     tile = patchio.resize_bilinear(patchio.load_ppm(img), 16, 16)
-    _, records = model.forward(params, cfg, patchio.make_batch([(tile, 0.0)], 8).data,
+    _, weights = model.forward(params, cfg, patchio.make_batch([(tile, 0.0)], 8).data,
                                record_attention=True)
-    assert [r.layer for r in records] == [0, 1, 2]
+    assert len(weights) == 3
     expected = tmp_path / "expected.pgm"
-    evalviz.export_pgm(evalviz.attention_map(records, cfg), str(expected))
+    patchio.save_pgm(evalviz.attention_map(weights[-1], cfg), str(expected))
     seen = []
     real = evalviz.attention_map
     monkeypatch.setattr(evalviz, "attention_map",
-                        lambda recs, c: seen.append([r.layer for r in recs]) or real(recs, c))
+                        lambda w, c: seen.append(w.copy()) or real(w, c))
     pgm = tmp_path / "map.pgm"
     capsys.readouterr()
     assert main(["attnmap", "--checkpoint", ckpt, "--image", img, "--out", str(pgm)]) == 0
-    assert seen == [[2]]
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], weights[-1])
     assert pgm.read_bytes() == expected.read_bytes()
 
 

@@ -4,13 +4,14 @@ The oracle here is a direct numpy re-evaluation of the attention and
 layer formulas, written independently of the autodiff primitives.
 """
 
+import contextlib
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from patchcount import ndtensor, optim, patchio
+from patchcount import encoder, ndtensor, optim, patchio
 from patchcount.encoder import encode, encoder_layer, mlp_block, msa, scaled_attention
 from patchcount.model import ModelConfig
 from patchcount.ndtensor import (Tensor, attention_probs, backward, concat, matmul,
@@ -321,6 +322,22 @@ class TestEncode:
         for w in weights:
             npt.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
             assert ((w >= 0) & (w <= 1)).all()
+
+    def test_observer_gets_the_probabilities_attention_probs_made(self, monkeypatch):
+        made = []
+        real = encoder.attention_probs
+        monkeypatch.setattr(encoder, "attention_probs",
+                            lambda *args: made.append(real(*args)) or made[-1])
+        rng = np.random.default_rng(16)
+        params = make_layers(rng, 2, 8)
+        z = Tensor(rng.normal(size=(2, 5, 8)).astype(np.float32), requires_grad=True)
+        for grad in (False, True):  # no operation writes them, recorded or not
+            made.clear()
+            seen = []
+            with contextlib.nullcontext() if grad else no_grad():
+                encode(z, params, 2, 4, 0.25, lambda _, __, w: seen.append(w))
+            assert len(seen) == len(made) == 2
+            assert all(p.requires_grad == grad and w is p.data for w, p in zip(seen, made))
 
     def test_permutation_equivariance_without_positions(self):
         rng = np.random.default_rng(15)

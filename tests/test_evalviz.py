@@ -7,10 +7,8 @@ import numpy.testing as npt
 import pytest
 
 from patchcount import model, patchio
-from patchcount.encoder import AttentionRecord
-from patchcount.evalviz import (ConvergenceLog, attention_map,
-                                export_pgm, mae_mse, predict_image,
-                                write_eval_report)
+from patchcount.evalviz import (ConvergenceLog, attention_map, mae_mse,
+                                predict_image, write_eval_report)
 from patchcount.model import ModelConfig, init_params
 
 
@@ -115,57 +113,42 @@ class TestAttentionMap:
     def test_uniform_attention_degenerates_to_zeros(self):
         cfg = self._cfg()
         uniform = np.full((1, 2, 4, 4), 0.25, dtype=np.float32)
-        recs = [AttentionRecord(layer=0, weights=uniform)]
-        grid = attention_map(recs, cfg)
+        grid = attention_map(uniform, cfg)
         npt.assert_array_equal(grid, np.zeros((2, 2)))
 
     def test_single_token_map(self):
         cfg = ModelConfig(image_size=8, patch_size=8, dim=8, heads=1,
                           layers=1, hidden_dim=8)
-        recs = [AttentionRecord(layer=0, weights=np.ones((1, 1, 1, 1), dtype=np.float32))]
-        grid = attention_map(recs, cfg)
+        grid = attention_map(np.ones((1, 1, 1, 1), dtype=np.float32), cfg)
         npt.assert_array_equal(grid, np.zeros((1, 1)))
 
     def test_token_variant_uses_token_row(self):
         cfg = self._cfg("token")
         w = np.zeros((1, 1, 5, 5), dtype=np.float32)  # 4 patches + reg token
         w[0, 0, 0] = [0.0, 0.7, 0.1, 0.1, 0.1]  # token's query row
-        recs = [AttentionRecord(layer=0, weights=w)]
-        grid = attention_map(recs, cfg)
+        grid = attention_map(w, cfg)
         assert grid[0, 0] == 1.0  # patch 1 is the max after min-max
         assert grid.shape == (2, 2)
 
-    def test_last_layer_selected(self):
-        cfg = self._cfg()
-        lo = np.full((1, 1, 4, 4), 0.25, dtype=np.float32)
-        hi = np.zeros((1, 1, 4, 4), dtype=np.float32)
-        hi[..., 0] = 1.0
-        recs = [AttentionRecord(layer=0, weights=lo), AttentionRecord(layer=1, weights=hi)]
-        grid = attention_map(recs, cfg)
-        assert grid[0, 0] == 1.0
-        assert grid[1, 1] == 0.0
-
-    def test_empty_records(self):
-        with pytest.raises(ValueError):
-            attention_map([], self._cfg())
-
 
 class TestExportPgm:
+    """Attention maps are written by patchio.save_pgm."""
+
     def test_all_zero_payload(self, tmp_path):
         path = tmp_path / "z.pgm"
-        export_pgm(np.zeros((2, 2), dtype=np.float32), str(path))
+        patchio.save_pgm(np.zeros((2, 2), dtype=np.float32), str(path))
         assert path.read_bytes().endswith(bytes(4))
 
     def test_hand_rounded_bytes(self, tmp_path):
         grid = np.array([[0.0, 1.0], [0.5, 0.25]], dtype=np.float32)
         path = tmp_path / "m.pgm"
-        export_pgm(grid, str(path))
+        patchio.save_pgm(grid, str(path))
         assert path.read_bytes()[-4:] == bytes([0, 255, 128, 64])
 
     def test_roundtrip_within_quantization(self, tmp_path):
         grid = np.random.default_rng(4).random((3, 5)).astype(np.float32)
         path = tmp_path / "r.pgm"
-        export_pgm(grid, str(path))
+        patchio.save_pgm(grid, str(path))
         back = patchio.load_pgm(str(path))
         npt.assert_allclose(back, grid, atol=0.5 / 255 + 1e-7)
 

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -698,6 +699,7 @@ FORGED = {
     "config_length": lambda b: _forge_u32(b, 8),
     "name_length": lambda b: _forge_u32(b, _first_array(b)[0]),
     "dims": _forge_dims,
+    "layers": lambda b: _edit_config(b, lambda c: c["model"].update(layers=20000)),
 }
 
 
@@ -720,6 +722,9 @@ def test_forged_size_is_truncation_without_allocating_it(tmp_path, field):
     ("weight_decay", -1e-4), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
     ("seed", "3"), ("seed", 1.5), ("seed", -1), ("seed", True),
     ("lr", True), ("weight_decay", True), ("augment", "no"), ("augment", 1),
+    ("lr", "0.1"), ("weight_decay", None),
+    pytest.param("lr", 10 ** 400, id="lr-10**400"),
+    pytest.param("weight_decay", 10 ** 400, id="weight_decay-10**400"),
 ])
 def test_train_config_rejects_bad_type_or_range(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -729,3 +734,19 @@ def test_train_config_rejects_bad_type_or_range(field, value):
 def test_train_config_accepts_zero_epochs_and_decay():
     tcfg = TrainConfig(epochs=0, checkpoint_every=0, weight_decay=0.0)
     assert (tcfg.epochs, tcfg.checkpoint_every, tcfg.weight_decay) == (0, 0, 0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", float("nan")), ("lr", -1e-3), ("lr", "0.1"), ("weight_decay", float("inf")),
+])
+def test_init_adam_rejects_what_adam_step_cannot_use(field, value):
+    params = init_params(ModelConfig(**TOY, head_variant="gap"), 0)
+    with pytest.raises(ValueError, match=f"^adam {field} must"):
+        init_adam(params, **{field: value})
+
+
+def test_param_shapes_names_twelve_arrays_a_layer():
+    # load_checkpoint's layer bound counts 36 arrays a layer: these 12 with .m and .v
+    cfg = ModelConfig(**TOY, head_variant="gap")
+    one, two = (len(param_shapes(replace(cfg, layers=n))) for n in (1, 2))
+    assert two - one == 12

@@ -229,6 +229,15 @@ class TestSynth:
                 SynthSpec(noise_amp=noise)
         with pytest.raises(ValueError):
             SynthSpec(side=4, dot_radius=2.0)
+        for field, value in (("dot_radius", "2"), ("noise_amp", None), ("side", "64"),
+                             ("side", 64.5), ("side", 0), ("count_max", 2.5), ("seed", -1),
+                             ("seed", 1.5), ("dot_radius", True), ("noise_amp", 10 ** 400),
+                             ("region", (2.0, 3.0, 2.0, 3.0)), ("region", (0.5, 0.2, 0.0, 1.0)),
+                             ("region", (0.0, 1.0, 0.6, 0.4)), ("region", (0.0, math.nan, 0.0, 1.0)),
+                             ("region", (0.0, "1", 0.0, 1.0)), ("region", (0.0, 1.0)),
+                             ("region", None)):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                SynthSpec(**{field: value})
 
     @pytest.mark.parametrize("n", [0, -1, True, 2.0, "3"])
     def test_bad_image_count(self, n):
