@@ -17,9 +17,12 @@ the repository root; every line must match between the two trees. Lines:
   the script into another checkout checks that checkout's CLI;
 - paper-eval-<head>: the six tile predictions of a no-grad forward of the
   paper config (init_params seed 71) on one 480x640 synthetic image;
-- paper-train-gap: 3 one-tile train steps of the paper config (init_params
-  seed 71, lr 1e-5, one 384x384 synthetic image), over the losses and every
-  parameter and Adam moment after them;
+- paper-train-<head>: 3 one-tile train steps of the paper config
+  (init_params seed 71, lr 1e-5, one 384x384 synthetic image), over the
+  losses and every parameter and Adam moment after them. The Token digest
+  differs between 1 and 2 BLAS threads (the recorded attention at S = 577
+  runs at the process's BLAS setting), so compare each thread count with
+  itself;
 - attnmap-<head>: the PGM that ``patchcount attnmap`` writes for a toy
   checkpoint (init_params seed 3) and a 48x64 synthetic PPM, run through
   the script's own ``src`` as cli-train-token is;
@@ -120,8 +123,8 @@ def paper_attn(head):
     return hashlib.sha256(np.ascontiguousarray(last["weights"]).tobytes()).hexdigest()
 
 
-def paper_train():
-    cfg = model.ModelConfig()
+def paper_train(head):
+    cfg = model.ModelConfig(head_variant=head)
     params = model.init_params(cfg, 71)
     state = optim.init_adam(params, lr=1e-5)
     pairs = patchio.synth_generate(patchio.SynthSpec(side=384, dot_radius=8.0, seed=71), 1)
@@ -138,7 +141,8 @@ def main():
     print(f"cli-train-token\t{cli_train_token()}", flush=True)
     for head in (model.HEAD_GAP, model.HEAD_TOKEN):
         print(f"paper-eval-{head}\t{paper_eval(head)}", flush=True)
-    print(f"paper-train-gap\t{paper_train()}", flush=True)
+    for head in (model.HEAD_GAP, model.HEAD_TOKEN):
+        print(f"paper-train-{head}\t{paper_train(head)}", flush=True)
     for head in (model.HEAD_GAP, model.HEAD_TOKEN):
         print(f"attnmap-{head}\t{attnmap(head)}", flush=True)
     for head in (model.HEAD_GAP, model.HEAD_TOKEN):

@@ -3,8 +3,10 @@
 Tensors wrap row-major float32 numpy buffers. Every primitive records a
 backward rule on the tensors it produces; calling ``backward`` on a scalar
 replays those rules in reverse topological order and accumulates gradients
-into every ``requires_grad`` leaf. A finite-difference checker validates
-the analytic gradients.
+into every ``requires_grad`` leaf. The graph holds no forward value: each
+rule captures only the arrays it reads, so an intermediate's array is freed
+once forward code drops it, unless a rule holds it. A finite-difference
+checker validates the analytic gradients.
 """
 
 from __future__ import annotations
@@ -54,24 +56,43 @@ class no_grad:
         return False
 
 
+class _Node:
+    """A recorded op output's place in the graph: its gradient, rule and parents.
+
+    It keeps the output's shape and dtype but not its array, which stays
+    with the Tensor that forward code holds.
+    """
+
+    __slots__ = ("shape", "dtype", "grad", "_parents", "_backward", "_consumed",
+                 "__weakref__")
+    requires_grad = True
+
+    def __init__(self, data, parents, backward):
+        self.shape, self.dtype = data.shape, data.dtype
+        self.grad = None
+        self._parents = parents
+        self._backward = backward
+        self._consumed = False
+
+
 class Tensor:
     """Dense array with an optional gradient buffer and graph linkage.
 
     Data produced by an operation is treated as immutable; only leaf
     parameters are updated in place (by the optimizer, between graphs).
+    A leaf is its own place in the graph and holds its gradient; an op
+    output recorded under grad mode has a ``_Node`` for that, whose rule
+    and parents ``_backward`` and ``_parents`` give.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "_consumed", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad=False, dtype=np.float32):
         arr = np.asarray(data, dtype=dtype)
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
-        self._consumed = False
+        self._node = None
 
     @property
     def shape(self):
@@ -80,6 +101,23 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
+
+    @property
+    def dtype(self):
+        return self.data.dtype
+
+    @property
+    def node(self):
+        """What the graph holds of this tensor: its _Node, or itself for a leaf."""
+        return self if self._node is None else self._node
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
 
     def zero_grad(self):
         self.grad = None
@@ -102,12 +140,16 @@ def _recording(parents):
 
 
 def _make(data, parents, backward):
-    """Wrap an op result; records the rule only while grad is enabled."""
+    """Wrap an op result; records the rule only while grad is enabled.
+
+    ``parents`` are the operands' graph places (``Tensor.node``), and
+    ``backward`` reads only those and the arrays it captured, so the graph
+    keeps no operand's array that the rule does not read.
+    """
     out = Tensor(data, dtype=data.dtype)
     if _recording(parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node = _Node(data, tuple(parents), backward)
     return out
 
 
@@ -155,7 +197,8 @@ def _blocks(shape, itemsize, core):
 
 
 def _accum(t, g, owned=False):
-    """Add one gradient contribution ``g`` to ``t.grad``; a constant takes none.
+    """Add one gradient contribution ``g`` to graph place ``t``'s grad; a
+    constant takes none.
 
     A rule passes ``owned`` only for an array it allocated for this one
     call and never touches again (or a view of such an array); a first
@@ -170,8 +213,8 @@ def _accum(t, g, owned=False):
         return
     if t.grad is None:
         # an array even where a 0-d op handed over a numpy scalar
-        t.grad = np.asarray(g) if owned and g.dtype == t.data.dtype \
-            else np.array(g, dtype=t.data.dtype)
+        t.grad = np.asarray(g) if owned and g.dtype == t.dtype \
+            else np.array(g, dtype=t.dtype)
     elif g.shape == t.grad.shape and np.result_type(t.grad, g) == t.grad.dtype:
         np.add(t.grad, g, out=t.grad)
     else:
@@ -185,6 +228,7 @@ def _accum(t, g, owned=False):
 def add(a, b):
     """Elementwise sum with numpy-style broadcasting."""
     data = a.data + b.data
+    a, b = a.node, b.node
 
     def backward(g):
         _accum(a, _unbroadcast(g, a.shape))
@@ -195,11 +239,13 @@ def add(a, b):
 
 def mul(a, b):
     """Elementwise product with broadcasting."""
-    data = a.data * b.data
+    a_, b_ = a.data, b.data
+    data = a_ * b_
+    a, b = a.node, b.node
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        _accum(a, _unbroadcast(g * b_, a.shape))
+        _accum(b, _unbroadcast(g * a_, b.shape))
 
     return _make(data, (a, b), backward)
 
@@ -208,6 +254,7 @@ def smul(a, c):
     """Product with a python scalar."""
     c = float(c)
     data = a.data * c
+    a = a.node
 
     def backward(g):
         _accum(a, g * c, owned=True)
@@ -222,7 +269,7 @@ def _matmul_data(a, b):
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dimensions differ: {a.shape} x {b.shape}")
-    return _matmul_rows(a.data, b.data)
+    return _matmul_rows(a, b)
 
 
 def _matmul_rows(a, b):
@@ -237,12 +284,13 @@ def _matmul_rows(a, b):
     return rows.reshape(a.shape[:-1] + b.shape[-1:])
 
 
-def _matmul_backward(a, b, g):
+def _matmul_backward(a, b, a_, b_, g):
+    """A product's gradients into graph places ``a`` and ``b``, whose arrays
+    are ``a_`` and ``b_``."""
     if a.requires_grad:
-        _accum(a, _unbroadcast(_matmul_rows(g, np.swapaxes(b.data, -1, -2)), a.shape),
-               owned=True)
+        _accum(a, _unbroadcast(_matmul_rows(g, np.swapaxes(b_, -1, -2)), a.shape), owned=True)
     if b.requires_grad:
-        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape), owned=True)
+        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a_, -1, -2), g), b.shape), owned=True)
 
 
 def matmul(a, b):
@@ -250,12 +298,14 @@ def matmul(a, b):
 
     Leading batch dimensions must match or be absent on one side.
     """
-    return _make(_matmul_data(a, b), (a, b), lambda g: _matmul_backward(a, b, g))
+    a_, b_, a, b = a.data, b.data, a.node, b.node
+    return _make(_matmul_data(a_, b_), (a, b), lambda g: _matmul_backward(a, b, a_, b_, g))
 
 
 def transpose_last(a):
     """Swap the last two axes."""
     data = np.swapaxes(a.data, -1, -2)
+    a = a.node
 
     def backward(g):
         _accum(a, np.swapaxes(g, -1, -2))
@@ -266,6 +316,7 @@ def transpose_last(a):
 def reshape(a, shape):
     shape = tuple(shape)
     data = a.data.reshape(shape)
+    a = a.node
 
     def backward(g):
         _accum(a, g.reshape(a.shape))
@@ -277,10 +328,11 @@ def mean(a, axis=None):
     """Arithmetic mean over one axis, or over all elements when axis=None."""
     data = a.data.mean(axis=axis)
     n = a.data.size if axis is None else a.shape[axis]
+    a = a.node
 
     def backward(g):
         if axis is None:
-            _accum(a, np.full(a.shape, g / n, dtype=a.data.dtype), owned=True)
+            _accum(a, np.full(a.shape, g / n, dtype=a.dtype), owned=True)
         else:
             _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape) / n, owned=True)
 
@@ -290,6 +342,7 @@ def mean(a, axis=None):
 def sum_axis(a, axis):
     """Sum over one axis."""
     data = a.data.sum(axis=axis)
+    a = a.node
 
     def backward(g):
         _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
@@ -302,6 +355,7 @@ def concat(tensors, axis):
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
+    tensors = [t.node for t in tensors]
 
     def backward(g):
         offset = 0
@@ -315,11 +369,16 @@ def concat(tensors, axis):
 
 
 def slice_axis(a, axis, start, stop):
-    """Contiguous slice [start, stop) along one axis."""
+    """Contiguous slice [start, stop) along one axis.
+
+    The result is a copy, so it does not keep the rest of a's buffer alive
+    (the Token head slices one row out of the last layer's [B, S, D]).
+    """
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
-    data = a.data[idx]
+    data = a.data[idx].copy()
+    a = a.node
 
     def backward(g):
         full = np.zeros(a.shape, dtype=g.dtype)
@@ -331,10 +390,12 @@ def slice_axis(a, axis, start, stop):
 
 def absolute(a):
     """Elementwise |x|; subgradient 0 at exactly 0."""
-    data = np.abs(a.data)
+    a_ = a.data
+    data = np.abs(a_)
+    a = a.node
 
     def backward(g):
-        _accum(a, g * np.sign(a.data), owned=True)
+        _accum(a, g * np.sign(a_), owned=True)
 
     return _make(data, (a,), backward)
 
@@ -344,6 +405,7 @@ def softmax_rows(x):
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=-1, keepdims=True)
+    x = x.node
 
     def backward(g):
         dot = (g * data).sum(axis=-1, keepdims=True)
@@ -380,15 +442,15 @@ def attention_probs(q, k, scale):
     """
     _check_attention(q, k)
     scale = float(scale)
-    p = np.empty(q.shape[:-1] + (k.shape[-2],), np.result_type(q.data, k.data))
+    q_, k_, q, k = q.data, k.data, q.node, k.node
+    p = np.empty(q.shape[:-1] + (k.shape[-2],), np.result_type(q_, k_))
     for i in _blocks(p.shape, p.itemsize, 2):
-        np.matmul(q.data[i], np.swapaxes(k.data[i], -1, -2), out=p[i])
+        np.matmul(q_[i], np.swapaxes(k_[i], -1, -2), out=p[i])
         _softmax_scaled_(p[i], scale)
 
     def backward(g):
-        dq = np.empty(q.shape, np.result_type(g, p, k.data))
-        dk_t = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]),
-                        np.result_type(q.data, g, p))
+        dq = np.empty(q.shape, np.result_type(g, p, k_))
+        dk_t = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]), np.result_type(q_, g, p))
         for i in _blocks(p.shape, p.itemsize, 2):
             p_i, g_i = p[i], g[i]
             dl = g_i * p_i
@@ -396,8 +458,8 @@ def attention_probs(q, k, scale):
             np.subtract(g_i, dot, out=dl)
             dl *= p_i
             dl *= scale
-            np.matmul(dl, k.data[i], out=dq[i])
-            np.matmul(np.swapaxes(q.data[i], -1, -2), dl, out=dk_t[i])
+            np.matmul(dl, k_[i], out=dq[i])
+            np.matmul(np.swapaxes(q_[i], -1, -2), dl, out=dk_t[i])
         _accum(q, dq, owned=True)
         _accum(k, np.swapaxes(dk_t, -1, -2), owned=True)
 
@@ -436,9 +498,12 @@ def split_heads(x, n_heads):
                          f"got {x.shape}")
     b, s, d = x.shape
     data = x.data.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+    x = x.node
 
     def backward(g):
-        _accum(x, np.swapaxes(g, 1, 2).reshape(x.shape))
+        dx = np.swapaxes(g, 1, 2).reshape(x.shape)
+        # a copy of g, unless there is one head or one token
+        _accum(x, dx, owned=not np.may_share_memory(dx, g))
 
     return _make(data, (x,), backward)
 
@@ -449,6 +514,7 @@ def merge_heads(x):
         raise ShapeError(f"merge_heads needs [B, H, S, dh], got {x.shape}")
     b, h, s, dh = x.shape
     data = np.swapaxes(x.data, 1, 2).reshape(b, s, h * dh)
+    x = x.node
 
     def backward(g):
         _accum(x, np.swapaxes(g.reshape(b, s, h, dh), 1, 2))
@@ -458,13 +524,15 @@ def merge_heads(x):
 
 def linear(x, w, b):
     """x @ w + b, with the bias added in place on the product."""
-    data = _matmul_data(x, w)
+    x_, w_ = x.data, w.data
+    data = _matmul_data(x_, w_)
     data = data.astype(np.result_type(data, b.data), copy=False)
     data += b.data
+    x, w, b = x.node, w.node, b.node
 
     def backward(g):
         _accum(b, _unbroadcast(g, b.shape))
-        _matmul_backward(x, w, g)
+        _matmul_backward(x, w, x_, w_, g)
 
     return _make(data, (x, w, b), backward)
 
@@ -473,33 +541,37 @@ def layer_norm(x, gamma, beta):
     """Normalize the last axis to mean 0 / population variance 1, then affine.
 
     Runs over blocks of rows; the gamma and beta gradients, which sum over
-    rows, are reduced over the whole array as one.
+    rows, are reduced over the whole array as one. The variance takes
+    ndarray.var's steps on x - mean (square, add.reduce, divide by the row
+    length), so it has var's bytes without var's second pass for the mean.
     """
     if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
         raise ShapeError(
             f"layer_norm feature sizes differ: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}")
-    x_ = x.data
+    x_, gamma_ = x.data, gamma.data
+    n = x_.shape[-1]
     inv_std = np.empty(x_.shape[:-1] + (1,), x_.dtype)
     xhat = np.empty(x_.shape, x_.dtype)
-    data = np.empty(x_.shape, np.result_type(gamma.data, xhat, beta.data))
+    data = np.empty(x_.shape, np.result_type(gamma_, xhat, beta.data))
     for i in _blocks(x_.shape, x_.itemsize, 1):
         x_i, xhat_i, out_i = x_[i], xhat[i], data[i]
-        mu = x_i.mean(axis=-1, keepdims=True)
-        var = x_i.var(axis=-1, keepdims=True)
+        np.subtract(x_i, x_i.mean(axis=-1, keepdims=True), out=xhat_i)
+        var = np.add.reduce(np.square(xhat_i), axis=-1, keepdims=True)
+        var /= n
         np.divide(1.0, np.sqrt(var + _LN_EPS), out=inv_std[i])
-        np.subtract(x_i, mu, out=xhat_i)
         xhat_i *= inv_std[i]
-        np.multiply(gamma.data, xhat_i, out=out_i)
+        np.multiply(gamma_, xhat_i, out=out_i)
         out_i += beta.data
+    x, gamma, beta = x.node, gamma.node, beta.node
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
         _accum(gamma, (g * xhat).sum(axis=lead), owned=True)
         _accum(beta, g.sum(axis=lead), owned=True)
-        dx = np.empty(g.shape, np.result_type(inv_std, g, gamma.data, xhat))
+        dx = np.empty(g.shape, np.result_type(inv_std, g, gamma_, xhat))
         for i in _blocks(g.shape, g.itemsize, 1):
             xhat_i = xhat[i]
-            dxhat = g[i] * gamma.data
+            dxhat = g[i] * gamma_
             np.multiply(inv_std[i], dxhat
                         - dxhat.mean(axis=-1, keepdims=True)
                         - xhat_i * (dxhat * xhat_i).mean(axis=-1, keepdims=True),
@@ -539,6 +611,7 @@ def gelu(x, inplace=False):
         np.multiply(0.5, x_i, out=out_i)
         out_i *= np.add(1.0, t_i, out=t_i if t is None else None)
         del t_i  # a no-grad block's buffer goes before the next one is made
+    x = x.node
 
     def backward(g):
         dgelu = np.empty_like(t)
@@ -574,14 +647,15 @@ def backward(loss):
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if loss._consumed:
-        raise GraphError("backward already called on this graph; run a new forward pass")
-    if loss._backward is None and not loss._parents:
+    root = loss._node
+    if root is None:
         raise GraphError("loss tensor is not on a recorded graph")
+    if root._consumed:
+        raise GraphError("backward already called on this graph; run a new forward pass")
 
     order = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -595,20 +669,20 @@ def backward(loss):
             if id(p) not in seen:
                 stack.append((p, False))
 
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     while order:
-        # popped, so that a node's buffers are freed once its consumers and
-        # its own rule have run, not when the whole pass ends
+        # popped, so that a node's rule and the arrays it holds are freed
+        # once its consumers and its own rule have run, not when the whole
+        # pass ends
         node = order.pop()
-        is_leaf = node._backward is None
-        if not is_leaf and node.grad is not None:
+        if node._backward is None:  # a leaf, or a node an earlier pass consumed
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
         node._consumed = True
-        if not is_leaf:
-            node._backward = None
-            node._parents = ()
-            if node is not loss:
-                node.grad = None  # intermediate grads are scratch space
+        node._backward = None
+        node._parents = ()
+        node.grad = None  # intermediate grads are scratch space
 
 
 # ---------------------------------------------------------------------------

@@ -202,8 +202,16 @@ def augment(img, rng):
 
 
 def normalize(img):
-    """Per-channel ImageNet standardization; output no longer confined to [0, 1]."""
-    return ((img - IMAGENET_MEAN) / IMAGENET_STD).astype(np.float32)
+    """Per-channel ImageNet standardization; output no longer confined to [0, 1].
+
+    Runs over rows of W*3 values against the mean and deviation tiled
+    along a row, not over a length-3 channel axis, with the operations of
+    ``(img - IMAGENET_MEAN) / IMAGENET_STD``.
+    """
+    h, w, c = img.shape
+    out = np.subtract(img.reshape(h, w * c), np.tile(IMAGENET_MEAN, w))
+    out /= np.tile(IMAGENET_STD, w)
+    return out.reshape(h, w, c).astype(np.float32, copy=False)
 
 
 @dataclass

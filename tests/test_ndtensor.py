@@ -10,7 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from patchcount import embedder, heads, model, patchio
+from patchcount import embedder, encoder, heads, model, patchio
 from patchcount import ndtensor as nd
 from patchcount.ndtensor import (GraphError, ShapeError, Tensor, absolute, add,
                                  attention, attention_probs, backward, concat, gelu,
@@ -113,6 +113,22 @@ class TestLayerNorm:
     def test_two_point_row(self):
         out = layer_norm(t([[1.0, -1.0]]), t(np.ones(2)), t(np.zeros(2)))
         npt.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_forward_has_the_bytes_of_the_formula_with_var(self, monkeypatch, dtype, budget):
+        # the variance comes from x - mean with var's own steps, so it is x.var's
+        rng = np.random.default_rng(9)
+        x = (rng.normal(scale=3.0, size=(2, 37, 24)) + rng.normal(scale=50.0, size=(2, 37, 1)))
+        x, gamma, beta = (a.astype(dtype) for a in (x, rng.normal(size=24), rng.normal(size=24)))
+        if budget is not None:
+            monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+        mu = x.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-6)
+        out = layer_norm(Tensor(x, dtype=dtype), Tensor(gamma, dtype=dtype),
+                         Tensor(beta, dtype=dtype))
+        assert out.data.dtype == dtype
+        assert np.array_equal(out.data, gamma * ((x - mu) * inv_std) + beta)
 
 
 class TestGelu:
@@ -241,7 +257,8 @@ class TestBackward:
 
     def test_consumed_intermediate_freed_before_nearer_rules(self):
         # x -> a = probe(x) -> b = smul(a) -> loss: once b's rule has run,
-        # nothing keeps b, so it is gone before the probe's rule runs
+        # nothing keeps b's graph node, so it is gone before the probe's
+        # rule runs
         alive = []
 
         def probe(x):
@@ -252,7 +269,7 @@ class TestBackward:
 
         def build(x):
             b = smul(probe(x), 3.0)
-            return mean(b), weakref.ref(b)
+            return mean(b), weakref.ref(b._node)
 
         x = t([1.0, 2.0], rg=True)
         loss, ref = build(x)
@@ -599,6 +616,43 @@ class TestConstantOperands:
         assert all(n.grad is None for n in constants)
 
 
+class TestGraphKeepsWhatRulesRead:
+    """A recorded forward's intermediate arrays are freed once forward code
+    drops them, unless a backward rule reads them."""
+
+    @pytest.mark.parametrize("head", ["gap", "token"])
+    def test_residual_and_attention_outputs_freed_while_the_graph_lives(
+            self, monkeypatch, head):
+        dropped, read = [], []  # weakrefs to forward arrays
+        add, scaled_attention, probs = encoder.add, encoder.scaled_attention, nd.attention_probs
+
+        def residual(a, b):  # a is the w_o or second MLP product, b the stream
+            out = add(a, b)
+            dropped.extend(weakref.ref(x.data) for x in (a, out))
+            return out
+
+        def attention(*args, **kwargs):
+            out, weights = scaled_attention(*args, **kwargs)
+            dropped.append(weakref.ref(out.data))
+            return out, weights
+
+        def attention_probs(*args):
+            out = probs(*args)
+            read.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(encoder, "add", residual)
+        monkeypatch.setattr(encoder, "scaled_attention", attention)
+        monkeypatch.setattr(nd, "attention_probs", attention_probs)
+        params, loss = _toy_loss(head, batch=2)
+        assert (len(dropped), len(read)) == (2 * 5, 2)  # two layers
+        assert [r() for r in dropped] == [None] * len(dropped)
+        assert all(r() is not None for r in read)
+        backward(loss)
+        assert [r() for r in read] == [None] * len(read)
+        assert all(np.isfinite(p.grad).all() for p in params.values())
+
+
 class TestGradientOwnership:
     """Gradients kept without a copy never alias: a rule marks a
     contribution as owned only when it allocated it for that one call."""
@@ -630,7 +684,7 @@ class TestGradientOwnership:
     @pytest.mark.parametrize("batch", [1, 3])
     def test_same_gradients_as_copying_every_contribution(self, monkeypatch, head, batch):
         def copying_accum(t, g, owned=False):
-            t.grad = g.astype(t.data.dtype, copy=True) if t.grad is None else t.grad + g
+            t.grad = g.astype(t.dtype, copy=True) if t.grad is None else t.grad + g
 
         unbroadcast = nd._unbroadcast
 

@@ -285,6 +285,16 @@ class TestBatch:
         npt.assert_allclose(out[0, 0], -patchio.IMAGENET_MEAN / patchio.IMAGENET_STD,
                             rtol=1e-5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+    def test_normalize_has_the_bytes_of_broadcasting_over_channels(self, dtype):
+        img = (np.random.default_rng(9).random((32, 48, 3)) * 255).astype(dtype)
+        mean, std = patchio.IMAGENET_MEAN, patchio.IMAGENET_STD
+        for view in [img, img[:, ::-1]] + split_tiles(img):
+            want = ((view - mean) / std).astype(np.float32)
+            got = normalize(view)
+            assert got.dtype == np.float32 and got.shape == view.shape
+            assert np.array_equal(got, want)
+
     def test_full_size_tiling(self):
         img = np.random.default_rng(8).random((768, 1152, 3)).astype(np.float32)
         batch = make_batch([(img, 9.0)], 16)
