@@ -15,8 +15,7 @@ Weights are read by name from the flat params dict that
 
 from __future__ import annotations
 
-from .ndtensor import (add, attention, attention_probs, gelu, layer_norm,
-                       linear, matmul, merge_heads, split_heads)
+from .ndtensor import add, attention, gelu, layer_norm, linear, matmul, merge_heads, split_heads
 
 
 def scaled_attention(q, k, v, scale, record=False):
@@ -27,10 +26,7 @@ def scaled_attention(q, k, v, scale, record=False):
     holds them whole (see ndtensor.attention). A record is the probabilities
     themselves, which no operation writes.
     """
-    if not record:
-        return attention(q, k, v, scale), None
-    attn = attention_probs(q, k, scale)
-    return matmul(attn, v), attn.data
+    return attention(q, k, v, scale, keep=record)
 
 
 def msa(z, params, layer, n_heads, scale, record=False):

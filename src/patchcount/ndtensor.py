@@ -80,12 +80,14 @@ class Tensor:
 
     Data produced by an operation is treated as immutable; only leaf
     parameters are updated in place (by the optimizer, between graphs).
-    A leaf is its own place in the graph and holds its gradient; an op
-    output recorded under grad mode has a ``_Node`` for that, whose rule
-    and parents ``_backward`` and ``_parents`` give.
+    A leaf is its own place in the graph, with no rule or parents, and
+    holds its gradient; an op output recorded under grad mode has a
+    ``_Node`` for that.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
+    _parents = ()
+    _backward = None
 
     def __init__(self, data, requires_grad=False, dtype=np.float32):
         arr = np.asarray(data, dtype=dtype)
@@ -110,14 +112,6 @@ class Tensor:
     def node(self):
         """What the graph holds of this tensor: its _Node, or itself for a leaf."""
         return self if self._node is None else self._node
-
-    @property
-    def _parents(self):
-        return () if self._node is None else self._node._parents
-
-    @property
-    def _backward(self):
-        return None if self._node is None else self._node._backward
 
     def zero_grad(self):
         self.grad = None
@@ -414,13 +408,11 @@ def softmax_rows(x):
     return _make(data, (x,), backward)
 
 
-def _check_attention(q, k, v=None):
+def _check_attention(q, k, v):
     if q.ndim < 2 or k.ndim != q.ndim or q.shape[:-2] != k.shape[:-2] \
-            or q.shape[-1] != k.shape[-1] \
-            or (v is not None and (v.ndim != k.ndim or v.shape[:-1] != k.shape[:-1])):
-        shapes = (q.shape, k.shape) if v is None else (q.shape, k.shape, v.shape)
+            or q.shape[-1] != k.shape[-1] or v.ndim != k.ndim or v.shape[:-1] != k.shape[:-1]:
         raise ShapeError(f"attention needs matching query/key/value shapes, got "
-                         f"{' and '.join(map(str, shapes))}")
+                         f"{q.shape} and {k.shape} and {v.shape}")
 
 
 def _softmax_scaled_(p, scale):
@@ -431,61 +423,52 @@ def _softmax_scaled_(p, scale):
     p /= p.sum(axis=-1, keepdims=True)
 
 
-def attention_probs(q, k, scale):
-    """Fused softmax(scale * Q K^T) over the last axis, batched like matmul.
+def attention(q, k, v, scale, keep=False):
+    """softmax(scale * Q K^T) V, batched like matmul; returns (output, the
+    probabilities with ``keep``, else None).
 
-    The logits are scaled, shifted and normalised in place on the matmul
-    output, one block of whole [Sq, Sk] matrices at a time, so only the
-    probabilities are kept for backward. The float32 operations and their
-    order are those of softmax_rows(smul(matmul(q, transpose_last(k)),
-    scale)).
+    One block of whole [Sq, Sk] matrices at a time, the logits are scaled,
+    shifted and normalised in place on the Q K^T product and multiplied by
+    V while they are in cache. The probabilities are kept whole only while
+    the graph is recorded, for backward, or with ``keep``, to be returned;
+    otherwise the pass holds one block of them, however many heads and
+    tiles there are. Backward runs block by block too, so it never holds a
+    whole gradient of the probabilities. The float32 operations and their
+    order, forward and backward, are those of matmul(softmax_rows(smul(
+    matmul(q, transpose_last(k)), scale)), v).
     """
-    _check_attention(q, k)
+    _check_attention(q, k, v)
     scale = float(scale)
-    q_, k_, q, k = q.data, k.data, q.node, k.node
-    p = np.empty(q.shape[:-1] + (k.shape[-2],), np.result_type(q_, k_))
-    for i in _blocks(p.shape, p.itemsize, 2):
-        np.matmul(q_[i], np.swapaxes(k_[i], -1, -2), out=p[i])
-        _softmax_scaled_(p[i], scale)
+    q_, k_, v_, q, k, v = q.data, k.data, v.data, q.node, k.node, v.node
+    shape, dtype = q.shape[:-1] + (k.shape[-2],), np.result_type(q_, k_)
+    p = np.empty(shape, dtype) if keep or _recording((q, k, v)) else None
+    out = np.empty(q.shape[:-1] + v.shape[-1:], np.result_type(dtype, v_))
+    for i in _blocks(shape, dtype.itemsize, 2):
+        p_i = np.matmul(q_[i], np.swapaxes(k_[i], -1, -2), out=None if p is None else p[i])
+        _softmax_scaled_(p_i, scale)
+        np.matmul(p_i, v_[i], out=out[i])
+        del p_i  # a block not kept goes before the next one is made
 
     def backward(g):
-        dq = np.empty(q.shape, np.result_type(g, p, k_))
-        dk_t = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]), np.result_type(q_, g, p))
+        dv = np.empty(v.shape, np.result_type(p, g))
+        dq = np.empty(q.shape, np.result_type(p, k_))
+        dk_t = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]), np.result_type(q_, p))
         for i in _blocks(p.shape, p.itemsize, 2):
             p_i, g_i = p[i], g[i]
-            dl = g_i * p_i
-            dot = dl.sum(axis=-1, keepdims=True)
-            np.subtract(g_i, dot, out=dl)
+            np.matmul(np.swapaxes(p_i, -1, -2), g_i, out=dv[i])
+            # dP, in the probabilities' dtype, as a graph node of its own
+            # would hold it, then the softmax backward on it in place
+            dl = np.matmul(g_i, np.swapaxes(v_[i], -1, -2)).astype(p.dtype, copy=False)
+            dl -= (dl * p_i).sum(axis=-1, keepdims=True)
             dl *= p_i
             dl *= scale
             np.matmul(dl, k_[i], out=dq[i])
             np.matmul(np.swapaxes(q_[i], -1, -2), dl, out=dk_t[i])
+        _accum(v, dv, owned=True)
         _accum(q, dq, owned=True)
         _accum(k, np.swapaxes(dk_t, -1, -2), owned=True)
 
-    return _make(p, (q, k), backward)
-
-
-def attention(q, k, v, scale):
-    """softmax(scale * Q K^T) V, batched like attention_probs.
-
-    While the graph is recorded this is matmul(attention_probs(q, k,
-    scale), v), which keeps the probabilities for backward. Otherwise each
-    [Sq, Sk] matrix of probabilities is computed, normalised and multiplied
-    by V while it is in cache, so the pass holds one such matrix, however
-    many heads and tiles there are; the float32 operations and their order
-    are the same.
-    """
-    if _recording((q, k, v)):
-        return matmul(attention_probs(q, k, scale), v)
-    _check_attention(q, k, v)
-    scale = float(scale)
-    out = np.empty(q.shape[:-1] + v.shape[-1:], np.result_type(q.data, k.data, v.data))
-    for i in np.ndindex(q.shape[:-2]):
-        p = np.matmul(q.data[i], np.swapaxes(k.data[i], -1, -2))
-        _softmax_scaled_(p, scale)
-        np.matmul(p, v.data[i], out=out[i])
-    return _make(out, (q, k, v), None)
+    return _make(out, (q, k, v), backward), p if keep else None
 
 
 def split_heads(x, n_heads):

@@ -14,7 +14,7 @@ import pytest
 from patchcount import encoder, ndtensor, optim, patchio
 from patchcount.encoder import encode, encoder_layer, mlp_block, msa, scaled_attention
 from patchcount.model import ModelConfig
-from patchcount.ndtensor import (Tensor, attention_probs, backward, concat, matmul,
+from patchcount.ndtensor import (Tensor, backward, concat, matmul,
                                  mean, mul, no_grad, slice_axis, smul, softmax_rows,
                                  split_heads, transpose_last)
 
@@ -106,7 +106,7 @@ class TestFusedNoGradAttention:
         q, k, v = (split_heads(t(rng.normal(scale=2.0, size=(2, 37, 24))), 3)
                    for _ in range(3))
         scale = 1.0 / np.sqrt(24.0)  # a numpy float64, as ModelConfig.attn_scale is
-        expected = matmul(attention_probs(q, k, scale), v).data
+        expected = matmul(softmax_rows(smul(matmul(q, transpose_last(k)), scale)), v).data
         if budget is not None:
             monkeypatch.setattr(ndtensor, "_BLOCK_BYTES", budget)
         with no_grad():
@@ -323,11 +323,11 @@ class TestEncode:
             npt.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
             assert ((w >= 0) & (w <= 1)).all()
 
-    def test_observer_gets_the_probabilities_attention_probs_made(self, monkeypatch):
+    def test_observer_gets_the_probabilities_attention_returned(self, monkeypatch):
         made = []
-        real = encoder.attention_probs
-        monkeypatch.setattr(encoder, "attention_probs",
-                            lambda *args: made.append(real(*args)) or made[-1])
+        real = encoder.attention
+        monkeypatch.setattr(encoder, "attention",
+                            lambda *args, **kwargs: made.append(real(*args, **kwargs)) or made[-1])
         rng = np.random.default_rng(16)
         params = make_layers(rng, 2, 8)
         z = Tensor(rng.normal(size=(2, 5, 8)).astype(np.float32), requires_grad=True)
@@ -337,7 +337,7 @@ class TestEncode:
             with contextlib.nullcontext() if grad else no_grad():
                 encode(z, params, 2, 4, 0.25, lambda _, __, w: seen.append(w))
             assert len(seen) == len(made) == 2
-            assert all(p.requires_grad == grad and w is p.data for w, p in zip(seen, made))
+            assert all(out.requires_grad == grad and w is p for w, (out, p) in zip(seen, made))
 
     def test_permutation_equivariance_without_positions(self):
         rng = np.random.default_rng(15)

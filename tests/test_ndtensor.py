@@ -13,7 +13,7 @@ import pytest
 from patchcount import embedder, encoder, heads, model, patchio
 from patchcount import ndtensor as nd
 from patchcount.ndtensor import (GraphError, ShapeError, Tensor, absolute, add,
-                                 attention, attention_probs, backward, concat, gelu,
+                                 attention, backward, concat, gelu,
                                  grad_check, layer_norm, linear, matmul, mean,
                                  merge_heads, mul, reshape, slice_axis, smul,
                                  softmax_rows, split_heads, sum_axis, transpose_last)
@@ -68,7 +68,7 @@ class TestMatmul:
         g = rng.normal(size=(3, 17, 8)).astype(np.float32)
         xt = Tensor(x, requires_grad=True)
         out = matmul(xt, t(w)) if op == "matmul" else linear(xt, t(w), t(bias))
-        out._backward(g)
+        out._node._backward(g)
         want = np.stack([np.matmul(x[i], w) for i in range(3)])
         if op == "linear":
             want += bias
@@ -131,6 +131,18 @@ class TestLayerNorm:
         assert np.array_equal(out.data, gamma * ((x - mu) * inv_std) + beta)
 
 
+def _traced_peak(fn):
+    """(fn's result, the most bytes it held at once beyond what it started with)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestGelu:
     def test_zero(self):
         assert gelu(t([0.0])).data[0] == 0.0
@@ -151,7 +163,7 @@ class TestGelu:
         du = c * (1.0 + 3.0 * 0.044715 * x ** 2)
         xt = t(x, rg=True)
         out = gelu(xt)
-        out._backward(g)
+        out._node._backward(g)
         assert np.array_equal(out.data, 0.5 * x * (1.0 + th))
         assert np.array_equal(xt.grad, g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th ** 2) * du))
         assert np.array_equal(x, xt.data)  # the input is not overwritten
@@ -168,10 +180,10 @@ class TestGelu:
         if budget is not None:
             monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
         recorded = gelu(t(x, rg=True))
-        assert recorded._backward is not None
+        assert recorded._node._backward is not None
         with nd.no_grad():
             out = gelu(t(x, rg=True))
-        assert out._backward is None
+        assert out._node is None
         assert np.array_equal(out.data, recorded.data)
         assert np.array_equal(gelu(t(x)).data, recorded.data)  # a constant input
 
@@ -179,15 +191,8 @@ class TestGelu:
         # four blocks of 64 rows of the paper's MLP width
         x = np.random.default_rng(8).normal(size=(4, 64, 3072)).astype(np.float32)
         assert len(list(nd._blocks(x.shape, 4, 1))) == 4
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            with nd.no_grad():
-                out = gelu(t(x))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        with nd.no_grad():
+            out, peak = _traced_peak(lambda: gelu(t(x)))
         assert peak <= out.data.nbytes + nd._BLOCK_BYTES + 16384, \
             f"peak {peak} B for a {out.data.nbytes} B output"
 
@@ -310,19 +315,15 @@ PRIMITIVES = [
     ("abs", (4, 5), lambda p: absolute(p)),
     ("split_heads", (2, 3, 4), lambda p: split_heads(p, 2)),
     ("merge_heads", (2, 2, 3, 2), lambda p: merge_heads(p)),
-    ("attention_probs_q", (2, 2, 3, 4), lambda p: attention_probs(
-        p, Tensor(np.random.default_rng(3).normal(size=(2, 2, 5, 4))), 0.7)),
-    ("attention_probs_k", (2, 2, 5, 4), lambda p: attention_probs(
-        Tensor(np.random.default_rng(4).normal(size=(2, 2, 3, 4))), p, 0.7)),
     ("attention_q", (2, 2, 3, 4), lambda p: attention(
         p, Tensor(np.random.default_rng(9).normal(size=(2, 2, 5, 4))),
-        Tensor(np.random.default_rng(10).normal(size=(2, 2, 5, 3))), 0.7)),
+        Tensor(np.random.default_rng(10).normal(size=(2, 2, 5, 3))), 0.7)[0]),
     ("attention_k", (2, 2, 5, 4), lambda p: attention(
         Tensor(np.random.default_rng(11).normal(size=(2, 2, 3, 4))), p,
-        Tensor(np.random.default_rng(12).normal(size=(2, 2, 5, 3))), 0.7)),
+        Tensor(np.random.default_rng(12).normal(size=(2, 2, 5, 3))), 0.7)[0]),
     ("attention_v", (2, 2, 5, 3), lambda p: attention(
         Tensor(np.random.default_rng(13).normal(size=(2, 2, 3, 4))),
-        Tensor(np.random.default_rng(14).normal(size=(2, 2, 5, 4))), p, 0.7)),
+        Tensor(np.random.default_rng(14).normal(size=(2, 2, 5, 4))), p, 0.7)[0]),
     ("linear_x", (2, 4, 5), lambda p: linear(
         p, Tensor(np.random.default_rng(5).normal(size=(5, 3))), Tensor(np.arange(3.0)))),
     ("linear_w", (5, 3), lambda p: linear(
@@ -451,24 +452,28 @@ def _attention_inputs(rng, b=2, h=3, s=37, dh=8):
             for _ in range(3)]
 
 
+def _unfused_attention(q, k, v, scale):
+    return matmul(softmax_rows(smul(matmul(q, transpose_last(k)), scale)), v)
+
+
 def _outputs_and_grads(op, arrays, seed=0):
-    ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    ts = [Tensor(a.copy(), requires_grad=True, dtype=a.dtype) for a in arrays]
     out = op(*ts)
     backward(_weighted_sum(out, seed))
     return [out.data] + [x.grad for x in ts]
 
 
-# op, inputs, axes a block never splits, a budget that splits the output
-# into uneven blocks
+# op, inputs, the shape of the array it blocks and the axes a block never
+# splits, a budget that splits that array into uneven blocks
 BLOCKED = {
-    "attention_probs": (lambda q, k: attention_probs(q, k, 1.0 / np.sqrt(24.0)),
-                        lambda rng: _attention_inputs(rng)[:2], 2, 2 * 37 * 37 * 4),
+    "attention": (lambda q, k, v: attention(q, k, v, 1.0 / np.sqrt(24.0))[0],
+                  _attention_inputs, (2, 3, 37, 37), 2, 2 * 37 * 37 * 4),
     "gelu": (gelu, lambda rng: [rng.normal(scale=3.0, size=(2, 37, 24)).astype(np.float32)],
-             1, 5 * 24 * 4),
+             (2, 37, 24), 1, 5 * 24 * 4),
     "layer_norm": (layer_norm, lambda rng: [
         rng.normal(scale=3.0, size=(2, 37, 24)).astype(np.float32),
         rng.normal(size=24).astype(np.float32), rng.normal(size=24).astype(np.float32)],
-        1, 5 * 24 * 4),
+        (2, 37, 24), 1, 5 * 24 * 4),
 }
 
 
@@ -479,40 +484,97 @@ class TestBlockedBitExact:
 
     @pytest.mark.parametrize("name", sorted(BLOCKED))
     def test_forward_and_every_gradient(self, monkeypatch, name):
-        op, inputs, core, budget = BLOCKED[name]
+        op, inputs, shape, core, budget = BLOCKED[name]
         arrays = inputs(np.random.default_rng(20))
         whole = _outputs_and_grads(op, arrays)
-        assert list(nd._blocks(whole[0].shape, 4, core)) == [(...,)]
+        assert list(nd._blocks(shape, 4, core)) == [(...,)]
         monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
-        assert len(list(nd._blocks(whole[0].shape, 4, core))) > 2
+        assert len(list(nd._blocks(shape, 4, core))) > 2
         blocked = _outputs_and_grads(op, arrays)
         assert len(blocked) == len(whole)
         for a, b in zip(whole, blocked):
             assert a.shape == b.shape and np.array_equal(a, b)
 
-    @pytest.mark.parametrize("budget", [None, 2 * 37 * 37 * 4, 1])
+    # whole, one matrix per block, two (so the last block is short), and one
+    # byte, which also gives each matrix a block of its own
+    @pytest.mark.parametrize("budget", [None, 37 * 37 * 4, 2 * 37 * 37 * 4, 1])
     def test_fused_attention_equals_probs_then_matmul(self, monkeypatch, budget):
-        q, k, v = (Tensor(a) for a in _attention_inputs(np.random.default_rng(21)))
         scale = 1.0 / np.sqrt(24.0)  # a numpy float64, as ModelConfig.attn_scale is
-        expected = matmul(attention_probs(q, k, scale), v).data
+        arrays = _attention_inputs(np.random.default_rng(21))
+        expected = _outputs_and_grads(lambda q, k, v: _unfused_attention(q, k, v, scale), arrays)
         if budget is not None:
             monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+        got = _outputs_and_grads(lambda q, k, v: attention(q, k, v, scale)[0], arrays)
+        for a, b in zip(expected, got, strict=True):
+            assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
         with nd.no_grad():
-            out = attention(q, k, v, scale)
-        assert out._backward is None
-        assert out.data.shape == expected.shape and np.array_equal(out.data, expected)
+            out, probs = attention(*(Tensor(a, requires_grad=True) for a in arrays), scale)
+        assert out._node is None and probs is None
+        assert out.data.shape == expected[0].shape and np.array_equal(out.data, expected[0])
 
-    def test_attention_records_its_two_nodes_under_grad(self):
+    def test_probabilities_gradient_takes_their_dtype(self):
+        # float32 probabilities meet a float64 value: their gradient is
+        # rounded to float32, as the unfused chain's probabilities node does
+        q, k, v = _attention_inputs(np.random.default_rng(24))
+        arrays = [q, k, v.astype(np.float64)]
+        expected = _outputs_and_grads(lambda q, k, v: _unfused_attention(q, k, v, 0.5), arrays)
+        got = _outputs_and_grads(lambda q, k, v: attention(q, k, v, 0.5)[0], arrays)
+        for a, b in zip(expected, got, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_kept_probabilities_equal_the_recorded_ones(self):
+        arrays = _attention_inputs(np.random.default_rng(25))
+        recorded = attention(*(Tensor(a, requires_grad=True) for a in arrays), 0.5, keep=True)
+        with nd.no_grad():
+            kept = attention(*(Tensor(a, requires_grad=True) for a in arrays), 0.5, keep=True)
+        assert recorded[0]._node is not None and kept[0]._node is None
+        assert np.array_equal(kept[0].data, recorded[0].data)
+        q, k, _ = (Tensor(a) for a in arrays)
+        chain = softmax_rows(smul(matmul(q, transpose_last(k)), 0.5))
+        assert np.array_equal(kept[1], recorded[1]) and np.array_equal(kept[1], chain.data)
+
+    def test_attention_records_one_node_under_grad(self):
         q, k, v = (Tensor(a, requires_grad=True)
                    for a in _attention_inputs(np.random.default_rng(22)))
-        out = attention(q, k, v, 0.5)
-        probs, v_in = out._parents
-        assert v_in is v and probs._parents == (q, k)
+        out, probs = attention(q, k, v, 0.5)
+        assert out._node._parents == (q, k, v) and probs is None
 
     def test_attention_value_shape_mismatch(self):
         q, k, v = (Tensor(a) for a in _attention_inputs(np.random.default_rng(23)))
         with nd.no_grad(), pytest.raises(ShapeError, match="value"):
             attention(q, k, Tensor(v.data[:, :, :5]), 0.5)
+
+
+class TestAttentionHolds:
+    """Attention holds its [B, H, S, S] probabilities whole only where they
+    are read, and never a whole gradient of them. Here each of the 8
+    [256, 256] matrices (256 KiB) is a block of its own."""
+
+    MATRIX = 256 * 256 * 4
+
+    def _inputs(self, monkeypatch):
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", self.MATRIX)
+        return [Tensor(a, requires_grad=True)
+                for a in _attention_inputs(np.random.default_rng(26), h=4, s=256)]
+
+    def test_no_grad_holds_output_plus_one_block(self, monkeypatch):
+        q, k, v = self._inputs(monkeypatch)
+        with nd.no_grad():
+            (out, probs), peak = _traced_peak(lambda: attention(q, k, v, 0.5))
+        assert probs is None
+        # and the few KiB of operand copies BLAS may need per block
+        assert peak <= out.data.nbytes + self.MATRIX + self.MATRIX // 4, \
+            f"peak {peak} B for a {out.data.nbytes} B output"
+
+    def test_backward_holds_no_whole_probabilities_gradient(self, monkeypatch):
+        q, k, v = self._inputs(monkeypatch)
+        out, _ = attention(q, k, v, 0.5)
+        g = np.random.default_rng(27).normal(size=out.shape).astype(np.float32)
+        _, peak = _traced_peak(lambda: out._node._backward(g))
+        grads = q.grad.nbytes + k.grad.nbytes + v.grad.nbytes
+        # the gradients it hands over, and dP and its softmax backward for one block
+        assert peak <= grads + 2 * self.MATRIX + self.MATRIX // 4, \
+            f"peak {peak} B; a whole dP is {8 * self.MATRIX} B"
 
 
 class TestNoGrad:
@@ -553,14 +615,14 @@ ALIAS_GRAPHS = {
                [(1, 5, 4), (4, 4), (4,)]),
     "linear_batch": (lambda x, w, b: linear(x, w, b), [(3, 5, 4), (4, 4), (4,)]),
     "matmul_self": (lambda x: matmul(x, x), [(4, 4)]),
-    "attention_probs": (lambda q, k, v: add(matmul(attention_probs(q, k, 0.5), v), q),
-                        [(1, 2, 5, 4), (1, 2, 5, 4), (1, 2, 5, 4)]),
-    "attention_probs_shared_qk": (lambda x: attention_probs(x, x, 0.5), [(1, 2, 5, 4)]),
+    "attention": (lambda q, k, v: add(attention(q, k, v, 0.5)[0], q),
+                  [(1, 2, 5, 4), (1, 2, 5, 4), (1, 2, 5, 4)]),
+    "attention_self": (lambda x: attention(x, x, x, 0.5)[0], [(1, 2, 5, 4)]),
     "layer_norm": (lambda x, gamma, beta: add(x, layer_norm(x, gamma, beta)),
                    [(2, 5, 6), (6,), (6,)]),
     "layer_norm_gamma_is_beta": (lambda x, gb: layer_norm(x, gb, gb), [(1, 5, 6), (6,)]),
     "gelu": (lambda x, y: add(gelu(x), mul(x, y)), [(1, 5, 6), (1, 5, 6)]),
-    "heads": (lambda x: merge_heads(attention_probs(split_heads(x, 2), split_heads(x, 2), 0.5)),
+    "heads": (lambda x: merge_heads(attention(*(split_heads(x, 2) for _ in range(3)), 0.5)[0]),
               [(1, 5, 4)]),
     "gap_pool": (lambda x, y: add(heads.gap_pool(x), heads.gap_pool(add(x, y))),
                  [(2, 5, 4), (2, 5, 4)]),
@@ -573,7 +635,7 @@ ALIAS_GRAPHS = {
 
 def _graph(loss):
     """Every tensor on loss's recorded graph, loss included."""
-    nodes, stack = {}, [loss]
+    nodes, stack = {}, [loss._node]
     while stack:
         node = stack.pop()
         if id(node) not in nodes:
@@ -624,26 +686,22 @@ class TestGraphKeepsWhatRulesRead:
     def test_residual_and_attention_outputs_freed_while_the_graph_lives(
             self, monkeypatch, head):
         dropped, read = [], []  # weakrefs to forward arrays
-        add, scaled_attention, probs = encoder.add, encoder.scaled_attention, nd.attention_probs
+        add, real_attention = encoder.add, encoder.attention
 
         def residual(a, b):  # a is the w_o or second MLP product, b the stream
             out = add(a, b)
             dropped.extend(weakref.ref(x.data) for x in (a, out))
             return out
 
-        def attention(*args, **kwargs):
-            out, weights = scaled_attention(*args, **kwargs)
+        def attention(q, k, v, scale, keep=False):
+            # the probabilities a recorded pass keeps for backward anyway
+            out, probs = real_attention(q, k, v, scale, keep=True)
             dropped.append(weakref.ref(out.data))
-            return out, weights
-
-        def attention_probs(*args):
-            out = probs(*args)
-            read.append(weakref.ref(out.data))
-            return out
+            read.append(weakref.ref(probs))
+            return out, probs if keep else None
 
         monkeypatch.setattr(encoder, "add", residual)
-        monkeypatch.setattr(encoder, "scaled_attention", attention)
-        monkeypatch.setattr(nd, "attention_probs", attention_probs)
+        monkeypatch.setattr(encoder, "attention", attention)
         params, loss = _toy_loss(head, batch=2)
         assert (len(dropped), len(read)) == (2 * 5, 2)  # two layers
         assert [r() for r in dropped] == [None] * len(dropped)

@@ -342,6 +342,9 @@ BAD_LABEL_LINES = {
     "absolute_name": ("{outside}\t3\n", "leaves the dataset directory"),
     "parent_name": ("../b.ppm\t3\n", "leaves the dataset directory"),
     "inner_parent_name": ("sub/../../b.ppm\t3\n", "leaves the dataset directory"),
+    "empty_name": ("\t5\n", "is the dataset directory"),
+    "dot_name": (".\t5\n", "is the dataset directory"),
+    "dot_slash_name": ("./\t5\n", "is the dataset directory"),
 }
 
 
