@@ -17,8 +17,8 @@ import numpy as np
 
 from . import evalviz, patchio
 from .model import ModelConfig, grad_check_model
-from .ndtensor import GraphError, ShapeError, no_grad
-from .optim import CheckpointError, TrainConfig, load_checkpoint, train
+from .ndtensor import GraphError, no_grad
+from .optim import TrainConfig, load_checkpoint, train
 from . import model as model_mod
 
 # closed schema: JSON key -> (target section, config field, type)
@@ -257,9 +257,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, CheckpointError, ShapeError, GraphError,
-            patchio.PPMError, ValueError, OSError,
-            FloatingPointError) as exc:
+    except (ValueError, OSError, GraphError, FloatingPointError) as exc:
         print(f"error\t{exc}", file=sys.stderr)
         return 1
 

@@ -223,13 +223,12 @@ def features(params, cfg, x, observe=None):
 def _score_tiles(params, cfg, x):
     """Every tile's pooled row, in tile order, scored on TILE_WORKERS threads.
 
-    The tiles are mapped over a pool of up to TILE_WORKERS threads, or run
-    on the caller when there is one worker or one tile. OpenBLAS is held at
-    one thread meanwhile, so each thread keeps to its core and every GEMM
-    gives the bytes it gives at one thread; a tile's bytes then depend on
-    neither the worker count nor the BLAS thread count. Without a BLAS
-    thread-count symbol the tiles run serially at the process's BLAS
-    setting.
+    The tiles, a lone one too, are mapped over a pool of up to TILE_WORKERS
+    threads. OpenBLAS is held at one thread meanwhile, so each thread keeps
+    to its core and every GEMM gives the bytes it gives at one thread; a
+    tile's bytes then depend on neither the worker count nor the BLAS
+    thread count. Without a BLAS thread-count symbol the pool has one
+    thread, which runs the tiles at the process's BLAS setting.
     """
     n = x.shape[0]
 
@@ -238,16 +237,11 @@ def _score_tiles(params, cfg, x):
             return features(params, cfg, Tensor(x.data[t:t + 1], dtype=x.data.dtype)).data
 
     blas = _blas_thread_control()
-    if blas is None:
-        return [score_tile(t) for t in range(n)]
-    get_threads, set_threads = blas
-    workers = min(TILE_WORKERS, n)
+    get_threads, set_threads = blas or (lambda: None, lambda _: None)
     before = get_threads()
     set_threads(1)
     try:
-        if workers == 1:
-            return [score_tile(t) for t in range(n)]
-        with ThreadPoolExecutor(workers) as pool:
+        with ThreadPoolExecutor(min(TILE_WORKERS, n) if blas else 1) as pool:
             return list(pool.map(score_tile, range(n)))
     finally:
         set_threads(before)

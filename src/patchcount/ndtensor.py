@@ -63,8 +63,7 @@ class _Node:
     with the Tensor that forward code holds.
     """
 
-    __slots__ = ("shape", "dtype", "grad", "_parents", "_backward", "_consumed",
-                 "__weakref__")
+    __slots__ = ("shape", "dtype", "grad", "_parents", "_backward", "__weakref__")
     requires_grad = True
 
     def __init__(self, data, parents, backward):
@@ -72,7 +71,6 @@ class _Node:
         self.grad = None
         self._parents = parents
         self._backward = backward
-        self._consumed = False
 
 
 class Tensor:
@@ -122,11 +120,7 @@ class Tensor:
     # the one operator left: perfbench's tracer test reaches the patched
     # `add` through it; the free functions hold the actual rules
     def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+        return add(self, other if isinstance(other, Tensor) else Tensor(other))
 
 
 def _recording(parents):
@@ -633,7 +627,7 @@ def backward(loss):
     root = loss._node
     if root is None:
         raise GraphError("loss tensor is not on a recorded graph")
-    if root._consumed:
+    if root._backward is None:  # an op output's node loses its rule only in backward
         raise GraphError("backward already called on this graph; run a new forward pass")
 
     order = []
@@ -662,7 +656,6 @@ def backward(loss):
             continue
         if node.grad is not None:
             node._backward(node.grad)
-        node._consumed = True
         node._backward = None
         node._parents = ()
         node.grad = None  # intermediate grads are scratch space

@@ -198,12 +198,15 @@ def train(pairs, cfg, tcfg, epoch_callback=None, checkpoint_path=None):
     lookup holds one batch of images at a time.
     ``epoch_callback(epoch, mean_epoch_loss, params)`` fires after every
     epoch with the live parameters (used for convergence logging and eval
-    hooks). An empty ``pairs`` raises before any step or checkpoint write.
+    hooks). An empty ``pairs``, or a ``checkpoint_path`` whose directory
+    does not exist, raises before any step or checkpoint write.
     A checkpoint is saved every ``checkpoint_every`` epochs before the last,
     and once at the end.
     """
     if len(pairs) == 0:
         raise ValueError("no training pairs")
+    if checkpoint_path and not os.path.isdir(os.path.dirname(os.path.abspath(checkpoint_path))):
+        raise OSError(f"the directory of checkpoint {checkpoint_path!r} does not exist")
     params = model_mod.init_params(cfg, tcfg.seed)
     state = init_adam(params, lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     rng = np.random.default_rng(tcfg.seed + 1)
@@ -267,17 +270,18 @@ def save_checkpoint(params, state, cfg, path):
 
 
 class _Reader:
-    """Sequential reads from an open checkpoint, each checked first against
-    the bytes left in the file, so a forged length or shape cannot allocate
-    more than the file holds. ``stamp`` tells one version of the file from
-    another: replacing, resizing or rewriting it changes the stamp (unless a
-    same-size rewrite lands within one tick of the filesystem's clock)."""
+    """Reads from an open checkpoint, each checked first against the bytes
+    left after the current position, so a forged length or shape cannot
+    allocate more than the file holds. ``stamp`` tells one version of the
+    file from another: replacing, resizing or rewriting it changes the
+    stamp (unless a same-size rewrite lands within one tick of the
+    filesystem's clock)."""
 
     def __init__(self, fh):
         st = os.fstat(fh.fileno())
         self.fh = fh
         self.stamp = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
-        self.left = st.st_size
+        self.size = self.left = st.st_size
 
     def _claim(self, n, what):
         if n > self.left:
@@ -294,6 +298,11 @@ class _Reader:
     def skip(self, n, what):
         self._claim(n, what)
         self.fh.seek(n, os.SEEK_CUR)
+
+    def seek(self, offset):
+        """Move to ``offset`` bytes from the start of the file."""
+        self.fh.seek(offset)
+        self.left = self.size - offset
 
     def u32(self, what):
         return struct.unpack("<I", self.take(4, what))[0]
@@ -328,8 +337,7 @@ class _LazyMoments(Mapping):
                 if r.stamp != self._stamp:
                     raise CheckpointError(
                         f"checkpoint {self._path!r} changed since it was loaded")
-                fh.seek(offset)
-                r.left -= offset
+                r.seek(offset)
                 arr = self._arrays[name] = r.array(dims, f"moment of {name!r}")
         return arr
 
@@ -343,8 +351,10 @@ class _LazyMoments(Mapping):
 def load_checkpoint(path, expected_cfg=None):
     """Read a checkpoint; returns (params, AdamState, ModelConfig).
 
-    Every header is checked and each parameter is read from the file into
-    its own final buffer; no copy of the whole file is held. The Adam
+    The file is walked once into a table of every array's payload offset
+    and dims, and the whole table is checked against the config's shapes
+    before any payload is read. Then each parameter is read from the file
+    into its own final buffer; no copy of the whole file is held. The Adam
     moments are only located: ``state.m``/``state.v`` read each one on
     first use, after checking that the file has not changed since. With
     ``expected_cfg`` given, a variant or architecture mismatch raises
@@ -378,7 +388,7 @@ def load_checkpoint(path, expected_cfg=None):
                 f"{asdict(expected_cfg)}")
 
         named = {key for name in shapes for key in (name, name + ".m", name + ".v")}
-        dims_of, arrays, where = {}, {}, {}  # where: moment -> (offset, dims)
+        where = {}  # name -> (payload offset, dims)
         for _ in range(r.u32("array count")):
             try:
                 name = r.take(r.u32("name length"), "array name").decode()
@@ -387,27 +397,26 @@ def load_checkpoint(path, expected_cfg=None):
             if name not in named:
                 raise CheckpointError(
                     f"array {name!r} is not in the shape table of the checkpoint's config")
-            if name in dims_of:
+            if name in where:
                 raise CheckpointError(f"array {name!r} is listed twice")
             rank = r.u32("rank")
             if rank > _MAX_RANK:
                 raise CheckpointError(f"array {name!r} has rank {rank}, over {_MAX_RANK}")
-            dims = dims_of[name] = tuple(r.u32("dim") for _ in range(rank))
-            what = f"array {name!r} payload"
-            if name in shapes:
-                arrays[name] = r.array(dims, what)
-            else:
-                where[name] = (fh.tell(), dims)
-                r.skip(4 * math.prod(dims), what)
+            dims = tuple(r.u32("dim") for _ in range(rank))
+            where[name] = (fh.tell(), dims)
+            r.skip(4 * math.prod(dims), f"array {name!r} payload")
 
-    for name, shape in shapes.items():
-        for key in (name, name + ".m", name + ".v"):
-            if key not in dims_of:
-                raise CheckpointError(f"checkpoint missing array {key!r}")
-            if dims_of[key] != shape:
-                raise CheckpointError(
-                    f"array {key!r} has shape {dims_of[key]}, config implies {shape}")
+        for name, shape in shapes.items():
+            for key in (name, name + ".m", name + ".v"):
+                if key not in where:
+                    raise CheckpointError(f"checkpoint missing array {key!r}")
+                if where[key][1] != shape:
+                    raise CheckpointError(
+                        f"array {key!r} has shape {where[key][1]}, config implies {shape}")
+        params = {}
+        for name, shape in shapes.items():
+            r.seek(where[name][0])
+            params[name] = Tensor(r.array(shape, f"array {name!r} payload"), requires_grad=True)
     state.m = _LazyMoments(path, r.stamp, {n: where[n + ".m"] for n in shapes})
     state.v = _LazyMoments(path, r.stamp, {n: where[n + ".v"] for n in shapes})
-    params = {name: Tensor(arrays[name], requires_grad=True) for name in shapes}
     return params, state, cfg

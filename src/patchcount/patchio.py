@@ -346,7 +346,8 @@ def read_labels(data_dir):
 
     Each non-blank line is ``name<TAB>count``. The name is a relative path
     with no ``..`` part that is not the directory itself (``""``, ``.``),
-    listed once; the count is finite and >= 0.
+    listed once under any spelling (``a.ppm`` and ``./a.ppm`` are one
+    name); the count is finite and >= 0.
     """
     path = os.path.join(data_dir, "labels.tsv")
     labels, seen = [], set()
@@ -371,11 +372,12 @@ def read_labels(data_dir):
                 raise LabelsError(f"{where}: count must be finite and >= 0, got {text!r}")
             if os.path.isabs(name) or ".." in name.split(os.sep):
                 raise LabelsError(f"{where}: name {name!r} leaves the dataset directory")
-            if os.path.normpath(name) == ".":
+            key = os.path.normpath(name)
+            if key == ".":
                 raise LabelsError(f"{where}: name {name!r} is the dataset directory, not a file")
-            if name in seen:
+            if key in seen:
                 raise LabelsError(f"{where}: duplicate name {name!r}")
-            seen.add(name)
+            seen.add(key)
             labels.append((name, count))
     return labels
 

@@ -281,6 +281,24 @@ def test_train_negative_epochs_exits_1_with_error(tmp_path, capsys):
     assert not os.path.exists(ckpt)
 
 
+def test_train_into_missing_directory_exits_1_before_any_step(tmp_path, capsys, monkeypatch):
+    data = str(tmp_path / "data")
+    main(["synth", "--out", data, "--n", "2", "--side", "16", "--seed", "5"])
+    steps, train_step = [], optim.train_step
+    monkeypatch.setattr(optim, "train_step", lambda *a: steps.append(1) or train_step(*a))
+    ckpt = str(tmp_path / "nodir" / "m.tcwd")
+    capsys.readouterr()
+    rc = main(["train", "--data", data, "--out", ckpt, "--image", "16", "--patch", "8",
+               "--dim", "8", "--heads", "2", "--layers", "1", "--hidden-dim", "8",
+               "--epochs", "1", "--batch-size", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error\t") and repr(ckpt) in captured.err
+    assert steps == []
+    assert sorted(os.listdir(tmp_path)) == ["data"]
+
+
 def test_train_reads_eval_data_only_with_log(tmp_path, monkeypatch):
     data, ev = str(tmp_path / "data"), str(tmp_path / "ev")
     main(["synth", "--out", data, "--n", "4", "--side", "16", "--seed", "5"])

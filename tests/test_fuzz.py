@@ -67,8 +67,9 @@ def test_pgm_parses_or_raises_ppm_error(tmp_path, data):
     _check_netpbm(tmp_path / "f.pgm", load_pgm, data, 1)
 
 
-_LABEL_WORDS = st.sampled_from([b"a.ppm", b"b/c.ppm", "é.ppm".encode(), b"..", b".", b"/x", b"3",
-                                b"2.5", b"-1", b"nan", b"1e999", b"", b"\xff", b"\xc3"])
+_LABEL_WORDS = st.sampled_from([b"a.ppm", b"./a.ppm", b"b/c.ppm", b"b//c.ppm", "é.ppm".encode(),
+                                b"..", b".", b"/x", b"3", b"2.5", b"-1", b"nan", b"1e999", b"",
+                                b"\xff", b"\xc3"])
 _LABEL_PIECES = st.one_of(
     st.tuples(_LABEL_WORDS, _LABEL_WORDS).map(lambda nc: nc[0] + b"\t" + nc[1] + b"\n"),
     st.sampled_from([b"\t", b"\n", b"\r", b"\r\n", b" "]),
@@ -86,7 +87,7 @@ def test_labels_parse_or_raise_labels_error(tmp_path, data):
         assert "labels.tsv line " in str(exc)
         return
     names = [name for name, _ in labels]
-    assert len(set(names)) == len(names)
+    assert len({os.path.normpath(name) for name in names}) == len(names)
     assert all(os.path.normpath(name) != "." for name in names)
     assert all(math.isfinite(count) and count >= 0 for _, count in labels)
 

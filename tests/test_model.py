@@ -168,7 +168,7 @@ def test_forward_leaves_patches_unchanged(record):
 
 @pytest.fixture(params=["workers1", "workers2", "no_blas_symbol"])
 def tile_pool(request, monkeypatch):
-    """The no-grad tile loop with one or two threads, or serial without BLAS control."""
+    """The no-grad tile pool with one or two threads, or one thread without BLAS control."""
     if request.param == "no_blas_symbol":
         monkeypatch.setattr(model, "_blas_thread_control", lambda: None)
     else:
@@ -224,7 +224,7 @@ def blas_at_two():
         set_threads(before)
 
 
-@pytest.mark.parametrize("workers, tiles", [(1, 6), (2, 1), (2, 3), (2, 6)])
+@pytest.mark.parametrize("workers, tiles", [(1, 1), (1, 6), (2, 1), (2, 3), (2, 6)])
 def test_tile_pool_runs_tiles_on_workers_at_one_blas_thread(monkeypatch, blas_at_two,
                                                             workers, tiles):
     monkeypatch.setattr(model, "TILE_WORKERS", workers)
@@ -246,10 +246,28 @@ def test_tile_pool_runs_tiles_on_workers_at_one_blas_thread(monkeypatch, blas_at
         forward(init_params(cfg, 1), cfg, _patches(cfg, tiles))
     assert len({z for z, _, _ in seen}) == len(seen) == tiles
     assert {b for _, _, b in seen} == {1}
-    # one worker or one tile runs on the caller, two only on pool threads
-    on_caller = {t == threading.get_ident() for _, t, _ in seen}
-    assert on_caller == {in_flight == 1}
+    # every tile runs on one of the pool's threads, a lone tile and one worker too
+    threads = {t for _, t, _ in seen}
+    assert threading.get_ident() not in threads and len(threads) == in_flight
     assert blas_at_two() == 2
+
+
+def test_without_blas_symbol_one_pool_thread_runs_every_tile(monkeypatch):
+    monkeypatch.setattr(model, "_blas_thread_control", lambda: None)
+    monkeypatch.setattr(model, "TILE_WORKERS", 2)
+    threads = []
+    real = encoder.encode
+
+    def encode(z, *args, **kwargs):
+        threads.append(threading.get_ident())
+        return real(z, *args, **kwargs)
+
+    monkeypatch.setattr(encoder, "encode", encode)
+    cfg = ModelConfig(**TOY)
+    with no_grad():
+        forward(init_params(cfg, 1), cfg, _patches(cfg, 3))
+    assert len(threads) == 3 and len(set(threads)) == 1
+    assert threads[0] != threading.get_ident()
 
 
 def test_pool_threads_record_no_graph(monkeypatch):
@@ -272,11 +290,14 @@ def test_pool_threads_record_no_graph(monkeypatch):
     assert all(p.grad is None for p in params.values())
 
 
-@pytest.mark.parametrize("bad_tile", [2, 3])
-def test_tile_failure_restores_blas_and_joins_pool(monkeypatch, blas_at_two, bad_tile):
-    monkeypatch.setattr(model, "TILE_WORKERS", 2)
+@pytest.mark.parametrize("workers, tiles, bad_tile", [
+    pytest.param(2, 6, 2, id="2"), pytest.param(2, 6, 3, id="3"),
+    pytest.param(1, 6, 3, id="workers1"), pytest.param(2, 1, 0, id="lone_tile")])
+def test_tile_failure_restores_blas_and_joins_pool(monkeypatch, blas_at_two, workers, tiles,
+                                                   bad_tile):
+    monkeypatch.setattr(model, "TILE_WORKERS", workers)
     cfg = ModelConfig(**TOY)
-    params, patches = init_params(cfg, 1), _patches(cfg, 6)
+    params, patches = init_params(cfg, 1), _patches(cfg, tiles)
     with no_grad():
         bad = model.embed(params, cfg, patches[bad_tile:bad_tile + 1]).data
     raised_on = []

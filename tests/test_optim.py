@@ -582,6 +582,30 @@ def test_array_listed_twice_raises_checkpoint_error(tmp_path, name):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("cut_off", [True, False],
+                         ids=["last_moment_cut_off", "last_moment_wrong_shape"])
+def test_array_table_checked_before_any_payload_is_read(tmp_path, monkeypatch, cut_off):
+    # the last array record is the last parameter's .v
+    name, shape = list(param_shapes(ModelConfig(**TOY, head_variant="gap")).items())[-1]
+    path = _saved(tmp_path)
+    blob = open(path, "rb").read()
+    at = _config_offset(blob)
+    count = struct.unpack("<I", blob[at:at + 4])[0]
+    last = len(optim._pack_array(name + ".v", np.zeros(shape)))
+    if cut_off:
+        count, record, expect = count - 1, b"", f"checkpoint missing array '{name}.v'"
+    else:
+        record = optim._pack_array(name + ".v", np.zeros((2, *shape)))
+        expect = f"array '{name}.v' has shape"
+    open(path, "wb").write(blob[:at] + struct.pack("<I", count) + blob[at + 4:-last] + record)
+    reads, array = [], optim._Reader.array
+    monkeypatch.setattr(optim._Reader, "array",
+                        lambda self, dims, what: reads.append(what) or array(self, dims, what))
+    with pytest.raises(CheckpointError, match=expect):
+        load_checkpoint(path)
+    assert reads == []
+
+
 def test_rank_over_64_raises_checkpoint_error(tmp_path):
     path = _saved(tmp_path)
     blob = open(path, "rb").read()

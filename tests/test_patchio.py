@@ -345,6 +345,9 @@ BAD_LABEL_LINES = {
     "empty_name": ("\t5\n", "is the dataset directory"),
     "dot_name": (".\t5\n", "is the dataset directory"),
     "dot_slash_name": ("./\t5\n", "is the dataset directory"),
+    "duplicate_dot_slash_name": ("./a.ppm\t4\n", "duplicate name './a.ppm'"),
+    "duplicate_double_slash_name": ("sub/a.ppm\t4\nsub//a.ppm\t4\n",
+                                    "duplicate name 'sub//a.ppm'"),
 }
 
 
@@ -358,10 +361,11 @@ def test_malformed_labels_line_raises_labels_error(tmp_path, case):
         save_ppm(img, path)
     labels = data / "labels.tsv"
     labels.write_text("a.ppm\t2\n\n" + line.format(outside=tmp_path / "b.ppm"))
+    last = 2 + line.count("\n")  # the case's last line
     for load in (read_labels, Dataset):
         with pytest.raises(LabelsError, match=expect) as exc:
             load(data)
-        assert f"{labels} line 3" in str(exc.value)
+        assert f"{labels} line {last}" in str(exc.value)
 
 
 # (header bytes, the message and byte offset of the PPMError they raise)
