@@ -22,9 +22,11 @@ def scaled_attention(q, k, v, scale, record=False):
     """softmax(Q K^T * scale) V, batched over any leading axes (heads included).
 
     Returns (output, attention weights as numpy or None). Without a record
-    the probabilities are kept only for backward, so an eval pass never
-    holds them whole (see ndtensor.attention). A record is the probabilities
-    themselves, which no operation writes.
+    no pass holds the probabilities whole, unless they fit in one block: a
+    recorded pass keeps each row's max and sum, and backward rebuilds the
+    probabilities block by block (see ndtensor.attention). A record is the
+    probabilities themselves, which no operation writes, and backward reads
+    them.
     """
     return attention(q, k, v, scale, keep=record)
 

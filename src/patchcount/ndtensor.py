@@ -5,8 +5,13 @@ backward rule on the tensors it produces; calling ``backward`` on a scalar
 replays those rules in reverse topological order and accumulates gradients
 into every ``requires_grad`` leaf. The graph holds no forward value: each
 rule captures only the arrays it reads, so an intermediate's array is freed
-once forward code drops it, unless a rule holds it. A finite-difference
-checker validates the analytic gradients.
+once forward code drops it, unless a rule holds it. Two rules keep less
+than they read: ``attention`` and ``gelu`` keep their inputs (and
+attention each row's softmax max and sum), and their backward rebuilds the
+wide intermediate, the probabilities and tanh(u), one block at a time with
+the forward's own float32 steps. An intermediate that fits in one
+_BLOCK_BYTES block is kept whole instead, which covers every toy-model
+array. A finite-difference checker validates the analytic gradients.
 """
 
 from __future__ import annotations
@@ -409,12 +414,26 @@ def _check_attention(q, k, v):
                          f"{q.shape} and {k.shape} and {v.shape}")
 
 
-def _softmax_scaled_(p, scale):
-    """softmax(scale * p) over the last axis, in place."""
+def _one_block(shape, itemsize):
+    """Whether an array of ``shape`` fits in one _BLOCK_BYTES block."""
+    return math.prod(shape) * itemsize <= _BLOCK_BYTES
+
+
+def _softmax_scaled_(p, scale, stats=None):
+    """softmax(scale * p) over the last axis, in place; returns the row max
+    and row sum it used, as two [..., 1] arrays.
+
+    Given ``stats``, a (max, sum) pair an earlier call on the same logits
+    returned, it uses them in place of its own reductions, so the result
+    has that call's bytes.
+    """
     p *= scale
-    p -= p.max(axis=-1, keepdims=True)
+    row_max = p.max(axis=-1, keepdims=True) if stats is None else stats[0]
+    p -= row_max
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    row_sum = p.sum(axis=-1, keepdims=True) if stats is None else stats[1]
+    p /= row_sum
+    return row_max, row_sum
 
 
 def attention(q, k, v, scale, keep=False):
@@ -423,38 +442,54 @@ def attention(q, k, v, scale, keep=False):
 
     One block of whole [Sq, Sk] matrices at a time, the logits are scaled,
     shifted and normalised in place on the Q K^T product and multiplied by
-    V while they are in cache. The probabilities are kept whole only while
-    the graph is recorded, for backward, or with ``keep``, to be returned;
-    otherwise the pass holds one block of them, however many heads and
-    tiles there are. Backward runs block by block too, so it never holds a
-    whole gradient of the probabilities. The float32 operations and their
-    order, forward and backward, are those of matmul(softmax_rows(smul(
-    matmul(q, transpose_last(k)), scale)), v).
+    V while they are in cache. The probabilities are kept whole only with
+    ``keep``, to be returned, or while the graph is recorded and they fit
+    in one block. Otherwise the pass holds one block of them, however many
+    heads and tiles there are, and a recorded pass keeps each row's max
+    and sum instead: backward rebuilds each block of probabilities from
+    Q, K and those, with the forward's own float32 steps, right before it
+    reads the block. Backward runs block by block, so it never holds a
+    whole gradient of the probabilities either. The float32 operations and
+    their order, forward and backward, are those of matmul(softmax_rows(
+    smul(matmul(q, transpose_last(k)), scale)), v).
     """
     _check_attention(q, k, v)
     scale = float(scale)
     q_, k_, v_, q, k, v = q.data, k.data, v.data, q.node, k.node, v.node
     shape, dtype = q.shape[:-1] + (k.shape[-2],), np.result_type(q_, k_)
-    p = np.empty(shape, dtype) if keep or _recording((q, k, v)) else None
+    record = _recording((q, k, v))
+    p = np.empty(shape, dtype) if keep or record and _one_block(shape, dtype.itemsize) else None
+    stats = [np.empty(shape[:-1] + (1,), dtype) for _ in range(2)] \
+        if record and p is None else None
     out = np.empty(q.shape[:-1] + v.shape[-1:], np.result_type(dtype, v_))
     for i in _blocks(shape, dtype.itemsize, 2):
         p_i = np.matmul(q_[i], np.swapaxes(k_[i], -1, -2), out=None if p is None else p[i])
-        _softmax_scaled_(p_i, scale)
+        row_max, row_sum = _softmax_scaled_(p_i, scale)
+        if stats is not None:
+            stats[0][i], stats[1][i] = row_max, row_sum
         np.matmul(p_i, v_[i], out=out[i])
         del p_i  # a block not kept goes before the next one is made
 
+    def probs(i):
+        if p is not None:
+            return p[i]
+        p_i = np.matmul(q_[i], np.swapaxes(k_[i], -1, -2))
+        _softmax_scaled_(p_i, scale, (stats[0][i], stats[1][i]))
+        return p_i
+
     def backward(g):
-        dv = np.empty(v.shape, np.result_type(p, g))
-        dq = np.empty(q.shape, np.result_type(p, k_))
-        dk_t = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]), np.result_type(q_, p))
-        for i in _blocks(p.shape, p.itemsize, 2):
-            p_i, g_i = p[i], g[i]
+        dv = np.empty(v.shape, np.result_type(dtype, g))
+        dq = np.empty(q.shape, np.result_type(dtype, k_))
+        dk_t = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]), np.result_type(q_, dtype))
+        for i in _blocks(shape, dtype.itemsize, 2):
+            p_i, g_i = probs(i), g[i]
             np.matmul(np.swapaxes(p_i, -1, -2), g_i, out=dv[i])
             # dP, in the probabilities' dtype, as a graph node of its own
             # would hold it, then the softmax backward on it in place
-            dl = np.matmul(g_i, np.swapaxes(v_[i], -1, -2)).astype(p.dtype, copy=False)
+            dl = np.matmul(g_i, np.swapaxes(v_[i], -1, -2)).astype(dtype, copy=False)
             dl -= (dl * p_i).sum(axis=-1, keepdims=True)
             dl *= p_i
+            del p_i  # a rebuilt block goes before the next one is made
             dl *= scale
             np.matmul(dl, k_[i], out=dq[i])
             np.matmul(np.swapaxes(q_[i], -1, -2), dl, out=dk_t[i])
@@ -558,42 +593,52 @@ def layer_norm(x, gamma, beta):
     return _make(data, (x, gamma, beta), backward)
 
 
+def _gelu_tanh(x, dtype):
+    """tanh(sqrt(2/pi) * (x + C * x * x * x)) as a new array of ``dtype``."""
+    t = np.empty(x.shape, dtype)
+    # multiplied out: float32 `** 3` goes through powf, ~25x slower, and
+    # rounds however the numpy build's pow does
+    np.multiply(_GELU_C, x, out=t)
+    t *= x
+    t *= x
+    np.add(x, t, out=t)
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    return t
+
+
 def gelu(x, inplace=False):
     """GELU via the tanh approximation.
 
-    Runs in place on two buffers, one block of rows at a time, and keeps
-    only tanh(u) for backward; while the graph is not recorded, tanh(u)
-    and then 1 + tanh(u) live in one block-sized buffer per block instead,
-    so only the output is whole-array. With ``inplace``, for a caller that
-    owns ``x``, a pass that records no graph writes the output over x's
-    buffer; a recorded pass ignores it, since backward reads x. Each float32
-    operation has the operands and order of the plain formula
+    Runs one block of rows at a time. tanh(u), and then 1 + tanh(u), live
+    in one block-sized buffer per block, so only the output is whole-array;
+    a recorded pass keeps x for backward, and tanh(u) too only when x fits
+    in one block. Otherwise backward rebuilds each block's tanh(u) from x
+    with the forward's own float32 steps. With ``inplace``, for a caller
+    that owns ``x``, a pass that records no graph writes the output over
+    x's buffer; a recorded pass ignores it, since backward reads x. Each
+    float32 operation has the operands and order of the plain formula
     0.5 * x * (1 + tanh(sqrt(2/pi) * (x + C * x * x * x))).
     """
     x_ = x.data
     dtype = np.result_type(_GELU_C, x_)
-    t = np.empty(x_.shape, dtype) if _recording((x,)) else None
-    data = x_ if inplace and t is None else np.empty(x_.shape, dtype)
+    record = _recording((x,))
+    keep = record and _one_block(x_.shape, dtype.itemsize)
+    data = x_ if inplace and not record else np.empty(x_.shape, dtype)
     for i in _blocks(x_.shape, dtype.itemsize, 1):
         x_i, out_i = x_[i], data[i]
-        t_i = np.empty(x_i.shape, dtype) if t is None else t[i]
-        # multiplied out: float32 `** 3` goes through powf, ~25x slower, and
-        # rounds however the numpy build's pow does
-        np.multiply(_GELU_C, x_i, out=t_i)
-        t_i *= x_i
-        t_i *= x_i
-        np.add(x_i, t_i, out=t_i)
-        t_i *= _SQRT_2_OVER_PI
-        np.tanh(t_i, out=t_i)
+        t_i = _gelu_tanh(x_i, dtype)
         np.multiply(0.5, x_i, out=out_i)
-        out_i *= np.add(1.0, t_i, out=t_i if t is None else None)
-        del t_i  # a no-grad block's buffer goes before the next one is made
+        out_i *= np.add(1.0, t_i, out=None if keep else t_i)
+        t = t_i if keep else None  # kept, it is the one block
+        del t_i  # a block not kept goes before the next one is made
     x = x.node
 
     def backward(g):
-        dgelu = np.empty_like(t)
-        for i in _blocks(t.shape, t.itemsize, 1):
-            x_i, t_i, d_i = x_[i], t[i], dgelu[i]
+        dgelu = np.empty(x_.shape, dtype)
+        for i in _blocks(x_.shape, dtype.itemsize, 1):
+            x_i, d_i = x_[i], dgelu[i]
+            t_i = _gelu_tanh(x_i, dtype) if t is None else t
             du = np.square(x_i)
             du *= 3.0 * _GELU_C
             du += 1.0

@@ -248,7 +248,9 @@ def _pack_array(name, arr):
 
 
 def save_checkpoint(params, state, cfg, path):
-    """Write model + optimizer state atomically (tmp file then rename)."""
+    """Write model + optimizer state atomically and durably: a tmp file,
+    flushed and fsynced, then renamed over ``path``, so a crash leaves the
+    old file or the whole new one."""
     config_block = {
         "model": asdict(cfg),
         "adam": {k: getattr(state, k) for k in _ADAM_KEYS},
@@ -266,6 +268,8 @@ def save_checkpoint(params, state, cfg, path):
         fh.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays:
             fh.write(_pack_array(name, arr))
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 

@@ -114,6 +114,21 @@ def test_batch_predictions_sum_each_images_tiles(sides):
     assert all(p.grad is not None for p in params.values())
 
 
+def test_head_dim_denominator_scales_by_one_head_width():
+    # ViT's own scale, 1/sqrt(D/heads); the default divides by the model width
+    cfg = ModelConfig(**TOY, attn_denominator="head_dim")
+    assert cfg.attn_scale == 1.0 / math.sqrt(cfg.dim // cfg.heads) == 0.25
+    assert ModelConfig(**TOY).attn_scale == 1.0 / math.sqrt(cfg.dim) == 0.125
+
+
+@pytest.mark.parametrize("head", ["gap", "token"])
+def test_head_dim_denominator_gradients(head):
+    cfg = ModelConfig(image_size=16, patch_size=8, dim=8, heads=2, layers=2, hidden_dim=8,
+                      head_variant=head, attn_denominator="head_dim")
+    assert cfg.attn_scale == 0.5
+    assert model.grad_check_model(cfg, seed=0) < 5e-3
+
+
 @pytest.mark.parametrize("widened", ["all", "layer1.w_q"])
 def test_float64_weights_keep_float64_output(widened):
     # grad_check's high-precision pass widens one parameter to float64
@@ -142,13 +157,44 @@ def _no_grad_forward_peak(params, cfg, patches):
         tracemalloc.stop()
 
 
-def test_no_grad_forward_holds_one_tile_of_activations():
+def test_no_grad_forward_holds_one_tile_of_activations(monkeypatch):
+    # one worker, so one tile is in flight at a time; the pool's own cost
+    # is the next test's
+    monkeypatch.setattr(model, "TILE_WORKERS", 1)
     cfg = ModelConfig(**TOY)
     params = init_params(cfg, 1)
     one = _no_grad_forward_peak(params, cfg, _patches(cfg, 1))
     six = _no_grad_forward_peak(params, cfg, _patches(cfg, 6))
     tokens = 6 * cfg.seq_len * cfg.dim * 4  # one [6, S, D] float32 array
     assert six <= one + 2 * tokens, f"6 tiles {six} B, 1 tile {one} B, [6, S, D] {tokens} B"
+
+
+def test_tile_pool_holds_one_tile_of_activations_per_worker(monkeypatch):
+    monkeypatch.setattr(model, "TILE_WORKERS", 2)
+    cfg = ModelConfig(**TOY)
+    params = init_params(cfg, 1)
+    one = _no_grad_forward_peak(params, cfg, _patches(cfg, 1))
+    # the first two GELU calls, one per worker, wait for each other with
+    # their MLP activations live, so both tiles are in flight at once
+    barrier, lock, waits = threading.Barrier(2, timeout=30), threading.Lock(), [2]
+    real = encoder.gelu
+
+    def gelu(*args, **kwargs):
+        out = real(*args, **kwargs)
+        with lock:
+            wait, waits[0] = waits[0] > 0, waits[0] - 1
+        if wait:
+            barrier.wait()
+        return out
+
+    monkeypatch.setattr(encoder, "gelu", gelu)
+    six = _no_grad_forward_peak(params, cfg, _patches(cfg, 6))
+    assert waits[0] < 0 and not barrier.broken
+    # two tiles' activations and what the pool holds besides them, which
+    # has read up to 36 KB, well under one [6, S, D] array (98 KB); a
+    # third tile in flight would not fit
+    tokens = 6 * cfg.seq_len * cfg.dim * 4
+    assert six <= 2 * one + tokens, f"6 tiles {six} B, 1 tile {one} B, [6, S, D] {tokens} B"
 
 
 @pytest.mark.parametrize("record", [False, True])

@@ -196,6 +196,15 @@ class TestGelu:
         assert peak <= out.data.nbytes + nd._BLOCK_BYTES + 16384, \
             f"peak {peak} B for a {out.data.nbytes} B output"
 
+    def test_recorded_holds_output_plus_one_block(self):
+        # as above, with a graph: backward rebuilds tanh(u) from x, so the
+        # pass keeps no whole tanh(u)
+        x = t(np.random.default_rng(8).normal(size=(4, 64, 3072)).astype(np.float32), rg=True)
+        out, peak = _traced_peak(lambda: gelu(x))
+        assert out._node is not None
+        assert peak <= out.data.nbytes + nd._BLOCK_BYTES + 16384, \
+            f"peak {peak} B; a whole tanh(u) is {out.data.nbytes} B"
+
 
 def test_no_grad_holds_only_on_its_own_thread():
     entered, leave = threading.Event(), threading.Event()
@@ -512,6 +521,31 @@ class TestBlockedBitExact:
         assert out._node is None and probs is None
         assert out.data.shape == expected[0].shape and np.array_equal(out.data, expected[0])
 
+    # the paper's sequence lengths, GAP (576) and Token (577), in blocks of
+    # one matrix or row, and of two matrices, so the last block is short;
+    # a budget of 1 GiB keeps each op's intermediate whole
+    @pytest.mark.parametrize("s", [576, 577])
+    @pytest.mark.parametrize("budget", [1, 2 * 577 * 577 * 4])
+    @pytest.mark.parametrize("name", ["attention", "gelu"])
+    def test_rebuilt_in_backward_gives_the_kept_bits(self, monkeypatch, name, s, budget):
+        rng = np.random.default_rng(s)
+        if name == "attention":
+            scale = 1.0 / np.sqrt(24.0)
+            arrays, shape, core = _attention_inputs(rng, b=1, h=3, s=s), (1, 3, s, s), 2
+            ops = [lambda q, k, v: attention(q, k, v, scale)[0],
+                   lambda q, k, v: attention(q, k, v, scale, keep=True)[0]]
+        else:
+            arrays, shape, core = [rng.normal(scale=3.0, size=(1, s, 3072)).astype(np.float32)], \
+                (1, s, 3072), 1
+            ops = [gelu]
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", 1 << 30)
+        whole = _outputs_and_grads(ops[0], arrays)
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+        assert len(list(nd._blocks(shape, 4, core))) > 1
+        for op in ops:
+            for a, b in zip(whole, _outputs_and_grads(op, arrays), strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_probabilities_gradient_takes_their_dtype(self):
         # float32 probabilities meet a float64 value: their gradient is
         # rounded to float32, as the unfused chain's probabilities node does
@@ -566,14 +600,23 @@ class TestAttentionHolds:
         assert peak <= out.data.nbytes + self.MATRIX + self.MATRIX // 4, \
             f"peak {peak} B for a {out.data.nbytes} B output"
 
+    def test_recorded_holds_output_row_stats_plus_one_block(self, monkeypatch):
+        q, k, v = self._inputs(monkeypatch)
+        (out, probs), peak = _traced_peak(lambda: attention(q, k, v, 0.5))
+        assert out._node is not None and probs is None
+        stats = 2 * 8 * 256 * 4  # each row's max and sum
+        assert peak <= out.data.nbytes + stats + self.MATRIX + self.MATRIX // 4, \
+            f"peak {peak} B; the whole probabilities are {8 * self.MATRIX} B"
+
     def test_backward_holds_no_whole_probabilities_gradient(self, monkeypatch):
         q, k, v = self._inputs(monkeypatch)
         out, _ = attention(q, k, v, 0.5)
         g = np.random.default_rng(27).normal(size=out.shape).astype(np.float32)
         _, peak = _traced_peak(lambda: out._node._backward(g))
         grads = q.grad.nbytes + k.grad.nbytes + v.grad.nbytes
-        # the gradients it hands over, and dP and its softmax backward for one block
-        assert peak <= grads + 2 * self.MATRIX + self.MATRIX // 4, \
+        # the gradients it hands over, and for one block the rebuilt
+        # probabilities, dP and its softmax backward
+        assert peak <= grads + 3 * self.MATRIX + self.MATRIX // 4, \
             f"peak {peak} B; a whole dP is {8 * self.MATRIX} B"
 
 

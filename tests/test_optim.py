@@ -463,6 +463,26 @@ class TestCheckpoint:
         assert hashlib.sha256(open(path, "rb").read()).hexdigest() == \
             "3206c6391ab2887e2e2e054279e753152606195c57764cafea1800b0c5c37966"
 
+    def test_save_fsyncs_the_whole_file_before_the_rename(self, tmp_path, monkeypatch):
+        cfg = ModelConfig(**TOY, head_variant="gap")
+        params = init_params(cfg, 0)
+        path = str(tmp_path / "m.tcwd")
+        events, fsync, rename = [], os.fsync, os.replace
+
+        def spy_fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_size))  # flushed first
+            fsync(fd)
+
+        def spy_replace(src, dst):
+            events.append(("replace", os.path.getsize(src)))
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        save_checkpoint(params, init_adam(params, lr=1e-3), cfg, path)
+        size = os.path.getsize(path)
+        assert events == [("fsync", size), ("replace", size)]
+
     def test_loaded_arrays_writable_contiguous_float32(self, tmp_path):
         cfg, params, state, _ = self._trained(tmp_path, variant="token")
         path = str(tmp_path / "m.tcwd")
