@@ -15,7 +15,7 @@ Weights are read by name from the flat params dict that
 
 from __future__ import annotations
 
-from .ndtensor import add, attention, gelu, layer_norm, linear, matmul, merge_heads, split_heads
+from .ndtensor import add, attention, layer_norm, matmul, merge_heads, mlp, split_heads
 
 
 def scaled_attention(q, k, v, scale, record=False):
@@ -41,11 +41,17 @@ def msa(z, params, layer, n_heads, scale, record=False):
 
 
 def mlp_block(z, params, layer):
-    """Two linear layers (D -> 4D -> D) with GELU between, biases included."""
-    p = f"layer{layer}.mlp."
-    h = linear(z, params[p + "w1"], params[p + "b1"])
-    del z  # without a graph, the LN output is freed before the 4D-wide GELU
-    return linear(gelu(h, inplace=True), params[p + "w2"], params[p + "b2"])
+    """The pre-LN MLP branch: layer norm, then two linear layers (D -> 4D ->
+    D) with GELU between, biases included, as one ndtensor.mlp call. A
+    recorded pass keeps no 4D-wide GELU output that spans more than one
+    block. Without a graph, mlp holds the only reference to the LN output,
+    which is built inline as a plain positional argument (a ``*`` call
+    would hold it in the call's tuple), and frees it before the 4D-wide
+    GELU."""
+    p = f"layer{layer}."
+    return mlp(layer_norm(z, params[p + "ln2.gamma"], params[p + "ln2.beta"]),
+               params[p + "mlp.w1"], params[p + "mlp.b1"],
+               params[p + "mlp.w2"], params[p + "mlp.b2"])
 
 
 def encoder_layer(z, params, layer, n_heads, scale, record=False):
@@ -55,8 +61,7 @@ def encoder_layer(z, params, layer, n_heads, scale, record=False):
                             params, layer, n_heads, scale, record)
     z = add(attn_out, z)
     del attn_out  # freed before the MLP block, as above
-    z = add(mlp_block(layer_norm(z, params[p + "ln2.gamma"], params[p + "ln2.beta"]),
-                      params, layer), z)
+    z = add(mlp_block(z, params, layer), z)
     return z, weights
 
 

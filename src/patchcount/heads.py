@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .ndtensor import absolute, add, gelu, linear, mean, reshape, slice_axis, smul
+from .ndtensor import absolute, add, mean, mlp, reshape, slice_axis, smul
 
 
 def gap_pool(z):
@@ -22,8 +22,7 @@ def regress(pooled, params):
     Raw (possibly negative) values feed the loss; clamp at zero only when
     reporting final counts.
     """
-    h = gelu(linear(pooled, params["head.w1"], params["head.b1"]), inplace=True)
-    out = linear(h, params["head.w2"], params["head.b2"])
+    out = mlp(pooled, *(params["head." + n] for n in ("w1", "b1", "w2", "b2")))
     return reshape(out, (pooled.shape[0],))
 
 

@@ -274,9 +274,13 @@ def _malloc_policy():
     - One arena (M_ARENA_MAX 1): otherwise a tile pool thread gets an arena
       of its own, whose freed activations stay mapped (perfbench paper-eval
       peaked at 458 MB RSS against 441 MB, on a 2-core Xeon).
-    - A trim threshold of 256 MiB: otherwise the heap top is given back
+    - A trim threshold of 1 GiB: otherwise the heap top is given back
       when a train step's arrays are freed and faulted in again on the next
-      step (about 1,500 minor faults per toy step).
+      step (about 1,500 minor faults per toy step). A paper step frees a
+      heap top close to 256 MiB (its graph alone is 244 MiB), so at a
+      threshold of 256 MiB it is left to chance whether a step's top is
+      given back and faulted in again (about 50,000 minor faults when it
+      is). Freed pages that stay mapped raise no high-water mark of RSS.
     - An mmap threshold of 32 MiB, glibc's ceiling on 64-bit: setting the
       trim threshold switches off the dynamic mmap threshold, which would
       stay at 128 KiB and map, then fault in, every mid-size array afresh.
@@ -289,7 +293,7 @@ def _malloc_policy():
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_ARENA_MAX, 1)
-    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 

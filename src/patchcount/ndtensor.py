@@ -3,15 +3,17 @@
 Tensors wrap row-major float32 numpy buffers. Every primitive records a
 backward rule on the tensors it produces; calling ``backward`` on a scalar
 replays those rules in reverse topological order and accumulates gradients
-into every ``requires_grad`` leaf. The graph holds no forward value: each
-rule captures only the arrays it reads, so an intermediate's array is freed
-once forward code drops it, unless a rule holds it. Two rules keep less
-than they read: ``attention`` and ``gelu`` keep their inputs (and
-attention each row's softmax max and sum), and their backward rebuilds the
-wide intermediate, the probabilities and tanh(u), one block at a time with
-the forward's own float32 steps. An intermediate that fits in one
-_BLOCK_BYTES block is kept whole instead, which covers every toy-model
-array. A finite-difference checker validates the analytic gradients.
+into every ``requires_grad`` leaf, and can hand each watched leaf to a
+callback as soon as its gradient is final. The graph holds no forward
+value: each rule captures only the arrays it reads, so an intermediate's
+array is freed once forward code drops it, unless a rule holds it. Three
+rules keep less than they read: ``attention``, ``gelu`` and ``mlp`` keep
+their inputs (attention also each row's softmax max and sum, mlp also its
+hidden layer), and their backward rebuilds the wide intermediate, the
+probabilities, tanh(u) and GELU(h), with the forward's own float32 steps.
+An intermediate that fits in one _BLOCK_BYTES block is kept whole
+instead, which covers every toy-model array. A finite-difference checker
+validates the analytic gradients.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ class ShapeError(ValueError):
 
 class GraphError(RuntimeError):
     """Raised on invalid use of the recorded operation graph."""
+
+
+class MissingGradError(GraphError):
+    """A leaf that must take a gradient takes none."""
 
 
 class _GradMode(threading.local):
@@ -534,19 +540,26 @@ def merge_heads(x):
     return _make(data, (x,), backward)
 
 
+def _linear_data(x_, w_, b_):
+    """x_ @ w_ + b_, with the bias added in place on the product."""
+    data = _matmul_data(x_, w_)
+    data = data.astype(np.result_type(data, b_), copy=False)
+    data += b_
+    return data
+
+
+def _linear_backward(x, w, b, x_, w_, g):
+    """x @ w + b's gradients into graph places ``x``, ``w`` and ``b``."""
+    _accum(b, _unbroadcast(g, b.shape))
+    _matmul_backward(x, w, x_, w_, g)
+
+
 def linear(x, w, b):
     """x @ w + b, with the bias added in place on the product."""
     x_, w_ = x.data, w.data
-    data = _matmul_data(x_, w_)
-    data = data.astype(np.result_type(data, b.data), copy=False)
-    data += b.data
+    data = _linear_data(x_, w_, b.data)
     x, w, b = x.node, w.node, b.node
-
-    def backward(g):
-        _accum(b, _unbroadcast(g, b.shape))
-        _matmul_backward(x, w, x_, w_, g)
-
-    return _make(data, (x, w, b), backward)
+    return _make(data, (x, w, b), lambda g: _linear_backward(x, w, b, x_, w_, g))
 
 
 def layer_norm(x, gamma, beta):
@@ -607,65 +620,132 @@ def _gelu_tanh(x, dtype):
     return t
 
 
-def gelu(x, inplace=False):
-    """GELU via the tanh approximation.
+def _gelu_rows(x_, out, keep):
+    """GELU of ``x_`` into ``out``, which may be ``x_`` itself, one block of
+    rows at a time; returns tanh(u) with ``keep``, for an ``x_`` that is one
+    block, else None.
 
-    Runs one block of rows at a time. tanh(u), and then 1 + tanh(u), live
-    in one block-sized buffer per block, so only the output is whole-array;
-    a recorded pass keeps x for backward, and tanh(u) too only when x fits
-    in one block. Otherwise backward rebuilds each block's tanh(u) from x
-    with the forward's own float32 steps. With ``inplace``, for a caller
-    that owns ``x``, a pass that records no graph writes the output over
-    x's buffer; a recorded pass ignores it, since backward reads x. Each
-    float32 operation has the operands and order of the plain formula
-    0.5 * x * (1 + tanh(sqrt(2/pi) * (x + C * x * x * x))).
+    tanh(u), and then 1 + tanh(u), live in one block-sized buffer per
+    block. Each float32 operation has the operands and order of the plain
+    formula 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + C * x * x * x))), so a
+    rebuilt output has the first one's bits.
     """
-    x_ = x.data
-    dtype = np.result_type(_GELU_C, x_)
-    record = _recording((x,))
-    keep = record and _one_block(x_.shape, dtype.itemsize)
-    data = x_ if inplace and not record else np.empty(x_.shape, dtype)
-    for i in _blocks(x_.shape, dtype.itemsize, 1):
-        x_i, out_i = x_[i], data[i]
-        t_i = _gelu_tanh(x_i, dtype)
+    t = None
+    for i in _blocks(x_.shape, out.dtype.itemsize, 1):
+        x_i, out_i = x_[i], out[i]
+        t_i = _gelu_tanh(x_i, out.dtype)
         np.multiply(0.5, x_i, out=out_i)
         out_i *= np.add(1.0, t_i, out=None if keep else t_i)
         t = t_i if keep else None  # kept, it is the one block
         del t_i  # a block not kept goes before the next one is made
+    return t
+
+
+def _gelu_grad(x_, t, g, dtype):
+    """g * gelu'(x_), one block of rows at a time, as a new array of
+    ``dtype``; ``t`` is tanh(u) kept whole, or None to rebuild each block's
+    from x_ with the forward's own float32 steps."""
+    dgelu = np.empty(x_.shape, dtype)
+    for i in _blocks(x_.shape, dtype.itemsize, 1):
+        x_i, d_i = x_[i], dgelu[i]
+        t_i = _gelu_tanh(x_i, dtype) if t is None else t
+        du = np.square(x_i)
+        du *= 3.0 * _GELU_C
+        du += 1.0
+        du *= _SQRT_2_OVER_PI
+        np.add(1.0, t_i, out=d_i)
+        d_i *= 0.5
+        rest = np.square(t_i)
+        np.subtract(1.0, rest, out=rest)
+        rest *= 0.5 * x_i  # 0.5 * x * (1 - t**2) * du
+        rest *= du
+        d_i += rest
+        d_i *= g[i]
+    return dgelu
+
+
+def gelu(x):
+    """GELU via the tanh approximation (see _gelu_rows).
+
+    Only the output is whole-array; a recorded pass keeps x for backward,
+    and tanh(u) too only when x fits in one block. Otherwise backward
+    rebuilds each block's tanh(u) from x.
+    """
+    x_ = x.data
+    dtype = np.result_type(_GELU_C, x_)
+    data = np.empty(x_.shape, dtype)
+    t = _gelu_rows(x_, data, _recording((x,)) and _one_block(x_.shape, dtype.itemsize))
     x = x.node
 
     def backward(g):
-        dgelu = np.empty(x_.shape, dtype)
-        for i in _blocks(x_.shape, dtype.itemsize, 1):
-            x_i, d_i = x_[i], dgelu[i]
-            t_i = _gelu_tanh(x_i, dtype) if t is None else t
-            du = np.square(x_i)
-            du *= 3.0 * _GELU_C
-            du += 1.0
-            du *= _SQRT_2_OVER_PI
-            np.add(1.0, t_i, out=d_i)
-            d_i *= 0.5
-            rest = np.square(t_i)
-            np.subtract(1.0, rest, out=rest)
-            rest *= 0.5 * x_i  # 0.5 * x * (1 - t**2) * du
-            rest *= du
-            d_i += rest
-            d_i *= g[i]
-        _accum(x, dgelu, owned=True)
+        _accum(x, _gelu_grad(x_, t, g, dtype), owned=True)
 
     return _make(data, (x,), backward)
+
+
+def mlp(x, w1, b1, w2, b2):
+    """linear(gelu(linear(x, w1, b1)), w2, b2), recorded as two graph
+    nodes: GELU(h), whose rule runs gelu's and the first linear's, and the
+    output, whose rule runs the second linear's.
+
+    The hidden h = x @ w1 + b1 and its GELU run as linear and gelu run
+    them. A recorded pass keeps x and h, and GELU(h) and tanh(u) too only
+    when h fits in one _BLOCK_BYTES block (every toy-model MLP does).
+    Otherwise the output's rule rebuilds GELU(h) whole, with gelu's blocked
+    steps, so the w2 weight-gradient GEMM reads the forward's operands, and
+    the GELU gradient rebuilds tanh(u) block by block. Without a graph,
+    GELU(h) is written over h, and x is dropped before it, so an x that
+    only the call holds (an argument built inline) is freed before the
+    4D-wide GELU. The float32 operations and their order, forward and
+    backward, are those of the three ops, and each array goes when their
+    rules would drop it.
+    """
+    record = _recording((x, w1, b1, w2, b2))
+    x_, w1_, w2_ = x.data, w1.data, w2.data
+    h = _linear_data(x_, w1_, b1.data)
+    dtype = np.result_type(_GELU_C, h)
+    if not record:
+        x = x_ = None
+        _gelu_rows(h, h, False)
+        data = _linear_data(h, w2_, b2.data)
+        return Tensor(data, dtype=data.dtype)
+    a = np.empty(h.shape, dtype)
+    t = _gelu_rows(h, a, _one_block(h.shape, dtype.itemsize))
+    data = _linear_data(a, w2_, b2.data)
+    x, w1, b1, w2, b2 = (v.node for v in (x, w1, b1, w2, b2))
+
+    def hidden_backward(da):
+        _linear_backward(x, w1, b1, x_, w1_, _gelu_grad(h, t, da, dtype))
+
+    hidden = _Node(a, (x, w1, b1), hidden_backward)
+    a = None if t is None else a  # kept with tanh(u), else rebuilt
+
+    def backward(g):
+        a_ = a
+        if a_ is None:  # rebuilt with the forward's steps, so with its bits
+            a_ = np.empty(h.shape, dtype)
+            _gelu_rows(h, a_, False)
+        _linear_backward(hidden, w2, b2, a_, w2_, g)
+
+    return _make(data, (hidden, w2, b2), backward)
 
 
 # ---------------------------------------------------------------------------
 # backward pass
 # ---------------------------------------------------------------------------
 
-def backward(loss):
+def backward(loss, ready=None):
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
 
     The recorded graph is consumed as it goes: each node drops its rule
     and its parents once its rule has run, and a second backward through
     the same forward pass raises instead of silently double-accumulating.
+
+    ``ready``, if given, is a pair (leaves, done): ``leaves`` maps keys to
+    watched leaves, and ``done(key)`` is called once per key, right after
+    the last rule that adds to that leaf's gradient, which is then final.
+    A watched leaf that takes no gradient from this loss raises
+    MissingGradError, naming its key, before any rule runs.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -674,6 +754,9 @@ def backward(loss):
         raise GraphError("loss tensor is not on a recorded graph")
     if root._backward is None:  # an op output's node loses its rule only in backward
         raise GraphError("backward already called on this graph; run a new forward pass")
+    leaves, done = ready if ready is not None else ({}, None)
+    watched = {id(leaf): key for key, leaf in leaves.items()}
+    consumers = dict.fromkeys(watched, 0)  # rules yet to add to each watched leaf
 
     order = []
     seen = set()
@@ -688,8 +771,13 @@ def backward(loss):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
+            if id(p) in consumers:
+                consumers[id(p)] += 1
             if id(p) not in seen:
                 stack.append((p, False))
+    for key, leaf in leaves.items():
+        if not (leaf.requires_grad and consumers[id(leaf)]):
+            raise MissingGradError(f"{key!r} takes no gradient from this loss")
 
     root.grad = np.ones_like(loss.data)
     while order:
@@ -701,9 +789,16 @@ def backward(loss):
             continue
         if node.grad is not None:
             node._backward(node.grad)
+        parents = node._parents
         node._backward = None
         node._parents = ()
         node.grad = None  # intermediate grads are scratch space
+        if consumers:
+            for p in parents:
+                if id(p) in consumers:
+                    consumers[id(p)] -= 1
+                    if not consumers[id(p)]:
+                        done(watched[id(p)])
 
 
 # ---------------------------------------------------------------------------

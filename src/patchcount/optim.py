@@ -23,7 +23,7 @@ from . import encoder, ndtensor, patchio
 from . import model as model_mod
 from .heads import l1_loss
 from .model import batch_predictions  # also traced under this name by perfbench
-from .ndtensor import Tensor, backward, no_grad
+from .ndtensor import MissingGradError, Tensor, backward, no_grad
 from .patchio import finite_real
 
 MAGIC = b"TCWD"
@@ -33,10 +33,6 @@ _MAX_RANK = 64  # numpy's limit on ndarray dimensions
 
 class CheckpointError(ValueError):
     """Malformed, truncated, or mismatched checkpoint file."""
-
-
-class MissingGradError(RuntimeError):
-    """A trainable parameter had no gradient at step time."""
 
 
 @dataclass
@@ -108,30 +104,29 @@ def init_adam(params, lr=1e-5, weight_decay=1e-4):
     return state
 
 
-def adam_step(params, state):
-    """One bias-corrected Adam update with decoupled weight decay.
+def _adam_update(state):
+    """Advance ``state`` by one step; returns ``update(name, p)``, which
+    applies that step to parameter ``p`` from ``p.grad``.
 
     Decay is applied as theta -= lr * wd * theta before the Adam delta.
-    Every gradient is checked before anything changes, so a missing one
-    leaves the parameters and the state as they were. Each parameter is
-    updated in place one block at a time, through two block-sized scratch
-    buffers, so its parameter, gradient and moment slices and the scratch
-    stay in L2 across all of the block's passes; each float32 operation
-    keeps the operands and order of
+    Each parameter is updated in place one block at a time, through two
+    block-sized scratch buffers, so its parameter, gradient and moment
+    slices and the scratch stay in L2 across all of the block's passes;
+    each float32 operation keeps the operands and order of
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     p -= lr * (m/bc1) / (sqrt(v/bc2) + eps).
     """
-    for name, p in params.items():
-        if p.grad is None:
-            raise MissingGradError(f"parameter {name!r} has no gradient")
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
     decay = np.float32(state.lr * state.weight_decay)
     # six float32 arrays share a block: p, g, m, v and the two scratch slices
-    scratch = np.empty((2, max(ndtensor._BLOCK_BYTES // (6 * 4), 1)), dtype=np.float32)
-    for name, p in params.items():
+    block = max(ndtensor._BLOCK_BYTES // (6 * 4), 1)
+
+    def update(name, p):
         grad, mom, vel = p.grad, state.m[name], state.v[name]
+        # per call, so a step inside backward holds no scratch between updates
+        scratch = np.empty((2, min(p.data.size, block)), dtype=np.float32)
         # basic indices, so the writes to p.data, m and v land whatever
         # their memory layout
         for i in ndtensor._blocks(p.shape, 6 * 4, 0):
@@ -156,9 +151,39 @@ def adam_step(params, state):
             b *= state.lr
             w -= b
 
+    return update
+
+
+def adam_step(params, state):
+    """One bias-corrected Adam update with decoupled weight decay (see
+    _adam_update), from the gradients that every ``p.grad`` holds.
+
+    Every gradient is checked before anything changes, so a missing one
+    leaves the parameters and the state as they were. For a caller that
+    accumulates gradients; ``train_step`` updates each parameter inside
+    backward instead.
+    """
+    for name, p in params.items():
+        if p.grad is None:
+            raise MissingGradError(f"parameter {name!r} has no gradient")
+    update = _adam_update(state)
+    for name, p in params.items():
+        update(name, p)
+
 
 def train_step(batch, params, cfg, state):
-    """Forward, L1 loss, backward, Adam step. Returns the pre-step loss."""
+    """Forward, L1 loss, then backward with the Adam step fused into it.
+    Returns the pre-step loss.
+
+    Each parameter gets its update (the arithmetic of ``adam_step``) as
+    soon as backward has made its gradient final, and the gradient is
+    dropped then, so the whole set of gradients is never alive at once and
+    no parameter holds one after the step. A parameter the loss does not
+    reach raises MissingGradError before anything changes. A failure once
+    backward's rules run (a MemoryError, say) leaves a partly applied step:
+    the parameters already updated, and ``state.t``, have moved and the
+    rest have not, so the parameters and state are not fit to train on.
+    """
     if batch.batch == 0:
         raise ValueError("empty batch")
     # the old gradients go before the forward pass builds its graph
@@ -185,8 +210,17 @@ def train_step(batch, params, cfg, state):
         raise FloatingPointError(
             "non-finite training loss; max |activation| per layer: " + ", ".join(stats)
             + "; first non-finite: " + (bad[0] if bad else "after the last layer"))
-    backward(loss)
-    adam_step(params, state)
+    update = None
+
+    def step(name):
+        nonlocal update
+        if update is None:  # backward has checked every parameter by now
+            update = _adam_update(state)
+        p = params[name]
+        update(name, p)
+        p.grad = None
+
+    backward(loss, ready=(params, step))
     return loss_val
 
 
@@ -239,12 +273,13 @@ def train(pairs, cfg, tcfg, epoch_callback=None, checkpoint_path=None):
 # checkpoint persistence
 # ---------------------------------------------------------------------------
 
-def _pack_array(name, arr):
-    out = [struct.pack("<I", len(name.encode())), name.encode(),
-           struct.pack("<I", arr.ndim)]
-    out += [struct.pack("<I", d) for d in arr.shape]
-    out.append(arr.astype("<f4").tobytes())
-    return b"".join(out)
+def _write_array(fh, name, arr):
+    """Write one array record: the header, then the float32 payload straight
+    from the array's buffer (a float32 C-order array is not copied)."""
+    encoded = name.encode()
+    fh.write(struct.pack(f"<I{len(encoded)}sI{arr.ndim}I",
+                         len(encoded), encoded, arr.ndim, *arr.shape))
+    fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B"))
 
 
 def save_checkpoint(params, state, cfg, path):
@@ -267,7 +302,7 @@ def save_checkpoint(params, state, cfg, path):
         fh.write(blob)
         fh.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays:
-            fh.write(_pack_array(name, arr))
+            _write_array(fh, name, arr)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

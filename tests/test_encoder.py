@@ -6,6 +6,7 @@ layer formulas, written independently of the autodiff primitives.
 
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -251,8 +252,31 @@ class TestMLP:
         layer["layer0.mlp.w1"] = t(w1)
         layer["layer0.mlp.w2"] = t(w2)
         z = t(np.random.default_rng(8).normal(size=(2, 3, d)).astype(np.float32))
-        out = mlp_block(z, layer, 0)
-        npt.assert_allclose(out.data, np_gelu(z.data), rtol=1e-5, atol=1e-6)
+        out = mlp_block(z, layer, 0)  # the branch's layer norm comes first
+        npt.assert_allclose(out.data, np_gelu(np_layer_norm(z.data, 1.0, 0.0)),
+                            rtol=1e-5, atol=1e-6)
+
+    def test_no_grad_frees_the_layer_norm_output_before_the_gelu(self, monkeypatch):
+        # h and the LN output are both live while h is made, and h and the
+        # output while the second GEMM runs (each GEMM adds about 34 KB of
+        # numpy scratch here); an LN output kept past the first GEMM would
+        # add a third [S, D] array to the second
+        d, s = 64, 512
+        monkeypatch.setattr(ndtensor, "_BLOCK_BYTES", 16 << 10)
+        layer = make_layer(np.random.default_rng(9), d)
+        z = t(np.random.default_rng(10).normal(size=(1, s, d)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with no_grad():
+                out = mlp_block(z, layer, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        hidden, rows = s * 4 * d * 4, out.data.nbytes
+        assert peak <= hidden + rows + rows // 2, \
+            f"peak {peak} B; h is {hidden} B, an [S, D] array {rows} B"
 
 
 class TestEncoderLayer:

@@ -174,12 +174,13 @@ def test_tile_pool_holds_one_tile_of_activations_per_worker(monkeypatch):
     cfg = ModelConfig(**TOY)
     params = init_params(cfg, 1)
     one = _no_grad_forward_peak(params, cfg, _patches(cfg, 1))
-    # the first two GELU calls, one per worker, wait for each other with
-    # their MLP activations live, so both tiles are in flight at once
+    # the first two GELU calls, one per worker's first MLP, wait for each
+    # other with GELU(h), each tile's widest activation, live, so both
+    # tiles are in flight at once at their peak
     barrier, lock, waits = threading.Barrier(2, timeout=30), threading.Lock(), [2]
-    real = encoder.gelu
+    real = ndtensor._gelu_rows
 
-    def gelu(*args, **kwargs):
+    def gelu_rows(*args, **kwargs):
         out = real(*args, **kwargs)
         with lock:
             wait, waits[0] = waits[0] > 0, waits[0] - 1
@@ -187,7 +188,7 @@ def test_tile_pool_holds_one_tile_of_activations_per_worker(monkeypatch):
             barrier.wait()
         return out
 
-    monkeypatch.setattr(encoder, "gelu", gelu)
+    monkeypatch.setattr(ndtensor, "_gelu_rows", gelu_rows)
     six = _no_grad_forward_peak(params, cfg, _patches(cfg, 6))
     assert waits[0] < 0 and not barrier.broken
     # two tiles' activations and what the pool holds besides them, which

@@ -12,10 +12,10 @@ import pytest
 
 from patchcount import embedder, encoder, heads, model, patchio
 from patchcount import ndtensor as nd
-from patchcount.ndtensor import (GraphError, ShapeError, Tensor, absolute, add,
-                                 attention, backward, concat, gelu,
+from patchcount.ndtensor import (GraphError, MissingGradError, ShapeError, Tensor,
+                                 absolute, add, attention, backward, concat, gelu,
                                  grad_check, layer_norm, linear, matmul, mean,
-                                 merge_heads, mul, reshape, slice_axis, smul,
+                                 merge_heads, mlp, mul, reshape, slice_axis, smul,
                                  softmax_rows, split_heads, sum_axis, transpose_last)
 
 
@@ -300,6 +300,56 @@ class TestBackward:
         assert np.isfinite(x.grad).all()
 
 
+class TestBackwardReady:
+    """backward(loss, ready=(leaves, done)) hands each watched leaf to done
+    once its gradient is final."""
+
+    @staticmethod
+    def _logged(w, events, tag):
+        # an op on w whose rule logs when it adds to w's gradient
+        def rule(g):
+            events.append(tag)
+            nd._accum(w, g)
+
+        return nd._make(w.data * 1.0, (w,), rule)
+
+    def test_fires_once_per_leaf_with_the_final_gradient(self):
+        def graph():
+            a, b = t([1.0, -2.0, 0.5], rg=True), t([3.0, 4.0, -1.0], rg=True)
+            return a, b, mean(add(mul(a, b), smul(mul(a, a), 3.0)))
+
+        a, b, loss = graph()
+        backward(loss)
+        final = {"a": a.grad, "b": b.grad}
+        a, b, loss = graph()
+        leaves, seen = {"a": a, "b": b}, []
+        backward(loss, ready=(leaves, lambda k: seen.append((k, leaves[k].grad.copy()))))
+        assert sorted(k for k, _ in seen) == ["a", "b"]
+        for k, grad in seen:
+            assert np.array_equal(grad, final[k])
+            assert np.array_equal(leaves[k].grad, final[k])  # nothing added after
+
+    def test_leaf_shared_by_two_ops_is_ready_after_both(self):
+        w, events = t([1.0, 2.0], rg=True), []
+        loss = mean(add(self._logged(w, events, "first"), self._logged(w, events, "second")))
+        backward(loss, ready=({"w": w}, lambda k: events.append(("ready", k))))
+        assert sorted(events[:2]) == ["first", "second"]
+        assert events[2:] == [("ready", "w")]
+        npt.assert_allclose(w.grad, [1.0, 1.0])
+
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_leaf_without_gradient_raises_before_any_rule(self, constant):
+        # u is not on the graph at all, or on it only as a constant
+        w, u, events = t([1.0, 2.0], rg=True), t([3.0, 4.0], rg=not constant), []
+        out = self._logged(w, events, "rule")
+        loss = mean(mul(out, u) if constant else out)
+        with pytest.raises(MissingGradError, match="'u'"):
+            backward(loss, ready=({"w": w, "u": u}, lambda k: events.append(k)))
+        assert events == [] and w.grad is None
+        backward(loss)  # the graph was not consumed
+        assert events == ["rule"]
+
+
 def _weighted_sum(out, seed=0):
     w = Tensor(np.random.default_rng(seed).normal(size=out.shape))
     return mean(mul(out, w))
@@ -342,6 +392,21 @@ PRIMITIVES = [
         Tensor(np.random.default_rng(8).normal(size=(5, 3))), p)),
 ]
 
+_MLP_SHAPES = {"x": (2, 4, 5), "w1": (5, 6), "b1": (6,), "w2": (6, 3), "b2": (3,)}
+
+
+def _mlp_of(operand):
+    """mlp as a function of one operand, the others fixed."""
+    def op(p):
+        rng = np.random.default_rng(15)
+        args = {n: Tensor(rng.normal(size=s)) for n, s in _MLP_SHAPES.items()}
+        return mlp(*{**args, operand: p}.values())
+
+    return op
+
+
+PRIMITIVES += [("mlp_" + n, s, _mlp_of(n)) for n, s in _MLP_SHAPES.items()]
+
 
 def _primitive_params(name, shape):
     # crc32, not hash(): str hashes change with PYTHONHASHSEED, so the data would too
@@ -356,7 +421,7 @@ def _primitive_params(name, shape):
 # budget of one byte, which puts every row or [Sq, Sk] matrix in its own block.
 GRAD_CASES = [p + (None,) for p in PRIMITIVES] + [
     (name + "_blocked", shape, op, 1) for name, shape, op in PRIMITIVES
-    if name.startswith(("gelu", "layer_norm", "attention"))]
+    if name.startswith(("gelu", "layer_norm", "attention", "mlp"))]
 
 
 class TestGradCheck:
@@ -577,6 +642,78 @@ class TestBlockedBitExact:
         q, k, v = (Tensor(a) for a in _attention_inputs(np.random.default_rng(23)))
         with nd.no_grad(), pytest.raises(ShapeError, match="value"):
             attention(q, k, Tensor(v.data[:, :, :5]), 0.5)
+
+
+def _linear_gelu_linear(x, w1, b1, w2, b2):
+    return linear(gelu(linear(x, w1, b1)), w2, b2)
+
+
+class TestMlp:
+    """mlp gives the bits of linear -> gelu -> linear, forward and backward,
+    whether it keeps GELU(h) or rebuilds it."""
+
+    # (x, hidden): a small MLP, and a paper-length one (S = 577, 4D = 3072)
+    # whose hidden spans ten blocks at the default budget; a budget of one
+    # byte gives every row a block of its own
+    @pytest.mark.parametrize("x_shape,hidden", [((2, 37, 24), 96), ((1, 577, 64), 3072)])
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_equals_linear_gelu_linear(self, monkeypatch, x_shape, hidden, budget):
+        d = x_shape[-1]
+        rng = np.random.default_rng(26)
+        arrays = [rng.normal(scale=2.0, size=x_shape).astype(np.float32)] + [
+            rng.normal(scale=0.3, size=s).astype(np.float32)
+            for s in ((d, hidden), (hidden,), (hidden, d), (d,))]
+        if budget is not None:
+            monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+        expected = _outputs_and_grads(_linear_gelu_linear, arrays)
+        got = _outputs_and_grads(mlp, arrays)
+        for a, b in zip(expected, got, strict=True):
+            assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+        with nd.no_grad():
+            out = mlp(*(Tensor(a, requires_grad=True) for a in arrays))
+        assert out._node is None and np.array_equal(out.data, expected[0])
+
+    @pytest.mark.parametrize("wide", range(5))
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_one_float64_operand_gives_the_chain_dtypes(self, monkeypatch, wide, budget):
+        rng = np.random.default_rng(27)
+        arrays = [rng.normal(size=s).astype(np.float32) for s in _MLP_SHAPES.values()]
+        arrays[wide] = arrays[wide].astype(np.float64)
+        if budget is not None:
+            monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+        expected = _outputs_and_grads(_linear_gelu_linear, arrays)
+        got = _outputs_and_grads(mlp, arrays)
+        for a, b in zip(expected, got, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_records_gelu_output_and_output_nodes(self):
+        x, w1, b1, w2, b2 = args = [t(np.ones(s), rg=True) for s in _MLP_SHAPES.values()]
+        out = mlp(*args)
+        hidden, *rest = out._node._parents
+        assert rest == [w2, b2] and hidden._parents == (x, w1, b1)
+        assert hidden.shape == (2, 4, 6) and hidden.dtype == np.float32
+        with nd.no_grad():
+            assert mlp(*args)._node is None
+
+    def test_recorded_holds_hidden_and_output_but_no_gelu_output(self):
+        # a hidden of four blocks of 64 rows of the paper's MLP width: the
+        # pass holds h and its output (x is the caller's), and backward
+        # rebuilds GELU(h), which a kept copy would add in full
+        rng = np.random.default_rng(28)
+        x, w1, b1, w2, b2 = (t(rng.normal(scale=0.1, size=s), rg=True) for s in
+                             ((4, 64, 96), (96, 3072), (3072,), (3072, 96), (96,)))
+        hidden = 4 * 64 * 3072 * 4
+        assert len(list(nd._blocks((4, 64, 3072), 4, 1))) == 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = mlp(x, w1, b1, w2, b2)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert out._node is not None
+        assert held <= hidden + out.data.nbytes + 16384, \
+            f"held {held} B; h and GELU(h) are {hidden} B each"
 
 
 class TestAttentionHolds:

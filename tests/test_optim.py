@@ -2,6 +2,7 @@
 
 import ctypes
 import hashlib
+import io
 import json
 import os
 import struct
@@ -238,7 +239,10 @@ class TestTrainStep:
         params = init_params(cfg, 3)
         state = init_adam(params, lr=1e-3)
         train_step(batch, params, cfg, state)
-        assert all(p.grad is not None for p in params.values())
+        # a step leaves no gradient, so plant stale ones, as a caller's own
+        # backward would leave them
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
         cleared = []
         real = optim.batch_predictions
 
@@ -286,6 +290,65 @@ class TestTrainStep:
         state = init_adam(params, lr=1e-2, weight_decay=0.0)
         losses = [train_step(batch, params, cfg, state) for _ in range(50)]
         assert losses[-1] < losses[0]
+
+
+def _backward_then_adam_step(batch, params, cfg, state):
+    """train_step as two passes: every gradient from backward, then adam_step."""
+    for p in params.values():
+        p.zero_grad()
+    loss = optim.l1_loss(optim.batch_predictions(params, cfg, batch), Tensor(batch.labels))
+    ndtensor.backward(loss)
+    adam_step(params, state)
+    return float(loss.data)
+
+
+class TestFusedTrainStep:
+    """train_step updates each parameter inside backward, as soon as its
+    gradient is final."""
+
+    def test_no_parameter_holds_a_gradient_after_the_step(self):
+        cfg = ModelConfig(**TOY, head_variant="token")
+        params = init_params(cfg, 3)
+        train_step(tiny_batch(), params, cfg, init_adam(params, lr=1e-3))
+        assert all(p.grad is None for p in params.values())
+
+    def test_unreached_parameter_raises_and_changes_nothing(self):
+        cfg = ModelConfig(**TOY, head_variant="gap")
+        params = init_params(cfg, 3)
+        state = init_adam(params, lr=1e-2, weight_decay=1e-1)
+        train_step(tiny_batch(), params, cfg, state)  # moments and t away from their start
+        params["unused"] = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        state.m["unused"], state.v["unused"] = np.zeros(3, np.float32), np.zeros(3, np.float32)
+        before = {n: (p.data.copy(), state.m[n].copy(), state.v[n].copy())
+                  for n, p in params.items()}
+        with pytest.raises(MissingGradError, match="'unused'"):
+            train_step(tiny_batch(seed=1), params, cfg, state)
+        assert state.t == 1
+        for n, p in params.items():
+            npt.assert_array_equal(p.data, before[n][0])
+            npt.assert_array_equal(state.m[n], before[n][1])
+            npt.assert_array_equal(state.v[n], before[n][2])
+
+    # the default budget keeps every toy array whole; 256 bytes splits the
+    # MLP hidden, the attention matrices and Adam's updates into blocks
+    @pytest.mark.parametrize("budget", [None, 256])
+    @pytest.mark.parametrize("head", ["gap", "token"])
+    def test_bit_equal_to_backward_then_adam_step(self, monkeypatch, head, budget):
+        if budget is not None:
+            monkeypatch.setattr(ndtensor, "_BLOCK_BYTES", budget)
+        cfg = ModelConfig(**dict(TOY, layers=2), head_variant=head)
+        runs = []
+        for step in (train_step, _backward_then_adam_step):
+            params = init_params(cfg, 3)
+            state = init_adam(params, lr=1e-2, weight_decay=1e-1)
+            losses = [step(tiny_batch(seed=s), params, cfg, state) for s in range(3)]
+            runs.append((losses, params, state))
+        (losses, params, state), (ref_losses, ref_params, ref_state) = runs
+        assert losses == ref_losses and state.t == ref_state.t == 3
+        for n, p in params.items():
+            for got, want in ((p.data, ref_params[n].data), (state.m[n], ref_state.m[n]),
+                              (state.v[n], ref_state.v[n])):
+                assert got.dtype == want.dtype and np.array_equal(got, want), n
 
 
 class TestTrainLoop:
@@ -589,6 +652,13 @@ def test_array_not_in_shape_table_raises_checkpoint_error(tmp_path):
         load_checkpoint(path)
 
 
+def _record(name, arr):
+    """One array record as save_checkpoint writes it, as bytes."""
+    buf = io.BytesIO()
+    optim._write_array(buf, name, arr)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("name", ["embed.proj", "embed.proj.m"])
 def test_array_listed_twice_raises_checkpoint_error(tmp_path, name):
     # a second copy at the end of the file used to load, the last copy winning
@@ -596,7 +666,7 @@ def test_array_listed_twice_raises_checkpoint_error(tmp_path, name):
     blob = open(path, "rb").read()
     at = _config_offset(blob)
     count = struct.unpack("<I", blob[at:at + 4])[0]
-    extra = optim._pack_array(name, np.ones(param_shapes(ModelConfig(**TOY))["embed.proj"]))
+    extra = _record(name, np.ones(param_shapes(ModelConfig(**TOY))["embed.proj"]))
     open(path, "wb").write(blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:] + extra)
     with pytest.raises(CheckpointError, match=f"{name!r} is listed twice"):
         load_checkpoint(path)
@@ -611,11 +681,11 @@ def test_array_table_checked_before_any_payload_is_read(tmp_path, monkeypatch, c
     blob = open(path, "rb").read()
     at = _config_offset(blob)
     count = struct.unpack("<I", blob[at:at + 4])[0]
-    last = len(optim._pack_array(name + ".v", np.zeros(shape)))
+    last = len(_record(name + ".v", np.zeros(shape)))
     if cut_off:
         count, record, expect = count - 1, b"", f"checkpoint missing array '{name}.v'"
     else:
-        record = optim._pack_array(name + ".v", np.zeros((2, *shape)))
+        record = _record(name + ".v", np.zeros((2, *shape)))
         expect = f"array '{name}.v' has shape"
     open(path, "wb").write(blob[:at] + struct.pack("<I", count) + blob[at + 4:-last] + record)
     reads, array = [], optim._Reader.array
