@@ -4,16 +4,16 @@ Tensors wrap row-major float32 numpy buffers. Every primitive records a
 backward rule on the tensors it produces; calling ``backward`` on a scalar
 replays those rules in reverse topological order and accumulates gradients
 into every ``requires_grad`` leaf, and can hand each watched leaf to a
-callback as soon as its gradient is final. The graph holds no forward
-value: each rule captures only the arrays it reads, so an intermediate's
-array is freed once forward code drops it, unless a rule holds it. Three
-rules keep less than they read: ``attention``, ``gelu`` and ``mlp`` keep
-their inputs (attention also each row's softmax max and sum, mlp also its
-hidden layer), and their backward rebuilds the wide intermediate, the
-probabilities, tanh(u) and GELU(h), with the forward's own float32 steps.
-An intermediate that fits in one _BLOCK_BYTES block is kept whole
-instead, which covers every toy-model array. A finite-difference checker
-validates the analytic gradients.
+callback as soon as the walk order shows its gradient final. The graph
+holds no forward value: each rule captures only the arrays it reads, so an
+intermediate's array is freed once forward code drops it, unless a rule
+holds it. Three rules keep less than they read: ``attention``, ``gelu``
+and ``mlp`` keep their inputs (attention also each row's softmax max and
+sum, mlp also its hidden layer), and their backward rebuilds the wide
+intermediate, the probabilities, tanh(u) and GELU(h), with the forward's
+own float32 steps. Attention and mlp keep one that fits in one
+_BLOCK_BYTES block, as every toy-model array does. A finite-difference
+checker validates the analytic gradients.
 """
 
 from __future__ import annotations
@@ -668,17 +668,16 @@ def gelu(x):
     """GELU via the tanh approximation (see _gelu_rows).
 
     Only the output is whole-array; a recorded pass keeps x for backward,
-    and tanh(u) too only when x fits in one block. Otherwise backward
-    rebuilds each block's tanh(u) from x.
+    which rebuilds each block's tanh(u) from it.
     """
     x_ = x.data
     dtype = np.result_type(_GELU_C, x_)
     data = np.empty(x_.shape, dtype)
-    t = _gelu_rows(x_, data, _recording((x,)) and _one_block(x_.shape, dtype.itemsize))
+    _gelu_rows(x_, data, False)
     x = x.node
 
     def backward(g):
-        _accum(x, _gelu_grad(x_, t, g, dtype), owned=True)
+        _accum(x, _gelu_grad(x_, None, g, dtype), owned=True)
 
     return _make(data, (x,), backward)
 
@@ -742,10 +741,11 @@ def backward(loss, ready=None):
     the same forward pass raises instead of silently double-accumulating.
 
     ``ready``, if given, is a pair (leaves, done): ``leaves`` maps keys to
-    watched leaves, and ``done(key)`` is called once per key, right after
-    the last rule that adds to that leaf's gradient, which is then final.
-    A watched leaf that takes no gradient from this loss raises
-    MissingGradError, naming its key, before any rule runs.
+    watched leaves, and ``done(key)`` is called once per key, where the
+    walk order puts that leaf: right after the last rule that adds to its
+    gradient, which is then final. A watched leaf that takes no gradient
+    from this loss raises MissingGradError, naming its key, before any
+    rule runs.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -756,7 +756,6 @@ def backward(loss, ready=None):
         raise GraphError("backward already called on this graph; run a new forward pass")
     leaves, done = ready if ready is not None else ({}, None)
     watched = {id(leaf): key for key, leaf in leaves.items()}
-    consumers = dict.fromkeys(watched, 0)  # rules yet to add to each watched leaf
 
     order = []
     seen = set()
@@ -770,13 +769,17 @@ def backward(loss, ready=None):
             continue
         seen.add(id(node))
         stack.append((node, True))
+        # leaf parents go on the stack first, so they come off last: a leaf
+        # lands in the order right before the consumer that first reached
+        # it and its other consumers after, so that rule is its last to run
         for p in node._parents:
-            if id(p) in consumers:
-                consumers[id(p)] += 1
-            if id(p) not in seen:
+            if p._backward is None and id(p) not in seen:
+                stack.append((p, False))
+        for p in node._parents:
+            if p._backward is not None and id(p) not in seen:
                 stack.append((p, False))
     for key, leaf in leaves.items():
-        if not (leaf.requires_grad and consumers[id(leaf)]):
+        if not (leaf.requires_grad and id(leaf) in seen):
             raise MissingGradError(f"{key!r} takes no gradient from this loss")
 
     root.grad = np.ones_like(loss.data)
@@ -786,19 +789,14 @@ def backward(loss, ready=None):
         # pass ends
         node = order.pop()
         if node._backward is None:  # a leaf, or a node an earlier pass consumed
+            if id(node) in watched:
+                done(watched[id(node)])
             continue
         if node.grad is not None:
             node._backward(node.grad)
-        parents = node._parents
         node._backward = None
         node._parents = ()
         node.grad = None  # intermediate grads are scratch space
-        if consumers:
-            for p in parents:
-                if id(p) in consumers:
-                    consumers[id(p)] -= 1
-                    if not consumers[id(p)]:
-                        done(watched[id(p)])
 
 
 # ---------------------------------------------------------------------------

@@ -104,9 +104,9 @@ def init_adam(params, lr=1e-5, weight_decay=1e-4):
     return state
 
 
-def _adam_update(state):
-    """Advance ``state`` by one step; returns ``update(name, p)``, which
-    applies that step to parameter ``p`` from ``p.grad``.
+def _adam_update(state, t):
+    """Returns ``update(name, p)``, which applies Adam step ``t`` of
+    ``state`` to parameter ``p`` from ``p.grad``; ``state.t`` is the caller's.
 
     Decay is applied as theta -= lr * wd * theta before the Adam delta.
     Each parameter is updated in place one block at a time, through two
@@ -116,9 +116,8 @@ def _adam_update(state):
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     p -= lr * (m/bc1) / (sqrt(v/bc2) + eps).
     """
-    state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
     decay = np.float32(state.lr * state.weight_decay)
     # six float32 arrays share a block: p, g, m, v and the two scratch slices
     block = max(ndtensor._BLOCK_BYTES // (6 * 4), 1)
@@ -166,9 +165,10 @@ def adam_step(params, state):
     for name, p in params.items():
         if p.grad is None:
             raise MissingGradError(f"parameter {name!r} has no gradient")
-    update = _adam_update(state)
+    update = _adam_update(state, state.t + 1)
     for name, p in params.items():
         update(name, p)
+    state.t += 1
 
 
 def train_step(batch, params, cfg, state):
@@ -181,8 +181,8 @@ def train_step(batch, params, cfg, state):
     no parameter holds one after the step. A parameter the loss does not
     reach raises MissingGradError before anything changes. A failure once
     backward's rules run (a MemoryError, say) leaves a partly applied step:
-    the parameters already updated, and ``state.t``, have moved and the
-    rest have not, so the parameters and state are not fit to train on.
+    the updated parameters and their moments have moved, the rest and
+    ``state.t`` have not, so the parameters and state are unfit to train on.
     """
     if batch.batch == 0:
         raise ValueError("empty batch")
@@ -210,17 +210,15 @@ def train_step(batch, params, cfg, state):
         raise FloatingPointError(
             "non-finite training loss; max |activation| per layer: " + ", ".join(stats)
             + "; first non-finite: " + (bad[0] if bad else "after the last layer"))
-    update = None
+    update = _adam_update(state, state.t + 1)
 
     def step(name):
-        nonlocal update
-        if update is None:  # backward has checked every parameter by now
-            update = _adam_update(state)
         p = params[name]
         update(name, p)
         p.grad = None
 
     backward(loss, ready=(params, step))
+    state.t += 1
     return loss_val
 
 

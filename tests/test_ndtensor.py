@@ -305,13 +305,16 @@ class TestBackwardReady:
     once its gradient is final."""
 
     @staticmethod
-    def _logged(w, events, tag):
-        # an op on w whose rule logs when it adds to w's gradient
+    def _logged(events, tag, *xs):
+        # the sum of xs, by an op whose rule logs when it runs
+        nodes = tuple(x.node for x in xs)
+
         def rule(g):
             events.append(tag)
-            nd._accum(w, g)
+            for n in nodes:
+                nd._accum(n, g)
 
-        return nd._make(w.data * 1.0, (w,), rule)
+        return nd._make(sum(x.data for x in xs) * 1.0, nodes, rule)
 
     def test_fires_once_per_leaf_with_the_final_gradient(self):
         def graph():
@@ -331,17 +334,31 @@ class TestBackwardReady:
 
     def test_leaf_shared_by_two_ops_is_ready_after_both(self):
         w, events = t([1.0, 2.0], rg=True), []
-        loss = mean(add(self._logged(w, events, "first"), self._logged(w, events, "second")))
+        loss = mean(add(self._logged(events, "first", w), self._logged(events, "second", w)))
         backward(loss, ready=({"w": w}, lambda k: events.append(("ready", k))))
         assert sorted(events[:2]) == ["first", "second"]
         assert events[2:] == [("ready", "w")]
+        npt.assert_allclose(w.grad, [1.0, 1.0])
+
+    def test_leaf_is_ready_before_the_next_rule(self):
+        # w feeds `deep`, inside the sum's first operand, and `late`, whose
+        # own first operand x is a chain from u that nothing else reaches:
+        # the reverse walk runs deep, late, then x's rules, so w is ready
+        # between late and x2, not once x's rules have run too
+        w, u, events = t([1.0, 2.0], rg=True), t([3.0, -1.0], rg=True), []
+        log = self._logged
+        x = log(events, "x2", log(events, "x1", u))
+        deep = log(events, "d2", log(events, "deep", w))
+        loss = mean(add(deep, log(events, "late", x, w)))
+        backward(loss, ready=({"w": w, "u": u}, lambda k: events.append(k)))
+        assert events == ["d2", "deep", "late", "w", "x2", "x1", "u"]
         npt.assert_allclose(w.grad, [1.0, 1.0])
 
     @pytest.mark.parametrize("constant", [False, True])
     def test_leaf_without_gradient_raises_before_any_rule(self, constant):
         # u is not on the graph at all, or on it only as a constant
         w, u, events = t([1.0, 2.0], rg=True), t([3.0, 4.0], rg=not constant), []
-        out = self._logged(w, events, "rule")
+        out = self._logged(events, "rule", w)
         loss = mean(mul(out, u) if constant else out)
         with pytest.raises(MissingGradError, match="'u'"):
             backward(loss, ready=({"w": w, "u": u}, lambda k: events.append(k)))

@@ -329,6 +329,33 @@ class TestFusedTrainStep:
             npt.assert_array_equal(state.m[n], before[n][1])
             npt.assert_array_equal(state.v[n], before[n][2])
 
+    @pytest.mark.parametrize("final_ln", [False, True])
+    @pytest.mark.parametrize("head", ["gap", "token"])
+    def test_each_update_finds_at_most_two_gradients_held(self, monkeypatch, head, final_ln):
+        # a gradient goes with its update, right after its last rule, so an
+        # update finds at most its own gradient and its rule's partner's (a
+        # linear's weight and bias, a layer norm's gamma and beta) held
+        cfg = ModelConfig(**TOY, head_variant=head, final_ln=final_ln)
+        params = init_params(cfg, 3)
+        spec = patchio.SynthSpec(side=24, count_min=2, count_max=6, seed=4)
+        pairs = patchio.synth_generate(spec, 2) + patchio.synth_generate(replace(spec, side=16), 2)
+        batch = patchio.make_batch([(patchio.fit_to_grid(img, 16), c) for img, c in pairs], 8)
+        assert batch.tiles == (6, 6, 1, 1)
+        held, real = [], optim._adam_update
+
+        def counted(state, t):
+            update = real(state, t)
+
+            def counted_update(name, p):
+                held.append(sum(q.grad is not None for q in params.values()))
+                update(name, p)
+
+            return counted_update
+
+        monkeypatch.setattr(optim, "_adam_update", counted)
+        train_step(batch, params, cfg, init_adam(params, lr=1e-3))
+        assert len(held) == len(params) and max(held) <= 2, held
+
     # the default budget keeps every toy array whole; 256 bytes splits the
     # MLP hidden, the attention matrices and Adam's updates into blocks
     @pytest.mark.parametrize("budget", [None, 256])
