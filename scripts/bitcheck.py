@@ -33,9 +33,10 @@ the repository root; every line must match between the two trees. Lines:
   batch at the process's BLAS setting), so compare each thread count
   with itself.
 
-The paper lines need about 1.4 GB of memory (a run peaked at 1,316 MB of
-RSS, since a train step keeps neither a GELU output in its graph nor a
-whole set of gradients) and a minute or so of CPU.
+The paper lines need about 1.3 GB of memory (a run peaked at 1,203 MB of
+RSS, since a train step's graph keeps neither a layer norm output nor the
+MLP's hidden layer or its GELU, and the step never holds a whole set of
+gradients) and a minute or so of CPU.
 """
 
 import hashlib

@@ -35,19 +35,20 @@ def msa(z, params, layer, n_heads, scale, record=False):
     """Multi-head self-attention; returns (output, [B, H, S, S] weights or None)."""
     p = f"layer{layer}."
     q, k, v = (split_heads(matmul(z, params[p + w]), n_heads) for w in ("w_q", "w_k", "w_v"))
-    del z  # without a graph, the LN output is freed before attention
+    del z  # the LN output is freed before attention, unless a graph keeps it whole
     out, weights = scaled_attention(q, k, v, scale, record=record)
     return matmul(merge_heads(out), params[p + "w_o"]), weights
 
 
 def mlp_block(z, params, layer):
     """The pre-LN MLP branch: layer norm, then two linear layers (D -> 4D ->
-    D) with GELU between, biases included, as one ndtensor.mlp call. A
-    recorded pass keeps no 4D-wide GELU output that spans more than one
-    block. Without a graph, mlp holds the only reference to the LN output,
-    which is built inline as a plain positional argument (a ``*`` call
-    would hold it in the call's tuple), and frees it before the 4D-wide
-    GELU."""
+    D) with GELU between, biases included, as one ndtensor.mlp call. mlp
+    holds the only reference to the LN output, which is built inline as a
+    plain positional argument (a ``*`` call would hold it in the call's
+    tuple). Without a graph, mlp frees it before the 4D-wide GELU. A
+    recorded pass whose arrays span more than one block keeps x-hat (in
+    layer_norm) and the output, and no LN output, h or GELU(h): backward
+    rebuilds them."""
     p = f"layer{layer}."
     return mlp(layer_norm(z, params[p + "ln2.gamma"], params[p + "ln2.beta"]),
                params[p + "mlp.w1"], params[p + "mlp.b1"],

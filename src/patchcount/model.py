@@ -6,6 +6,7 @@ checkpoint format can treat every learnable array uniformly.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import os
@@ -223,11 +224,15 @@ def features(params, cfg, x, observe=None):
 def _score_tiles(params, cfg, x):
     """Every tile's pooled row, in tile order, scored on TILE_WORKERS threads.
 
-    The tiles, a lone one too, are mapped over a pool of up to TILE_WORKERS
-    threads. OpenBLAS is held at one thread meanwhile, so each thread keeps
-    to its core and every GEMM gives the bytes it gives at one thread; a
-    tile's bytes then depend on neither the worker count nor the BLAS
-    thread count. Without a BLAS thread-count symbol the pool has one
+    The tiles, a lone one too, run on a pool of up to TILE_WORKERS threads.
+    Tile t + workers is handed to the pool only once tile t's row is back,
+    so the pool holds one task per thread, not one per tile. Errors are
+    raised in tile order, so the lowest failing tile's is; by then at most
+    workers - 1 tiles past it have been handed to the pool, and they finish
+    before it is raised. OpenBLAS is held at one thread meanwhile, so each
+    thread keeps to its core and every GEMM gives the bytes it gives at one
+    thread; a tile's bytes then depend on neither the worker count nor the
+    BLAS thread count. Without a BLAS thread-count symbol the pool has one
     thread, which runs the tiles at the process's BLAS setting.
     """
     n = x.shape[0]
@@ -241,8 +246,15 @@ def _score_tiles(params, cfg, x):
     before = get_threads()
     set_threads(1)
     try:
-        with ThreadPoolExecutor(min(TILE_WORKERS, n) if blas else 1) as pool:
-            return list(pool.map(score_tile, range(n)))
+        workers = min(TILE_WORKERS, n) if blas else 1
+        rows, running = [], collections.deque()
+        with ThreadPoolExecutor(workers) as pool:
+            for t in range(n):
+                running.append(pool.submit(score_tile, t))
+                if len(running) == workers:
+                    rows.append(running.popleft().result())
+            rows.extend(f.result() for f in running)
+        return rows
     finally:
         set_threads(before)
 

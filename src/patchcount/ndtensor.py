@@ -7,12 +7,20 @@ into every ``requires_grad`` leaf, and can hand each watched leaf to a
 callback as soon as the walk order shows its gradient final. The graph
 holds no forward value: each rule captures only the arrays it reads, so an
 intermediate's array is freed once forward code drops it, unless a rule
-holds it. Three rules keep less than they read: ``attention``, ``gelu``
-and ``mlp`` keep their inputs (attention also each row's softmax max and
-sum, mlp also its hidden layer), and their backward rebuilds the wide
-intermediate, the probabilities, tanh(u) and GELU(h), with the forward's
-own float32 steps. Attention and mlp keep one that fits in one
-_BLOCK_BYTES block, as every toy-model array does. A finite-difference
+holds it. Some rules keep less than they read, and rebuild the rest with
+the forward's own float32 steps, so with its bits:
+
+- ``attention`` keeps Q, K, V and each row's softmax max and sum, and
+  rebuilds the probabilities block by block;
+- ``gelu`` keeps its input and rebuilds tanh(u);
+- ``mlp`` keeps nothing but its input, and not that when the input's
+  graph place can rebuild it; its output rule rebuilds the input, the
+  hidden layer h and GELU(h), and the hidden rule tanh(u);
+- a ``layer_norm`` output's graph place rebuilds it from the x-hat that
+  layer_norm keeps anyway, so ``matmul`` and ``mlp`` keep no copy of it.
+
+An intermediate that fits in one _BLOCK_BYTES block, as every toy-model
+array does, is kept instead (gelu's tanh(u) aside). A finite-difference
 checker validates the analytic gradients.
 """
 
@@ -71,15 +79,18 @@ class _Node:
     """A recorded op output's place in the graph: its gradient, rule and parents.
 
     It keeps the output's shape and dtype but not its array, which stays
-    with the Tensor that forward code holds.
+    with the Tensor that forward code holds. ``rebuild``, if set, returns
+    a new array with that array's bits, so a consumer's rule need not keep
+    the array (see _kept).
     """
 
-    __slots__ = ("shape", "dtype", "grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("shape", "dtype", "grad", "rebuild", "_parents", "_backward", "__weakref__")
     requires_grad = True
 
     def __init__(self, data, parents, backward):
         self.shape, self.dtype = data.shape, data.dtype
         self.grad = None
+        self.rebuild = None
         self._parents = parents
         self._backward = backward
 
@@ -97,6 +108,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
     _parents = ()
     _backward = None
+    rebuild = None
 
     def __init__(self, data, requires_grad=False, dtype=np.float32):
         arr = np.asarray(data, dtype=dtype)
@@ -283,22 +295,38 @@ def _matmul_rows(a, b):
     return rows.reshape(a.shape[:-1] + b.shape[-1:])
 
 
+def _kept(t, arr):
+    """What a rule keeps of an operand whose graph place is ``t`` and whose
+    array is ``arr``: nothing when ``t`` can rebuild the array, else arr."""
+    return None if t.rebuild is not None else arr
+
+
+def _read(t, arr):
+    """An operand's array in a rule: ``arr`` as _kept left it, else rebuilt."""
+    return t.rebuild() if arr is None else arr
+
+
 def _matmul_backward(a, b, a_, b_, g):
     """A product's gradients into graph places ``a`` and ``b``, whose arrays
-    are ``a_`` and ``b_``."""
+    are ``a_`` and ``b_`` (or None, to rebuild through the place)."""
     if a.requires_grad:
-        _accum(a, _unbroadcast(_matmul_rows(g, np.swapaxes(b_, -1, -2)), a.shape), owned=True)
+        b_ = np.swapaxes(_read(b, b_), -1, -2)
+        _accum(a, _unbroadcast(_matmul_rows(g, b_), a.shape), owned=True)
     if b.requires_grad:
-        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a_, -1, -2), g), b.shape), owned=True)
+        a_ = np.swapaxes(_read(a, a_), -1, -2)
+        _accum(b, _unbroadcast(np.matmul(a_, g), b.shape), owned=True)
 
 
 def matmul(a, b):
     """Batched matrix product over the last two axes.
 
-    Leading batch dimensions must match or be absent on one side.
+    Leading batch dimensions must match or be absent on one side. A
+    recorded product keeps no operand that its graph place can rebuild.
     """
     a_, b_, a, b = a.data, b.data, a.node, b.node
-    return _make(_matmul_data(a_, b_), (a, b), lambda g: _matmul_backward(a, b, a_, b_, g))
+    data = _matmul_data(a_, b_)
+    a_, b_ = _kept(a, a_), _kept(b, b_)
+    return _make(data, (a, b), lambda g: _matmul_backward(a, b, a_, b_, g))
 
 
 def transpose_last(a):
@@ -562,6 +590,13 @@ def linear(x, w, b):
     return _make(data, (x, w, b), lambda g: _linear_backward(x, w, b, x_, w_, g))
 
 
+def _affine(gamma_, xhat, beta_, out):
+    """out = gamma_ * xhat + beta_, written into ``out``, which it returns."""
+    np.multiply(gamma_, xhat, out=out)
+    out += beta_
+    return out
+
+
 def layer_norm(x, gamma, beta):
     """Normalize the last axis to mean 0 / population variance 1, then affine.
 
@@ -569,24 +604,30 @@ def layer_norm(x, gamma, beta):
     rows, are reduced over the whole array as one. The variance takes
     ndarray.var's steps on x - mean (square, add.reduce, divide by the row
     length), so it has var's bytes without var's second pass for the mean.
+    A recorded pass keeps x-hat, the normalized x, for its rule; when the
+    output spans more than one _BLOCK_BYTES block, its graph place can
+    also rebuild the output as gamma * x-hat + beta with the forward's
+    steps, so the matmul and mlp rules that read it keep no copy. It reads
+    gamma and beta as they are then: their last consumer is this rule,
+    which runs after every rebuild.
     """
     if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
         raise ShapeError(
             f"layer_norm feature sizes differ: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}")
-    x_, gamma_ = x.data, gamma.data
+    x_, gamma_, beta_ = x.data, gamma.data, beta.data
     n = x_.shape[-1]
     inv_std = np.empty(x_.shape[:-1] + (1,), x_.dtype)
     xhat = np.empty(x_.shape, x_.dtype)
-    data = np.empty(x_.shape, np.result_type(gamma_, xhat, beta.data))
+    shape, dtype = x_.shape, np.result_type(gamma_, xhat, beta_)
+    data = np.empty(shape, dtype)
     for i in _blocks(x_.shape, x_.itemsize, 1):
-        x_i, xhat_i, out_i = x_[i], xhat[i], data[i]
+        x_i, xhat_i = x_[i], xhat[i]
         np.subtract(x_i, x_i.mean(axis=-1, keepdims=True), out=xhat_i)
         var = np.add.reduce(np.square(xhat_i), axis=-1, keepdims=True)
         var /= n
         np.divide(1.0, np.sqrt(var + _LN_EPS), out=inv_std[i])
         xhat_i *= inv_std[i]
-        np.multiply(gamma_, xhat_i, out=out_i)
-        out_i += beta.data
+        _affine(gamma_, xhat_i, beta_, data[i])
     x, gamma, beta = x.node, gamma.node, beta.node
 
     def backward(g):
@@ -603,7 +644,10 @@ def layer_norm(x, gamma, beta):
                         out=dx[i])
         _accum(x, dx, owned=True)
 
-    return _make(data, (x, gamma, beta), backward)
+    out = _make(data, (x, gamma, beta), backward)
+    if out._node is not None and not _one_block(shape, dtype.itemsize):
+        out._node.rebuild = lambda: _affine(gamma_, xhat, beta_, np.empty(shape, dtype))
+    return out
 
 
 def _gelu_tanh(x, dtype):
@@ -688,20 +732,24 @@ def mlp(x, w1, b1, w2, b2):
     output, whose rule runs the second linear's.
 
     The hidden h = x @ w1 + b1 and its GELU run as linear and gelu run
-    them. A recorded pass keeps x and h, and GELU(h) and tanh(u) too only
-    when h fits in one _BLOCK_BYTES block (every toy-model MLP does).
-    Otherwise the output's rule rebuilds GELU(h) whole, with gelu's blocked
+    them. When h fits in one _BLOCK_BYTES block (every toy-model MLP does),
+    a recorded pass keeps x, h, GELU(h) and tanh(u). Otherwise it keeps
+    none of them but x, and not x either when x's graph place can rebuild
+    it (a layer_norm output does): the output's rule rebuilds x, then h
+    with the forward's own GEMM and GELU(h) whole with gelu's blocked
     steps, so the w2 weight-gradient GEMM reads the forward's operands, and
-    the GELU gradient rebuilds tanh(u) block by block. Without a graph,
-    GELU(h) is written over h, and x is dropped before it, so an x that
-    only the call holds (an argument built inline) is freed before the
-    4D-wide GELU. The float32 operations and their order, forward and
-    backward, are those of the three ops, and each array goes when their
-    rules would drop it.
+    hands x and h to the hidden rule, which runs right after it; the GELU
+    gradient rebuilds tanh(u) block by block. Those rebuilds read w1 and b1
+    before the hidden rule, their last consumer. Without a graph, GELU(h)
+    is written over h, and x is dropped before it, so an x that only the
+    call holds (an argument built inline) is freed before the 4D-wide
+    GELU. The float32 operations and their order, forward and backward,
+    are those of the three ops, and each array goes when their rules would
+    drop it.
     """
     record = _recording((x, w1, b1, w2, b2))
-    x_, w1_, w2_ = x.data, w1.data, w2.data
-    h = _linear_data(x_, w1_, b1.data)
+    x_, w1_, b1_, w2_ = x.data, w1.data, b1.data, w2.data
+    h = _linear_data(x_, w1_, b1_)
     dtype = np.result_type(_GELU_C, h)
     if not record:
         x = x_ = None
@@ -712,18 +760,27 @@ def mlp(x, w1, b1, w2, b2):
     t = _gelu_rows(h, a, _one_block(h.shape, dtype.itemsize))
     data = _linear_data(a, w2_, b2.data)
     x, w1, b1, w2, b2 = (v.node for v in (x, w1, b1, w2, b2))
+    # the hidden rule's x and h: kept with tanh(u), else the output rule's
+    xh = (x_, h)
 
     def hidden_backward(da):
+        x_, h = xh
         _linear_backward(x, w1, b1, x_, w1_, _gelu_grad(h, t, da, dtype))
 
     hidden = _Node(a, (x, w1, b1), hidden_backward)
-    a = None if t is None else a  # kept with tanh(u), else rebuilt
+    if t is None:
+        a = h = xh = None
+        x_ = _kept(x, x_)
 
     def backward(g):
+        nonlocal xh
         a_ = a
         if a_ is None:  # rebuilt with the forward's steps, so with its bits
-            a_ = np.empty(h.shape, dtype)
-            _gelu_rows(h, a_, False)
+            x_r = _read(x, x_)
+            h_r = _linear_data(x_r, w1_, b1_)
+            a_ = np.empty(h_r.shape, dtype)
+            _gelu_rows(h_r, a_, False)
+            xh = x_r, h_r
         _linear_backward(hidden, w2, b2, a_, w2_, g)
 
     return _make(data, (hidden, w2, b2), backward)

@@ -103,6 +103,8 @@ def load_pgm(path):
 
 def _save_netpbm(img, path, magic, channels):
     h, w, _ = img.shape if channels == 3 else (*img.shape, 1)  # a wrong rank raises
+    if not np.isfinite(img).all():  # a NaN would be written as 0, silently
+        raise ValueError(f"cannot write {path}: the image has a non-finite pixel")
     payload = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"{magic}\n{w} {h}\n255\n".encode())
@@ -110,12 +112,14 @@ def _save_netpbm(img, path, magic, channels):
 
 
 def save_ppm(img, path):
-    """Write an (H, W, 3) float image in [0, 1] as binary PPM P6."""
+    """Write an (H, W, 3) float image in [0, 1] as binary PPM P6; a
+    non-finite pixel raises ValueError."""
     _save_netpbm(img, path, "P6", 3)
 
 
 def save_pgm(img, path):
-    """Write an (H, W) float image in [0, 1], such as an attention map, as binary PGM P5."""
+    """Write an (H, W) float image in [0, 1], such as an attention map, as
+    binary PGM P5; a non-finite pixel raises ValueError."""
     _save_netpbm(img, path, "P5", 1)
 
 

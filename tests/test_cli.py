@@ -458,6 +458,28 @@ def test_eval_decodes_each_image_just_before_scoring_it(tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize("head", ["gap", "token"])
+def test_attnmap_of_a_nan_weight_exits_1_with_error(tmp_path, capsys, head):
+    # one NaN in the last layer's w_q makes its attention weights NaN: the
+    # map must not be written as a PGM of zeros
+    cfg = ModelConfig(image_size=16, patch_size=8, dim=8, heads=2, layers=2, hidden_dim=8,
+                      head_variant=head)
+    params = init_params(cfg, 4)
+    params["layer1.w_q"].data[0, 0] = np.nan
+    ckpt = str(tmp_path / "m.tcwd")
+    save_checkpoint(params, init_adam(params), cfg, ckpt)
+    img = str(tmp_path / "x.ppm")
+    patchio.save_ppm(np.random.default_rng(2).random((24, 24, 3)).astype(np.float32), img)
+    pgm = tmp_path / "map.pgm"
+    capsys.readouterr()
+    rc = main(["attnmap", "--checkpoint", ckpt, "--image", img, "--out", str(pgm)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error\t") and "non-finite" in captured.err
+    assert not pgm.exists()
+
+
+@pytest.mark.parametrize("head", ["gap", "token"])
 def test_attnmap_keeps_only_the_last_layer(tmp_path, capsys, monkeypatch, head):
     cfg = ModelConfig(image_size=16, patch_size=8, dim=8, heads=2, layers=3, hidden_dim=8,
                       head_variant=head)

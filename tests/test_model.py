@@ -1,5 +1,6 @@
 """Parameter shape table, initialization, and forward-pass tests."""
 
+import concurrent.futures
 import hashlib
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -169,15 +171,13 @@ def test_no_grad_forward_holds_one_tile_of_activations(monkeypatch):
     assert six <= one + 2 * tokens, f"6 tiles {six} B, 1 tile {one} B, [6, S, D] {tokens} B"
 
 
-def test_tile_pool_holds_one_tile_of_activations_per_worker(monkeypatch):
-    monkeypatch.setattr(model, "TILE_WORKERS", 2)
-    cfg = ModelConfig(**TOY)
-    params = init_params(cfg, 1)
-    one = _no_grad_forward_peak(params, cfg, _patches(cfg, 1))
-    # the first two GELU calls, one per worker's first MLP, wait for each
-    # other with GELU(h), each tile's widest activation, live, so both
-    # tiles are in flight at once at their peak
-    barrier, lock, waits = threading.Barrier(2, timeout=30), threading.Lock(), [2]
+def _hold_first_gelus(monkeypatch, action=None):
+    """Make the first two ``_gelu_rows`` calls, one per worker's first MLP,
+    wait for each other with GELU(h), each tile's widest activation, live,
+    so both tiles are in flight at once at their peak; ``action`` runs
+    once, while both wait. Returns the barrier and the count of waits left."""
+    barrier = threading.Barrier(2, action=action, timeout=30)
+    lock, waits = threading.Lock(), [2]
     real = ndtensor._gelu_rows
 
     def gelu_rows(*args, **kwargs):
@@ -189,6 +189,15 @@ def test_tile_pool_holds_one_tile_of_activations_per_worker(monkeypatch):
         return out
 
     monkeypatch.setattr(ndtensor, "_gelu_rows", gelu_rows)
+    return barrier, waits
+
+
+def test_tile_pool_holds_one_tile_of_activations_per_worker(monkeypatch):
+    monkeypatch.setattr(model, "TILE_WORKERS", 2)
+    cfg = ModelConfig(**TOY)
+    params = init_params(cfg, 1)
+    one = _no_grad_forward_peak(params, cfg, _patches(cfg, 1))
+    barrier, waits = _hold_first_gelus(monkeypatch)
     six = _no_grad_forward_peak(params, cfg, _patches(cfg, 6))
     assert waits[0] < 0 and not barrier.broken
     # two tiles' activations and what the pool holds besides them, which
@@ -196,6 +205,34 @@ def test_tile_pool_holds_one_tile_of_activations_per_worker(monkeypatch):
     # third tile in flight would not fit
     tokens = 6 * cfg.seq_len * cfg.dim * 4
     assert six <= 2 * one + tokens, f"6 tiles {six} B, 1 tile {one} B, [6, S, D] {tokens} B"
+
+
+def test_tile_pool_holds_one_task_per_worker_whatever_the_tile_count(monkeypatch):
+    # counted once the calling thread has handed the pool all it will and
+    # waits for a result: a pool that had every tile submitted at once
+    # would hold a Future for each tile not yet run
+    monkeypatch.setattr(model, "TILE_WORKERS", 2)
+    cfg = ModelConfig(**TOY)
+    params = init_params(cfg, 1)
+    futures, waiting = weakref.WeakSet(), threading.Event()
+    init, result = concurrent.futures.Future.__init__, concurrent.futures.Future.result
+    monkeypatch.setattr(concurrent.futures.Future, "__init__",
+                        lambda self: futures.add(self) or init(self))
+    monkeypatch.setattr(concurrent.futures.Future, "result",
+                        lambda self, timeout=None: waiting.set() or result(self, timeout))
+    live = {}
+    for tiles in (2, 12):
+        waiting.clear()
+
+        def count():
+            assert waiting.wait(30)
+            live[tiles] = len(futures)
+
+        barrier, waits = _hold_first_gelus(monkeypatch, count)
+        with no_grad():
+            forward(params, cfg, _patches(cfg, tiles))
+        assert waits[0] < 0 and not barrier.broken
+    assert 2 <= live[12] <= live[2], live
 
 
 @pytest.mark.parametrize("record", [False, True])
@@ -337,30 +374,37 @@ def test_pool_threads_record_no_graph(monkeypatch):
     assert all(p.grad is None for p in params.values())
 
 
-@pytest.mark.parametrize("workers, tiles, bad_tile", [
-    pytest.param(2, 6, 2, id="2"), pytest.param(2, 6, 3, id="3"),
-    pytest.param(1, 6, 3, id="workers1"), pytest.param(2, 1, 0, id="lone_tile")])
+@pytest.mark.parametrize("workers, tiles, bad_tiles", [
+    pytest.param(2, 6, {2}, id="2"), pytest.param(2, 6, {3}, id="3"),
+    pytest.param(2, 6, {2, 3}, id="2_and_3"), pytest.param(1, 6, {3}, id="workers1"),
+    pytest.param(2, 1, {0}, id="lone_tile")])
 def test_tile_failure_restores_blas_and_joins_pool(monkeypatch, blas_at_two, workers, tiles,
-                                                   bad_tile):
+                                                   bad_tiles):
     monkeypatch.setattr(model, "TILE_WORKERS", workers)
     cfg = ModelConfig(**TOY)
     params, patches = init_params(cfg, 1), _patches(cfg, tiles)
     with no_grad():
-        bad = model.embed(params, cfg, patches[bad_tile:bad_tile + 1]).data
-    raised_on = []
+        embedded = [model.embed(params, cfg, patches[t:t + 1]).data for t in range(tiles)]
+    raised_on, started = [], []
     real = encoder.encode
 
     def encode(z, *args, **kwargs):
-        if np.array_equal(z.data, bad):
+        t = next(t for t, e in enumerate(embedded) if np.array_equal(z.data, e))
+        started.append(t)
+        if t in bad_tiles:
             raised_on.append(threading.get_ident())
-            raise FloatingPointError(f"tile {bad_tile}")
+            raise FloatingPointError(f"tile {t}")
         return real(z, *args, **kwargs)
 
     monkeypatch.setattr(encoder, "encode", encode)
     threads = threading.active_count()
-    with no_grad(), pytest.raises(FloatingPointError, match=f"tile {bad_tile}"):
+    first = min(bad_tiles)
+    with no_grad(), pytest.raises(FloatingPointError, match=f"tile {first}$"):
         forward(params, cfg, patches)
-    assert len(raised_on) == 1 and raised_on[0] != threading.get_ident()  # a pool thread
+    assert raised_on and threading.get_ident() not in raised_on  # pool threads
+    # no tile starts once the failure is seen: past the first bad tile,
+    # only the ones the other workers had already taken run
+    assert max(started) <= first + workers - 1, started
     assert blas_at_two() == 2
     assert threading.active_count() == threads
 

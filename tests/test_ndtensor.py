@@ -412,17 +412,41 @@ PRIMITIVES = [
 _MLP_SHAPES = {"x": (2, 4, 5), "w1": (5, 6), "b1": (6,), "w2": (6, 3), "b2": (3,)}
 
 
-def _mlp_of(operand):
-    """mlp as a function of one operand, the others fixed."""
+def _of(fn, shapes, operand, rg=False):
+    """``fn`` of the operands named in ``shapes`` as a function of one of
+    them, the others fixed; with ``rg`` they take gradients too, so every
+    op of the chain is recorded."""
     def op(p):
         rng = np.random.default_rng(15)
-        args = {n: Tensor(rng.normal(size=s)) for n, s in _MLP_SHAPES.items()}
-        return mlp(*{**args, operand: p}.values())
+        args = {n: Tensor(rng.normal(size=s), requires_grad=rg) for n, s in shapes.items()}
+        return fn(*{**args, operand: p}.values())
 
     return op
 
 
-PRIMITIVES += [("mlp_" + n, s, _mlp_of(n)) for n, s in _MLP_SHAPES.items()]
+def _ln_matmuls(x, gamma, beta, w_q, w_k, w_v, w_r):
+    """One layer_norm output read by four products: three as the left
+    operand, as Q, K and V read it, and one as the right operand; their
+    outputs flattened per batch row and concatenated."""
+    z = layer_norm(x, gamma, beta)
+    outs = [matmul(z, w) for w in (w_q, w_k, w_v)] + [matmul(w_r, z)]
+    return concat([reshape(o, (o.shape[0], -1)) for o in outs], 1)
+
+
+def _ln_mlp(x, gamma, beta, w1, b1, w2, b2):
+    return mlp(layer_norm(x, gamma, beta), w1, b1, w2, b2)
+
+
+_LN_MATMUL_SHAPES = {"x": (2, 4, 5), "gamma": (5,), "beta": (5,), "w_q": (5, 3),
+                     "w_k": (5, 3), "w_v": (5, 2), "w_r": (3, 4)}
+_LN_MLP_SHAPES = {"x": (2, 4, 5), "gamma": (5,), "beta": (5,),
+                  **{n: s for n, s in _MLP_SHAPES.items() if n != "x"}}
+
+PRIMITIVES += [("mlp_" + n, s, _of(mlp, _MLP_SHAPES, n)) for n, s in _MLP_SHAPES.items()]
+PRIMITIVES += [("layer_norm_matmul_" + n, s, _of(_ln_matmuls, _LN_MATMUL_SHAPES, n, True))
+               for n, s in _LN_MATMUL_SHAPES.items()]
+PRIMITIVES += [("layer_norm_mlp_" + n, s, _of(_ln_mlp, _LN_MLP_SHAPES, n, True))
+               for n, s in _LN_MLP_SHAPES.items()]
 
 
 def _primitive_params(name, shape):
@@ -731,6 +755,81 @@ class TestMlp:
         assert out._node is not None
         assert held <= hidden + out.data.nbytes + 16384, \
             f"held {held} B; h and GELU(h) are {hidden} B each"
+
+
+class TestLayerNormRebuilt:
+    """A layer_norm output that spans blocks is rebuilt from x-hat in the
+    rules that read it; the outputs and every gradient keep the bits of the
+    chain that keeps it, which every op runs when each array is one block."""
+
+    # (x, hidden): small, and paper-sized (S = 577, D = 768, 4D = 3072),
+    # whose layer_norm output spans three blocks at the default budget; a
+    # budget of one byte gives every row a block of its own
+    @pytest.mark.parametrize("x_shape,hidden", [((2, 37, 24), 96), ((1, 577, 768), 3072)])
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("chain", ["matmul", "mlp"])
+    def test_equals_the_kept_chain(self, monkeypatch, chain, x_shape, hidden, budget):
+        _, s, d = x_shape
+        rng = np.random.default_rng(29)
+        shapes = [x_shape, (d,), (d,)] + ([(d, hidden), (d, hidden), (d, 8), (5, s)]
+                                          if chain == "matmul" else
+                                          [(d, hidden), (hidden,), (hidden, d), (d,)])
+        arrays = [rng.normal(scale=0.3 if i > 2 else 2.0, size=shape).astype(np.float32)
+                  for i, shape in enumerate(shapes)]
+        if chain == "matmul":
+            op = _ln_matmuls
+        else:
+            def op(x, gamma, beta, *weights):  # the composition mlp replaced
+                return _linear_gelu_linear(layer_norm(x, gamma, beta), *weights)
+
+        def rebuilds():
+            return layer_norm(*(t(a, rg=True) for a in arrays[:3]))._node.rebuild is not None
+
+        default = nd._BLOCK_BYTES
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", 1 << 30)
+        assert not rebuilds()
+        expected = _outputs_and_grads(op, arrays)
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", default if budget is None else budget)
+        assert rebuilds() == (budget == 1 or s == 577)
+        got = _outputs_and_grads(_ln_matmuls if chain == "matmul" else _ln_mlp, arrays)
+        for a, b in zip(expected, got, strict=True):
+            assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("wide", range(3))
+    def test_one_float64_operand_gives_the_kept_dtypes(self, monkeypatch, wide):
+        rng = np.random.default_rng(30)
+        arrays = [rng.normal(size=s).astype(np.float32) for s in _LN_MLP_SHAPES.values()]
+        arrays[wide] = arrays[wide].astype(np.float64)
+        expected = _outputs_and_grads(_ln_mlp, arrays)
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", 1)
+        got = _outputs_and_grads(_ln_mlp, arrays)
+        for a, b in zip(expected, got, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_recorded_mlp_block_holds_xhat_and_output_only(self, monkeypatch):
+        # a layer_norm output of four blocks and an h of sixteen: the block
+        # keeps x-hat, each row's 1/std and its output, not the layer_norm
+        # output or h, which a kept copy would add in full
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", 16 * 96 * 4)
+        rng = np.random.default_rng(31)
+        params = {"layer0." + n: Tensor(rng.normal(scale=0.1, size=s).astype(np.float32),
+                                        requires_grad=True)
+                  for n, s in (("ln2.gamma", (96,)), ("ln2.beta", (96,)),
+                               ("mlp.w1", (96, 384)), ("mlp.b1", (384,)),
+                               ("mlp.w2", (384, 96)), ("mlp.b2", (96,)))}
+        z = t(rng.normal(size=(1, 64, 96)))
+        assert len(list(nd._blocks(z.shape, 4, 1))) == 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = encoder.mlp_block(z, params, 0)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert out._node is not None
+        rows = 64 * 96 * 4  # x-hat, the layer_norm output and the block output each
+        assert held <= 2 * rows + 64 * 4 + 8192, \
+            f"held {held} B; x-hat and the output are {2 * rows} B, h {4 * rows} B"
 
 
 class TestAttentionHolds:

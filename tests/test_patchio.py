@@ -60,6 +60,16 @@ class TestLoadPPM:
         save_ppm(img, p)
         npt.assert_allclose(load_ppm(p), img, atol=0.5 / 255)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("save", [save_ppm, patchio.save_pgm])
+    def test_non_finite_pixel_is_not_written(self, tmp_path, bad, save):
+        img = np.full((3, 4, 3), 0.5, dtype=np.float32)
+        img[1, 2] = bad
+        p = tmp_path / "x.pnm"
+        with pytest.raises(ValueError, match="non-finite"):
+            save(img if save is save_ppm else img[..., 0], p)
+        assert not p.exists()
+
 
 class TestResize:
     def test_identity(self):
