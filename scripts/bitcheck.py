@@ -33,10 +33,11 @@ the repository root; every line must match between the two trees. Lines:
   batch at the process's BLAS setting), so compare each thread count
   with itself.
 
-The paper lines need about 1.3 GB of memory (a run peaked at 1,203 MB of
-RSS, since a train step's graph keeps neither a layer norm output nor the
-MLP's hidden layer or its GELU, and the step never holds a whole set of
-gradients) and a minute or so of CPU.
+The paper lines need about 1.2 GB of memory (a run at 2 BLAS threads
+peaked at 1,145 MB of RSS, since a train step's graph keeps no layer norm
+output, no Q, K or V, and neither the MLP's hidden layer nor its GELU,
+and the step never holds a whole set of gradients) and a minute or so of
+CPU.
 """
 
 import hashlib

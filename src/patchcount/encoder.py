@@ -32,7 +32,14 @@ def scaled_attention(q, k, v, scale, record=False):
 
 
 def msa(z, params, layer, n_heads, scale, record=False):
-    """Multi-head self-attention; returns (output, [B, H, S, S] weights or None)."""
+    """Multi-head self-attention; returns (output, [B, H, S, S] weights or None).
+
+    A recorded pass whose arrays span more than one block keeps x-hat (in
+    layer_norm), each attention row's softmax max and sum and the merged
+    heads, and no LN output, Q, K, V or probabilities: attention's rule
+    rebuilds Q, K and V from x-hat with the forward's GEMMs (see
+    ndtensor.matmul), and the probabilities from those.
+    """
     p = f"layer{layer}."
     q, k, v = (split_heads(matmul(z, params[p + w]), n_heads) for w in ("w_q", "w_k", "w_v"))
     del z  # the LN output is freed before attention, unless a graph keeps it whole

@@ -10,14 +10,19 @@ intermediate's array is freed once forward code drops it, unless a rule
 holds it. Some rules keep less than they read, and rebuild the rest with
 the forward's own float32 steps, so with its bits:
 
-- ``attention`` keeps Q, K, V and each row's softmax max and sum, and
-  rebuilds the probabilities block by block;
+- ``attention`` keeps each row's softmax max and sum, and rebuilds the
+  probabilities block by block; it keeps Q, K and V, but not one whose
+  graph place can rebuild it;
 - ``gelu`` keeps its input and rebuilds tanh(u);
 - ``mlp`` keeps nothing but its input, and not that when the input's
   graph place can rebuild it; its output rule rebuilds the input, the
-  hidden layer h and GELU(h), and the hidden rule tanh(u);
+  hidden layer h, and, from one tanh(u) per block, GELU(h) and h's
+  gradient;
 - a ``layer_norm`` output's graph place rebuilds it from the x-hat that
-  layer_norm keeps anyway, so ``matmul`` and ``mlp`` keep no copy of it.
+  layer_norm keeps anyway, so ``matmul`` and ``mlp`` keep no copy of it;
+- the place of a ``matmul`` of such an output by a weight, and of
+  ``split_heads`` of that, rebuild it in turn with the forward's GEMM,
+  so ``attention`` keeps no Q, K or V projected from a layer_norm output.
 
 An intermediate that fits in one _BLOCK_BYTES block, as every toy-model
 array does, is kept instead (gelu's tanh(u) aside). A finite-difference
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 
 import numpy as np
 
@@ -322,11 +328,22 @@ def matmul(a, b):
 
     Leading batch dimensions must match or be absent on one side. A
     recorded product keeps no operand that its graph place can rebuild.
+    When the product spans more than one _BLOCK_BYTES block, its left
+    operand's place can rebuild and its right operand is a leaf (a
+    weight, which the rule keeps anyway), the product's own place can
+    rebuild it too, with the forward's GEMM on the rebuilt left operand:
+    a layer_norm output times w_q is one. It reads the weight as it is
+    then; the weight's last consumer is this rule, which runs after every
+    consumer of the product, so after every rebuild.
     """
     a_, b_, a, b = a.data, b.data, a.node, b.node
     data = _matmul_data(a_, b_)
     a_, b_ = _kept(a, a_), _kept(b, b_)
-    return _make(data, (a, b), lambda g: _matmul_backward(a, b, a_, b_, g))
+    out = _make(data, (a, b), lambda g: _matmul_backward(a, b, a_, b_, g))
+    if out._node is not None and a.rebuild is not None and isinstance(b, Tensor) \
+            and not _one_block(data.shape, data.dtype.itemsize):
+        out._node.rebuild = lambda: _matmul_data(a.rebuild(), b_)
+    return out
 
 
 def transpose_last(a):
@@ -482,8 +499,11 @@ def attention(q, k, v, scale, keep=False):
     heads and tiles there are, and a recorded pass keeps each row's max
     and sum instead: backward rebuilds each block of probabilities from
     Q, K and those, with the forward's own float32 steps, right before it
-    reads the block. Backward runs block by block, so it never holds a
-    whole gradient of the probabilities either. The float32 operations and
+    reads the block. A recorded pass keeps no Q, K or V whose graph place
+    can rebuild it (a projection of a layer_norm output that spans more
+    than one block, see matmul and split_heads): the rule rebuilds them
+    first. Backward runs block by block, so it never holds a whole
+    gradient of the probabilities either. The float32 operations and
     their order, forward and backward, are those of matmul(softmax_rows(
     smul(matmul(q, transpose_last(k)), scale)), v).
     """
@@ -503,20 +523,20 @@ def attention(q, k, v, scale, keep=False):
             stats[0][i], stats[1][i] = row_max, row_sum
         np.matmul(p_i, v_[i], out=out[i])
         del p_i  # a block not kept goes before the next one is made
-
-    def probs(i):
-        if p is not None:
-            return p[i]
-        p_i = np.matmul(q_[i], np.swapaxes(k_[i], -1, -2))
-        _softmax_scaled_(p_i, scale, (stats[0][i], stats[1][i]))
-        return p_i
+    kept = tuple((t, _kept(t, a)) for t, a in ((q, q_), (k, k_), (v, v_)))
 
     def backward(g):
+        q_, k_, v_ = (_read(t, a) for t, a in kept)
         dv = np.empty(v.shape, np.result_type(dtype, g))
         dq = np.empty(q.shape, np.result_type(dtype, k_))
         dk_t = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]), np.result_type(q_, dtype))
         for i in _blocks(shape, dtype.itemsize, 2):
-            p_i, g_i = probs(i), g[i]
+            if p is None:
+                p_i = np.matmul(q_[i], np.swapaxes(k_[i], -1, -2))
+                _softmax_scaled_(p_i, scale, (stats[0][i], stats[1][i]))
+            else:
+                p_i = p[i]
+            g_i = g[i]
             np.matmul(np.swapaxes(p_i, -1, -2), g_i, out=dv[i])
             # dP, in the probabilities' dtype, as a graph node of its own
             # would hold it, then the softmax backward on it in place
@@ -534,16 +554,22 @@ def attention(q, k, v, scale, keep=False):
     return _make(out, (q, k, v), backward), p if keep else None
 
 
+def _heads(x_, n_heads):
+    """[B, S, D] -> the [B, H, S, D/H] view of the same buffer."""
+    b, s, d = x_.shape
+    return x_.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
 def split_heads(x, n_heads):
     """[B, S, D] -> [B, H, S, D/H]: head h is feature slice [h*D/H, (h+1)*D/H).
 
-    The result is a view of x's buffer.
+    The result is a view of x's buffer. When x's graph place can rebuild
+    x, the result's place rebuilds it as the same view of that.
     """
     if x.ndim != 3 or x.shape[-1] % n_heads:
         raise ShapeError(f"split_heads needs [B, S, D] with D divisible by {n_heads}, "
                          f"got {x.shape}")
-    b, s, d = x.shape
-    data = x.data.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+    data = _heads(x.data, n_heads)
     x = x.node
 
     def backward(g):
@@ -551,7 +577,10 @@ def split_heads(x, n_heads):
         # a copy of g, unless there is one head or one token
         _accum(x, dx, owned=not np.may_share_memory(dx, g))
 
-    return _make(data, (x,), backward)
+    out = _make(data, (x,), backward)
+    if out._node is not None and x.rebuild is not None:
+        out._node.rebuild = lambda: _heads(x.rebuild(), n_heads)
+    return out
 
 
 def merge_heads(x):
@@ -664,24 +693,46 @@ def _gelu_tanh(x, dtype):
     return t
 
 
-def _gelu_rows(x_, out, keep):
+def _gelu_slope(x_, t, d):
+    """gelu'(x_) in place in ``d``, which holds 1 + tanh(u) on entry, ``t``
+    being tanh(u); returns d."""
+    du = np.square(x_)
+    du *= 3.0 * _GELU_C
+    du += 1.0
+    du *= _SQRT_2_OVER_PI
+    d *= 0.5
+    rest = np.square(t)
+    np.subtract(1.0, rest, out=rest)
+    rest *= 0.5 * x_  # 0.5 * x * (1 - t**2) * du
+    rest *= du
+    d += rest
+    return d
+
+
+def _gelu_rows(x_, out, keep, g=None):
     """GELU of ``x_`` into ``out``, which may be ``x_`` itself, one block of
     rows at a time; returns tanh(u) with ``keep``, for an ``x_`` that is one
-    block, else None.
+    block, else None. Given ``g``, an array of x_'s shape (and an ``out``
+    that is not x_), it also multiplies g by gelu'(x_) in place, from the
+    same tanh(u).
 
     tanh(u), and then 1 + tanh(u), live in one block-sized buffer per
-    block. Each float32 operation has the operands and order of the plain
-    formula 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + C * x * x * x))), so a
-    rebuilt output has the first one's bits.
+    block (two with ``g``). Each float32 operation has the operands and
+    order of the plain formula 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + C * x
+    * x * x))), so a rebuilt output has the first one's bits, and g's
+    product has those of _gelu_grad's, since a float product commutes.
     """
     t = None
     for i in _blocks(x_.shape, out.dtype.itemsize, 1):
         x_i, out_i = x_[i], out[i]
         t_i = _gelu_tanh(x_i, out.dtype)
+        s_i = np.add(1.0, t_i, out=None if keep or g is not None else t_i)
         np.multiply(0.5, x_i, out=out_i)
-        out_i *= np.add(1.0, t_i, out=None if keep else t_i)
+        out_i *= s_i
+        if g is not None:
+            g[i] *= _gelu_slope(x_i, t_i, s_i)
         t = t_i if keep else None  # kept, it is the one block
-        del t_i  # a block not kept goes before the next one is made
+        del t_i, s_i  # a block not kept goes before the next one is made
     return t
 
 
@@ -693,17 +744,8 @@ def _gelu_grad(x_, t, g, dtype):
     for i in _blocks(x_.shape, dtype.itemsize, 1):
         x_i, d_i = x_[i], dgelu[i]
         t_i = _gelu_tanh(x_i, dtype) if t is None else t
-        du = np.square(x_i)
-        du *= 3.0 * _GELU_C
-        du += 1.0
-        du *= _SQRT_2_OVER_PI
         np.add(1.0, t_i, out=d_i)
-        d_i *= 0.5
-        rest = np.square(t_i)
-        np.subtract(1.0, rest, out=rest)
-        rest *= 0.5 * x_i  # 0.5 * x * (1 - t**2) * du
-        rest *= du
-        d_i += rest
+        _gelu_slope(x_i, t_i, d_i)
         d_i *= g[i]
     return dgelu
 
@@ -735,17 +777,18 @@ def mlp(x, w1, b1, w2, b2):
     them. When h fits in one _BLOCK_BYTES block (every toy-model MLP does),
     a recorded pass keeps x, h, GELU(h) and tanh(u). Otherwise it keeps
     none of them but x, and not x either when x's graph place can rebuild
-    it (a layer_norm output does): the output's rule rebuilds x, then h
-    with the forward's own GEMM and GELU(h) whole with gelu's blocked
-    steps, so the w2 weight-gradient GEMM reads the forward's operands, and
-    hands x and h to the hidden rule, which runs right after it; the GELU
-    gradient rebuilds tanh(u) block by block. Those rebuilds read w1 and b1
-    before the hidden rule, their last consumer. Without a graph, GELU(h)
-    is written over h, and x is dropped before it, so an x that only the
-    call holds (an argument built inline) is freed before the 4D-wide
-    GELU. The float32 operations and their order, forward and backward,
-    are those of the three ops, and each array goes when their rules would
-    drop it.
+    it (a layer_norm output does). The output's rule then rebuilds x and h
+    with the forward's own GEMM, takes GELU(h)'s gradient from w2 first,
+    and in one blocked pass computes each block's tanh(u) once, for
+    GELU(h), which the w2 weight-gradient GEMM reads, and for h's gradient,
+    written over GELU(h)'s. It hands x and that to the hidden rule, which
+    runs right after it and runs only the first linear's backward. Those
+    rebuilds read w1 and b1 before the hidden rule, their last consumer.
+    Without a graph, GELU(h) is written over h, and x is dropped before
+    it, so an x that only the call holds (an argument built inline) is
+    freed before the 4D-wide GELU. The float32 operations and their order,
+    forward and backward, are those of the three ops, and each array goes
+    when their rules would drop it.
     """
     record = _recording((x, w1, b1, w2, b2))
     x_, w1_, b1_, w2_ = x.data, w1.data, b1.data, w2.data
@@ -761,11 +804,14 @@ def mlp(x, w1, b1, w2, b2):
     data = _linear_data(a, w2_, b2.data)
     x, w1, b1, w2, b2 = (v.node for v in (x, w1, b1, w2, b2))
     # the hidden rule's x and h: kept with tanh(u), else the output rule's
+    # x and no h, whose gradient that rule hands over
     xh = (x_, h)
 
-    def hidden_backward(da):
+    def hidden_backward(d):
         x_, h = xh
-        _linear_backward(x, w1, b1, x_, w1_, _gelu_grad(h, t, da, dtype))
+        if h is not None:  # d is GELU(h)'s gradient, not yet h's
+            d = _gelu_grad(h, t, d, dtype)
+        _linear_backward(x, w1, b1, x_, w1_, d)
 
     hidden = _Node(a, (x, w1, b1), hidden_backward)
     if t is None:
@@ -774,14 +820,23 @@ def mlp(x, w1, b1, w2, b2):
 
     def backward(g):
         nonlocal xh
-        a_ = a
-        if a_ is None:  # rebuilt with the forward's steps, so with its bits
-            x_r = _read(x, x_)
-            h_r = _linear_data(x_r, w1_, b1_)
-            a_ = np.empty(h_r.shape, dtype)
-            _gelu_rows(h_r, a_, False)
-            xh = x_r, h_r
-        _linear_backward(hidden, w2, b2, a_, w2_, g)
+        if a is not None:
+            _linear_backward(hidden, w2, b2, a, w2_, g)
+            return
+        # rebuilt with the forward's steps, so with its bits
+        x_r = _read(x, x_)
+        h = _linear_data(x_r, w1_, b1_)
+        # GELU(h)'s gradient in the hidden place's dtype, as _accum would
+        # take it, then h's, in place
+        dh = _matmul_rows(g, np.swapaxes(w2_, -1, -2)).astype(dtype, copy=False)
+        a_ = np.empty(h.shape, dtype)
+        _gelu_rows(h, a_, False, dh)
+        del h
+        xh = x_r, None
+        _accum(hidden, dh, owned=True)
+        _accum(b2, _unbroadcast(g, b2.shape))
+        if w2.requires_grad:
+            _accum(w2, _unbroadcast(np.matmul(np.swapaxes(a_, -1, -2), g), w2.shape), owned=True)
 
     return _make(data, (hidden, w2, b2), backward)
 
@@ -790,7 +845,7 @@ def mlp(x, w1, b1, w2, b2):
 # backward pass
 # ---------------------------------------------------------------------------
 
-def backward(loss, ready=None):
+def backward(loss, ready=None, timer=None):
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
 
     The recorded graph is consumed as it goes: each node drops its rule
@@ -803,6 +858,10 @@ def backward(loss, ready=None):
     gradient, which is then final. A watched leaf that takes no gradient
     from this loss raises MissingGradError, naming its key, before any
     rule runs.
+
+    ``timer``, if given, is called as ``timer(qualname, seconds)`` once per
+    rule that runs, with the rule's ``__qualname__`` (``mlp.<locals>.
+    backward``, say) and the wall time it took.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -850,7 +909,12 @@ def backward(loss, ready=None):
                 done(watched[id(node)])
             continue
         if node.grad is not None:
-            node._backward(node.grad)
+            if timer is None:
+                node._backward(node.grad)
+            else:
+                start = time.perf_counter()
+                node._backward(node.grad)
+                timer(node._backward.__qualname__, time.perf_counter() - start)
         node._backward = None
         node._parents = ()
         node.grad = None  # intermediate grads are scratch space

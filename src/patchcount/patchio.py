@@ -123,10 +123,25 @@ def save_pgm(img, path):
     _save_netpbm(img, path, "P5", 1)
 
 
+_RESIZE_BLOCK_BYTES = 1 << 20  # bytes of output rows in one resize_bilinear block
+
+
+def _lerp_columns(rows, x0, x1, fx):
+    """rows[:, x0] * (1 - fx) + rows[:, x1] * fx, as a new array."""
+    out = rows[:, x0] * (1 - fx)
+    out += rows[:, x1] * fx
+    return out
+
+
 def resize_bilinear(img, out_h, out_w):
     """Bilinear resize with half-pixel centers (align-corners false).
 
-    Returns the input untouched when the size is unchanged.
+    Returns the input untouched when the size is unchanged. The float32
+    output is written block by block, about 1 MiB of output rows at a
+    time, from each source row gathered once per block. Each element is
+    top * (1 - fy) + bot * fy, with top = img[y0, x0] * (1 - fx) +
+    img[y0, x1] * fx and bot the same on row y1, computed in img's dtype
+    promoted to float32 and then rounded to float32.
     """
     h, w = img.shape[:2]
     if (h, w) == (out_h, out_w):
@@ -142,11 +157,18 @@ def resize_bilinear(img, out_h, out_w):
 
     y0, y1, fy = _coords(out_h, h)
     x0, x1, fx = _coords(out_w, w)
-    fy = fy[:, None, None]
-    fx = fx[None, :, None]
-    top = img[y0][:, x0] * (1 - fx) + img[y0][:, x1] * fx
-    bot = img[y1][:, x0] * (1 - fx) + img[y1][:, x1] * fx
-    return (top * (1 - fy) + bot * fy).astype(np.float32)
+    fx = fx[:, None]
+    out = np.empty((out_h, out_w) + img.shape[2:], np.float32)
+    step = max(1, _RESIZE_BLOCK_BYTES // out[0].nbytes)
+    for r in range(0, out_h, step):
+        rows = slice(r, r + step)
+        top = _lerp_columns(img[y0[rows]], x0, x1, fx)
+        bot = _lerp_columns(img[y1[rows]], x0, x1, fx)
+        fy_r = fy[rows, None, None]
+        top *= 1 - fy_r
+        bot *= fy_r
+        np.add(top, bot, out=out[rows])
+    return out
 
 
 def fit_to_grid(img, side):

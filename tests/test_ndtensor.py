@@ -300,6 +300,17 @@ class TestBackward:
         assert np.isfinite(x.grad).all()
 
 
+class TestBackwardTimer:
+    def test_times_each_rule_that_runs_once_by_its_name(self):
+        args = [t(np.ones(s), rg=True) for s in _MLP_SHAPES.values()]
+        loss, calls = mean(mlp(*args)), []
+        backward(loss, timer=lambda name, seconds: calls.append((name, seconds)))
+        assert [name for name, _ in calls] == [
+            "mean.<locals>.backward", "mlp.<locals>.backward", "mlp.<locals>.hidden_backward"]
+        assert all(seconds >= 0.0 for _, seconds in calls)
+        assert all(a.grad is not None for a in args)
+
+
 class TestBackwardReady:
     """backward(loss, ready=(leaves, done)) hands each watched leaf to done
     once its gradient is final."""
@@ -437,8 +448,20 @@ def _ln_mlp(x, gamma, beta, w1, b1, w2, b2):
     return mlp(layer_norm(x, gamma, beta), w1, b1, w2, b2)
 
 
+def _ln_attention(x, gamma, beta, w_q, w_k, w_v, w_o, n_heads=2):
+    """encoder.msa's chain: one layer_norm output projected to Q, K and V,
+    split into heads, attended, merged and projected by w_o. The scale is
+    small enough that float32 central differences of step 1e-2 stay
+    within the checker's bound on unit-normal weights."""
+    z = layer_norm(x, gamma, beta)
+    q, k, v = (split_heads(matmul(z, w), n_heads) for w in (w_q, w_k, w_v))
+    return matmul(merge_heads(attention(q, k, v, 0.1)[0]), w_o)
+
+
 _LN_MATMUL_SHAPES = {"x": (2, 4, 5), "gamma": (5,), "beta": (5,), "w_q": (5, 3),
                      "w_k": (5, 3), "w_v": (5, 2), "w_r": (3, 4)}
+_LN_ATTENTION_SHAPES = {"x": (2, 4, 6), "gamma": (6,), "beta": (6,), "w_q": (6, 6),
+                        "w_k": (6, 6), "w_v": (6, 4), "w_o": (4, 5)}
 _LN_MLP_SHAPES = {"x": (2, 4, 5), "gamma": (5,), "beta": (5,),
                   **{n: s for n, s in _MLP_SHAPES.items() if n != "x"}}
 
@@ -447,6 +470,8 @@ PRIMITIVES += [("layer_norm_matmul_" + n, s, _of(_ln_matmuls, _LN_MATMUL_SHAPES,
                for n, s in _LN_MATMUL_SHAPES.items()]
 PRIMITIVES += [("layer_norm_mlp_" + n, s, _of(_ln_mlp, _LN_MLP_SHAPES, n, True))
                for n, s in _LN_MLP_SHAPES.items()]
+PRIMITIVES += [("layer_norm_attention_" + n, s, _of(_ln_attention, _LN_ATTENTION_SHAPES, n, True))
+               for n, s in _LN_ATTENTION_SHAPES.items()]
 
 
 def _primitive_params(name, shape):
@@ -736,6 +761,22 @@ class TestMlp:
         with nd.no_grad():
             assert mlp(*args)._node is None
 
+    def test_backward_computes_each_tanh_once(self, monkeypatch):
+        # h spans four blocks: the output rule computes each block's tanh(u)
+        # once, for GELU(h) and for h's gradient, and the hidden rule none
+        real, shapes = nd._gelu_tanh, []
+        monkeypatch.setattr(nd, "_gelu_tanh", lambda x, dtype: shapes.append(x.shape)
+                            or real(x, dtype))
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", 16 * 96 * 4)
+        rng = np.random.default_rng(36)
+        args = [t(rng.normal(size=s), rg=True)
+                for s in ((1, 64, 24), (24, 96), (96,), (96, 24), (24,))]
+        loss = mean(mlp(*args))
+        assert shapes == [(16, 96)] * 4
+        shapes.clear()
+        backward(loss)
+        assert shapes == [(16, 96)] * 4
+
     def test_recorded_holds_hidden_and_output_but_no_gelu_output(self):
         # a hidden of four blocks of 64 rows of the paper's MLP width: the
         # pass holds h and its output (x is the caller's), and backward
@@ -830,6 +871,99 @@ class TestLayerNormRebuilt:
         rows = 64 * 96 * 4  # x-hat, the layer_norm output and the block output each
         assert held <= 2 * rows + 64 * 4 + 8192, \
             f"held {held} B; x-hat and the output are {2 * rows} B, h {4 * rows} B"
+
+
+class TestProjectionsRebuilt:
+    """Q, K and V projected from a layer_norm output that spans blocks are
+    rebuilt from x-hat in attention's rule; the outputs and every gradient
+    keep the bits of the chain that keeps them, which every op runs when
+    each array is one block."""
+
+    # D = 768 and 12 heads, as the paper's; at the default budget the
+    # projections of S = 577 span three blocks and those of S = 37 are one,
+    # and a budget of one byte gives every row a block of its own
+    @pytest.mark.parametrize("x_shape", [(2, 37, 768), (1, 577, 768)])
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_equals_the_kept_chain(self, monkeypatch, x_shape, budget):
+        d = x_shape[-1]
+        rng = np.random.default_rng(32)
+        arrays = [rng.normal(scale=0.3 if i > 2 else 2.0, size=shape).astype(np.float32)
+                  for i, shape in enumerate([x_shape, (d,), (d,)] + [(d, d)] * 4)]
+
+        def op(*args):
+            return _ln_attention(*args, n_heads=12)
+
+        def rebuilds():
+            z = layer_norm(*(t(a, rg=True) for a in arrays[:3]))
+            return split_heads(matmul(z, t(arrays[3])), 12)._node.rebuild is not None
+
+        default = nd._BLOCK_BYTES
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", 1 << 30)
+        assert not rebuilds()
+        expected = _outputs_and_grads(op, arrays)
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", default if budget is None else budget)
+        assert rebuilds() == (budget == 1 or x_shape[1] == 577)
+        got = _outputs_and_grads(op, arrays)
+        for a, b in zip(expected, got, strict=True):
+            assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("wide", range(7))
+    def test_one_float64_operand_gives_the_kept_dtypes(self, monkeypatch, wide):
+        rng = np.random.default_rng(33)
+        arrays = [rng.normal(size=s).astype(np.float32) for s in _LN_ATTENTION_SHAPES.values()]
+        arrays[wide] = arrays[wide].astype(np.float64)
+        expected = _outputs_and_grads(_ln_attention, arrays)
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", 1)
+        got = _outputs_and_grads(_ln_attention, arrays)
+        for a, b in zip(expected, got, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_only_a_leaf_right_operand_rebuilds(self, monkeypatch):
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", 1)
+        rng = np.random.default_rng(34)
+        z = layer_norm(*(t(rng.normal(size=s), rg=True) for s in ((2, 4, 6), (6,), (6,))))
+        w = t(rng.normal(size=(6, 6)), rg=True)
+        assert matmul(z, w)._node.rebuild is not None
+        assert matmul(z, smul(w, 2.0))._node.rebuild is None  # an op output, not a leaf
+        assert matmul(smul(z, 2.0), w)._node.rebuild is None  # a left operand kept
+
+    @staticmethod
+    def _held_by_msa(monkeypatch, budget):
+        """(bytes a recorded encoder.msa holds for a [1, 64, 96] input of 4
+        heads, one row-major [64, 96] array's bytes)."""
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(35)
+        params = {"layer0." + n: Tensor(rng.normal(scale=0.1, size=s).astype(np.float32),
+                                        requires_grad=True)
+                  for n, s in (("ln1.gamma", (96,)), ("ln1.beta", (96,)), ("w_q", (96, 96)),
+                               ("w_k", (96, 96)), ("w_v", (96, 96)), ("w_o", (96, 96)))}
+        z = t(rng.normal(size=(1, 64, 96)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out, _ = encoder.msa(layer_norm(z, params["layer0.ln1.gamma"],
+                                            params["layer0.ln1.beta"]),
+                                 params, 0, 4, 0.5)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert out._node is not None
+        return held, 64 * 96 * 4
+
+    def test_recorded_multi_block_msa_holds_no_projection(self, monkeypatch):
+        # Q, K and V span four blocks each: the graph keeps x-hat, each
+        # row's 1/std, the merged heads and the probabilities' row max and
+        # sum, and no Q, K or V, which would add a row array each; the test
+        # holds the output
+        held, rows = self._held_by_msa(monkeypatch, 16 * 96 * 4)
+        assert held <= 3 * rows + 64 * 4 + 2 * 4 * 64 * 4 + 16384, \
+            f"held {held} B; x-hat, the merged heads and the output are {3 * rows} B"
+
+    def test_recorded_one_block_msa_holds_the_projections(self, monkeypatch):
+        # one block: the layer_norm output, Q, K, V and the probabilities
+        # are kept besides x-hat, the merged heads and the output
+        held, rows = self._held_by_msa(monkeypatch, 1 << 30)
+        assert held >= 7 * rows + 4 * 64 * 64 * 4, f"held {held} B"
 
 
 class TestAttentionHolds:

@@ -71,7 +71,36 @@ class TestLoadPPM:
         assert not p.exists()
 
 
+def _resize_whole(img, out_h, out_w):
+    """resize_bilinear's formula on whole arrays, as it once ran."""
+    def coords(n_out, n_in):
+        src = np.clip((np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5,
+                      0.0, n_in - 1.0)
+        lo = np.floor(src).astype(np.int64)
+        return lo, np.minimum(lo + 1, n_in - 1), (src - lo).astype(np.float32)
+
+    (y0, y1, fy), (x0, x1, fx) = coords(out_h, img.shape[0]), coords(out_w, img.shape[1])
+    fy, fx = fy[:, None, None], fx[None, :, None]
+    top = img[y0][:, x0] * (1 - fx) + img[y0][:, x1] * fx
+    bot = img[y1][:, x0] * (1 - fx) + img[y1][:, x1] * fx
+    return (top * (1 - fy) + bot * fy).astype(np.float32)
+
+
 class TestResize:
+    # up (a 709x709 eval image to the 768x1152 grid), down, odd, and a
+    # single output row or column; the large ones span several row blocks
+    @pytest.mark.parametrize("shape,out_hw", [((709, 709), (768, 1152)),
+                                              ((480, 640), (768, 1152)),
+                                              ((768, 1152), (128, 192)),
+                                              ((13, 7), (5, 29)), ((2, 300), (301, 1))])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+    def test_bits_of_the_whole_array_formula(self, shape, out_hw, dtype):
+        rng = np.random.default_rng(sum(shape))
+        img = (rng.random(shape + (3,)) * (255 if dtype == np.uint8 else 1)).astype(dtype)
+        got, expected = resize_bilinear(img, *out_hw), _resize_whole(img, *out_hw)
+        assert got.dtype == expected.dtype == np.float32 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
     def test_identity(self):
         img = np.random.default_rng(1).random((6, 8, 3)).astype(np.float32)
         assert resize_bilinear(img, 6, 8) is img
