@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 
 import numpy as np
 
@@ -736,14 +735,14 @@ def _gelu_rows(x_, out, keep, g=None):
     return t
 
 
-def _gelu_grad(x_, t, g, dtype):
+def _gelu_grad(x_, g, dtype):
     """g * gelu'(x_), one block of rows at a time, as a new array of
-    ``dtype``; ``t`` is tanh(u) kept whole, or None to rebuild each block's
-    from x_ with the forward's own float32 steps."""
+    ``dtype``; each block's tanh(u) is rebuilt from x_ with the forward's
+    own float32 steps."""
     dgelu = np.empty(x_.shape, dtype)
     for i in _blocks(x_.shape, dtype.itemsize, 1):
         x_i, d_i = x_[i], dgelu[i]
-        t_i = _gelu_tanh(x_i, dtype) if t is None else t
+        t_i = _gelu_tanh(x_i, dtype)
         np.add(1.0, t_i, out=d_i)
         _gelu_slope(x_i, t_i, d_i)
         d_i *= g[i]
@@ -763,7 +762,7 @@ def gelu(x):
     x = x.node
 
     def backward(g):
-        _accum(x, _gelu_grad(x_, None, g, dtype), owned=True)
+        _accum(x, _gelu_grad(x_, g, dtype), owned=True)
 
     return _make(data, (x,), backward)
 
@@ -777,13 +776,15 @@ def mlp(x, w1, b1, w2, b2):
     them. When h fits in one _BLOCK_BYTES block (every toy-model MLP does),
     a recorded pass keeps x, h, GELU(h) and tanh(u). Otherwise it keeps
     none of them but x, and not x either when x's graph place can rebuild
-    it (a layer_norm output does). The output's rule then rebuilds x and h
-    with the forward's own GEMM, takes GELU(h)'s gradient from w2 first,
-    and in one blocked pass computes each block's tanh(u) once, for
-    GELU(h), which the w2 weight-gradient GEMM reads, and for h's gradient,
-    written over GELU(h)'s. It hands x and that to the hidden rule, which
-    runs right after it and runs only the first linear's backward. Those
-    rebuilds read w1 and b1 before the hidden rule, their last consumer.
+    it (a layer_norm output does). The output's rule takes GELU(h)'s
+    gradient from w2 first and turns it into h's in place, which it hands
+    to the hidden rule, which runs right after it and runs only the first
+    linear's backward. With one block it does so from the kept tanh(u);
+    otherwise it rebuilds x and h with the forward's own GEMM, and in one
+    blocked pass computes each block's tanh(u) once, for GELU(h), which
+    the w2 weight-gradient GEMM reads, and for h's gradient, and hands the
+    rebuilt x on too. Those rebuilds read w1 and b1 before the hidden
+    rule, their last consumer.
     Without a graph, GELU(h) is written over h, and x is dropped before
     it, so an x that only the call holds (an argument built inline) is
     freed before the 4D-wide GELU. The float32 operations and their order,
@@ -803,36 +804,31 @@ def mlp(x, w1, b1, w2, b2):
     t = _gelu_rows(h, a, _one_block(h.shape, dtype.itemsize))
     data = _linear_data(a, w2_, b2.data)
     x, w1, b1, w2, b2 = (v.node for v in (x, w1, b1, w2, b2))
-    # the hidden rule's x and h: kept with tanh(u), else the output rule's
-    # x and no h, whose gradient that rule hands over
-    xh = (x_, h)
+    # the hidden rule's x: kept with tanh(u), else the output rule's
+    x_h = x_
 
-    def hidden_backward(d):
-        x_, h = xh
-        if h is not None:  # d is GELU(h)'s gradient, not yet h's
-            d = _gelu_grad(h, t, d, dtype)
-        _linear_backward(x, w1, b1, x_, w1_, d)
+    def hidden_backward(dh):
+        _linear_backward(x, w1, b1, x_h, w1_, dh)
 
     hidden = _Node(a, (x, w1, b1), hidden_backward)
     if t is None:
-        a = h = xh = None
+        a = h = x_h = None
         x_ = _kept(x, x_)
 
     def backward(g):
-        nonlocal xh
-        if a is not None:
-            _linear_backward(hidden, w2, b2, a, w2_, g)
-            return
-        # rebuilt with the forward's steps, so with its bits
-        x_r = _read(x, x_)
-        h = _linear_data(x_r, w1_, b1_)
+        nonlocal x_h
         # GELU(h)'s gradient in the hidden place's dtype, as _accum would
         # take it, then h's, in place
         dh = _matmul_rows(g, np.swapaxes(w2_, -1, -2)).astype(dtype, copy=False)
-        a_ = np.empty(h.shape, dtype)
-        _gelu_rows(h, a_, False, dh)
-        del h
-        xh = x_r, None
+        a_ = a
+        if a_ is None:  # rebuilt with the forward's steps, so with its bits
+            x_h = _read(x, x_)
+            h_r = _linear_data(x_h, w1_, b1_)
+            a_ = np.empty(h_r.shape, dtype)
+            _gelu_rows(h_r, a_, False, dh)
+            del h_r
+        else:
+            dh *= _gelu_slope(h, t, np.add(1.0, t))
         _accum(hidden, dh, owned=True)
         _accum(b2, _unbroadcast(g, b2.shape))
         if w2.requires_grad:
@@ -845,7 +841,7 @@ def mlp(x, w1, b1, w2, b2):
 # backward pass
 # ---------------------------------------------------------------------------
 
-def backward(loss, ready=None, timer=None):
+def backward(loss, ready=None):
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
 
     The recorded graph is consumed as it goes: each node drops its rule
@@ -858,10 +854,6 @@ def backward(loss, ready=None, timer=None):
     gradient, which is then final. A watched leaf that takes no gradient
     from this loss raises MissingGradError, naming its key, before any
     rule runs.
-
-    ``timer``, if given, is called as ``timer(qualname, seconds)`` once per
-    rule that runs, with the rule's ``__qualname__`` (``mlp.<locals>.
-    backward``, say) and the wall time it took.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -909,12 +901,7 @@ def backward(loss, ready=None, timer=None):
                 done(watched[id(node)])
             continue
         if node.grad is not None:
-            if timer is None:
-                node._backward(node.grad)
-            else:
-                start = time.perf_counter()
-                node._backward(node.grad)
-                timer(node._backward.__qualname__, time.perf_counter() - start)
+            node._backward(node.grad)
         node._backward = None
         node._parents = ()
         node.grad = None  # intermediate grads are scratch space

@@ -300,17 +300,6 @@ class TestBackward:
         assert np.isfinite(x.grad).all()
 
 
-class TestBackwardTimer:
-    def test_times_each_rule_that_runs_once_by_its_name(self):
-        args = [t(np.ones(s), rg=True) for s in _MLP_SHAPES.values()]
-        loss, calls = mean(mlp(*args)), []
-        backward(loss, timer=lambda name, seconds: calls.append((name, seconds)))
-        assert [name for name, _ in calls] == [
-            "mean.<locals>.backward", "mlp.<locals>.backward", "mlp.<locals>.hidden_backward"]
-        assert all(seconds >= 0.0 for _, seconds in calls)
-        assert all(a.grad is not None for a in args)
-
-
 class TestBackwardReady:
     """backward(loss, ready=(leaves, done)) hands each watched leaf to done
     once its gradient is final."""
