@@ -735,14 +735,14 @@ def _gelu_rows(x_, out, keep, g=None):
     return t
 
 
-def _gelu_grad(x_, g, dtype):
+def _gelu_grad(x_, t, g, dtype):
     """g * gelu'(x_), one block of rows at a time, as a new array of
-    ``dtype``; each block's tanh(u) is rebuilt from x_ with the forward's
-    own float32 steps."""
+    ``dtype``; ``t`` is tanh(u) kept whole, or None to rebuild each block's
+    from x_ with the forward's own float32 steps."""
     dgelu = np.empty(x_.shape, dtype)
     for i in _blocks(x_.shape, dtype.itemsize, 1):
         x_i, d_i = x_[i], dgelu[i]
-        t_i = _gelu_tanh(x_i, dtype)
+        t_i = _gelu_tanh(x_i, dtype) if t is None else t
         np.add(1.0, t_i, out=d_i)
         _gelu_slope(x_i, t_i, d_i)
         d_i *= g[i]
@@ -762,7 +762,7 @@ def gelu(x):
     x = x.node
 
     def backward(g):
-        _accum(x, _gelu_grad(x_, g, dtype), owned=True)
+        _accum(x, _gelu_grad(x_, None, g, dtype), owned=True)
 
     return _make(data, (x,), backward)
 
@@ -776,15 +776,16 @@ def mlp(x, w1, b1, w2, b2):
     them. When h fits in one _BLOCK_BYTES block (every toy-model MLP does),
     a recorded pass keeps x, h, GELU(h) and tanh(u). Otherwise it keeps
     none of them but x, and not x either when x's graph place can rebuild
-    it (a layer_norm output does). The output's rule takes GELU(h)'s
-    gradient from w2 first and turns it into h's in place, which it hands
-    to the hidden rule, which runs right after it and runs only the first
-    linear's backward. With one block it does so from the kept tanh(u);
-    otherwise it rebuilds x and h with the forward's own GEMM, and in one
-    blocked pass computes each block's tanh(u) once, for GELU(h), which
-    the w2 weight-gradient GEMM reads, and for h's gradient, and hands the
-    rebuilt x on too. Those rebuilds read w1 and b1 before the hidden
-    rule, their last consumer.
+    it (a layer_norm output does). The output's rule then rebuilds x and h
+    with the forward's own GEMM, takes GELU(h)'s gradient from w2 first,
+    and in one blocked pass computes each block's tanh(u) once, for
+    GELU(h), which the w2 weight-gradient GEMM reads, and for h's gradient,
+    written over GELU(h)'s. It hands x and that to the hidden rule, which
+    runs right after it and runs only the first linear's backward. Those
+    rebuilds read w1 and b1 before the hidden rule, their last consumer.
+    With one block, the hidden rule takes h's gradient from the kept
+    tanh(u) itself, once the output rule's g and GELU(h) are freed: taken
+    in the output rule, it would peak with both of them alive.
     Without a graph, GELU(h) is written over h, and x is dropped before
     it, so an x that only the call holds (an argument built inline) is
     freed before the 4D-wide GELU. The float32 operations and their order,
@@ -807,8 +808,10 @@ def mlp(x, w1, b1, w2, b2):
     # the hidden rule's x: kept with tanh(u), else the output rule's
     x_h = x_
 
-    def hidden_backward(dh):
-        _linear_backward(x, w1, b1, x_h, w1_, dh)
+    def hidden_backward(d):
+        if t is not None:  # one block: d is GELU(h)'s gradient, not yet h's
+            d = _gelu_grad(h, t, d, dtype)
+        _linear_backward(x, w1, b1, x_h, w1_, d)
 
     hidden = _Node(a, (x, w1, b1), hidden_backward)
     if t is None:
@@ -817,18 +820,18 @@ def mlp(x, w1, b1, w2, b2):
 
     def backward(g):
         nonlocal x_h
+        if a is not None:
+            _linear_backward(hidden, w2, b2, a, w2_, g)
+            return
+        # rebuilt with the forward's steps, so with its bits
+        x_h = _read(x, x_)
+        h_r = _linear_data(x_h, w1_, b1_)
         # GELU(h)'s gradient in the hidden place's dtype, as _accum would
         # take it, then h's, in place
         dh = _matmul_rows(g, np.swapaxes(w2_, -1, -2)).astype(dtype, copy=False)
-        a_ = a
-        if a_ is None:  # rebuilt with the forward's steps, so with its bits
-            x_h = _read(x, x_)
-            h_r = _linear_data(x_h, w1_, b1_)
-            a_ = np.empty(h_r.shape, dtype)
-            _gelu_rows(h_r, a_, False, dh)
-            del h_r
-        else:
-            dh *= _gelu_slope(h, t, np.add(1.0, t))
+        a_ = np.empty(h_r.shape, dtype)
+        _gelu_rows(h_r, a_, False, dh)
+        del h_r
         _accum(hidden, dh, owned=True)
         _accum(b2, _unbroadcast(g, b2.shape))
         if w2.requires_grad:

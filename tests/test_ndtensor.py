@@ -766,6 +766,27 @@ class TestMlp:
         backward(loss)
         assert shapes == [(16, 96)] * 4
 
+    def test_one_block_backward_holds_at_most_four_hidden_arrays(self):
+        # a toy-model MLP (batch 8, 65 tokens, 64 wide), whose h is one block:
+        # the hidden rule takes h's gradient once the output rule's g and
+        # GELU(h) are gone, so at most four arrays of h's size are alive
+        # beyond what the graph held, and the weights' gradients
+        rng = np.random.default_rng(37)
+        args = [t(rng.normal(scale=0.3, size=s), rg=True)
+                for s in ((8, 65, 64), (64, 64), (64,), (64, 64), (64,))]
+        tracemalloc.start()  # before the forward, so the graph's frees count
+        try:
+            loss = mean(mlp(*args))
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        h_bytes, w_bytes = 8 * 65 * 64 * 4, 2 * 64 * 64 * 4
+        assert peak <= 4 * h_bytes + w_bytes + 4096, \
+            f"backward peaked {peak} B above the graph; h is {h_bytes} B"
+
     def test_recorded_holds_hidden_and_output_but_no_gelu_output(self):
         # a hidden of four blocks of 64 rows of the paper's MLP width: the
         # pass holds h and its output (x is the caller's), and backward
