@@ -8,16 +8,19 @@ Each pair runs ``perfbench/run.py --workload W --seed S`` once in each
 tree, with the tree as the working directory, so each run builds from its
 own source. The first pair runs the parent first, the next the change
 first, and so on. A run that perfbench marks ``loaded`` (other processes
-took CPU during it) does not count: it is discarded and run again.
+took CPU during it) does not count: it is discarded and run again. Each
+run's sample holds its gated metrics, ``correct``, and the operations it
+``attempted`` and that ``failed``, from perfbench's last line.
 
 BENCH_<label>.json, written to the repository root, holds every sample,
 each gated metric's median and quartiles for both trees, the parent's
 interquartile range, the pairs the change won (ties count for neither),
 and whether the change shows a gain: it won at least nine tenths of the
 pairs and its median beats the parent's by more than the parent's
-interquartile range. The metrics, their units and which way is better come
+interquartile range. It also holds each tree's share of failed operations
+over all its runs. The metrics, their units and which way is better come
 from the change tree's BENCHMARK.json. The script prints one line per
-metric.
+metric and one for the failed shares.
 """
 
 import argparse
@@ -34,7 +37,9 @@ LOADED_RETRIES = 5  # runs discarded as loaded before a pair gives up
 
 
 def run_once(tree, workload, seed):
-    """One perfbench run in ``tree``: (gated metrics by name, perfbench's record)."""
+    """One perfbench run in ``tree``: (its sample, perfbench's record). The
+    sample maps each gated metric's name to its value, and ``attempted`` and
+    ``failed`` to the run's operation counts."""
     with tempfile.TemporaryDirectory(prefix="pairs-") as out_dir:
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -45,7 +50,8 @@ def run_once(tree, workload, seed):
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         with open(os.path.join(out_dir, f"{workload}_seed{seed}_trace0.json")) as fh:
             record = json.load(fh)
-    return {name: m["value"] for name, m in result["metrics"].items()}, record
+    sample = {name: m["value"] for name, m in result["metrics"].items()}
+    return dict(sample, attempted=result["attempted"], failed=result["failed"]), record
 
 
 def _quartiles(values):
@@ -77,6 +83,22 @@ def summarize(pairs, end_to_end):
             "gain": 10 * wins >= 9 * len(pairs) and (gap if lower else -gap) > iqr,
         }
     return summary
+
+
+def failed_shares(pairs):
+    """Each tree's failed and attempted operations summed over ``pairs``,
+    and the failed share."""
+    shares = {}
+    for tree in TREES:
+        failed, attempted = (sum(p[tree][k] for p in pairs) for k in ("failed", "attempted"))
+        shares[tree] = {"failed": failed, "attempted": attempted, "share": failed / attempted}
+    return shares
+
+
+def shares_line(workload, shares):
+    """Both trees' failed shares as a CHANGES.md line fragment."""
+    return f"{workload} failed share: " + " → ".join(
+        f"{s['share']:.2%} ({s['failed']}/{s['attempted']})" for s in shares.values())
 
 
 def line(workload, name, s):
@@ -124,12 +146,13 @@ def main(argv=None):
     out = {"label": args.label, "workload": args.workload, "seed": args.seed,
            "machine": machine, "pairs": pairs, "discarded_loaded": discarded,
            "all_correct": all(pair[t]["correct"] for pair in pairs for t in TREES),
-           "summary": summary}
+           "summary": summary, "failed_shares": failed_shares(pairs)}
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
         json.dump(out, fh, indent=1)
     for name, s in summary.items():
         print(line(args.workload, name, s))
+    print(shares_line(args.workload, out["failed_shares"]))
     print(f"wrote\t{path}")
     return 0
 

@@ -81,6 +81,23 @@ class ModelConfig:
         return 1.0 / np.sqrt(denom)
 
 
+def _layer_shapes(p, d):
+    """One encoder layer's arrays in param_shapes: name (with prefix ``p``)
+    and shape, at width ``d``."""
+    return {
+        p + "ln1.gamma": (d,), p + "ln1.beta": (d,),
+        p + "w_q": (d, d), p + "w_k": (d, d), p + "w_v": (d, d),
+        p + "w_o": (d, d),
+        p + "ln2.gamma": (d,), p + "ln2.beta": (d,),
+        p + "mlp.w1": (d, 4 * d), p + "mlp.b1": (4 * d,),
+        p + "mlp.w2": (4 * d, d), p + "mlp.b2": (d,),
+    }
+
+
+# how many arrays param_shapes lists for each encoder layer
+LAYER_ARRAYS = len(_layer_shapes("", 1))
+
+
 def param_shapes(cfg):
     """Every learnable array's name and shape, in init and checkpoint order."""
     d, hid = cfg.dim, cfg.hidden_dim
@@ -92,15 +109,7 @@ def param_shapes(cfg):
     if with_token:
         shapes["embed.reg_token"] = (1, d)
     for l in range(cfg.layers):
-        p = f"layer{l}."
-        shapes.update({
-            p + "ln1.gamma": (d,), p + "ln1.beta": (d,),
-            p + "w_q": (d, d), p + "w_k": (d, d), p + "w_v": (d, d),
-            p + "w_o": (d, d),
-            p + "ln2.gamma": (d,), p + "ln2.beta": (d,),
-            p + "mlp.w1": (d, 4 * d), p + "mlp.b1": (4 * d,),
-            p + "mlp.w2": (4 * d, d), p + "mlp.b2": (d,),
-        })
+        shapes.update(_layer_shapes(f"layer{l}.", d))
     if cfg.final_ln:
         shapes["final_ln.gamma"] = (d,)
         shapes["final_ln.beta"] = (d,)

@@ -13,11 +13,12 @@ the forward's own float32 steps, so with its bits:
 - ``attention`` keeps each row's softmax max and sum, and rebuilds the
   probabilities block by block; it keeps Q, K and V, but not one whose
   graph place can rebuild it;
-- ``gelu`` keeps its input and rebuilds tanh(u);
+- ``gelu`` keeps its input, and its rule rebuilds tanh(u) with
+  _gelu_rows, the one loop that computes tanh(u) for a gradient;
 - ``mlp`` keeps nothing but its input, and not that when the input's
   graph place can rebuild it; its output rule rebuilds the input, the
   hidden layer h, and, from one tanh(u) per block, GELU(h) and h's
-  gradient;
+  gradient, which it hands to the hidden rule at every size;
 - a ``layer_norm`` output's graph place rebuilds it from the x-hat that
   layer_norm keeps anyway, so ``matmul`` and ``mlp`` keep no copy of it;
 - the place of a ``matmul`` of such an output by a weight, and of
@@ -694,32 +695,33 @@ def _gelu_tanh(x, dtype):
 
 def _gelu_slope(x_, t, d):
     """gelu'(x_) in place in ``d``, which holds 1 + tanh(u) on entry, ``t``
-    being tanh(u); returns d."""
+    being tanh(u), which it overwrites; returns d."""
     du = np.square(x_)
     du *= 3.0 * _GELU_C
     du += 1.0
     du *= _SQRT_2_OVER_PI
     d *= 0.5
-    rest = np.square(t)
-    np.subtract(1.0, rest, out=rest)
-    rest *= 0.5 * x_  # 0.5 * x * (1 - t**2) * du
-    rest *= du
-    d += rest
+    np.square(t, out=t)
+    np.subtract(1.0, t, out=t)
+    t *= 0.5 * x_  # 0.5 * x * (1 - t**2) * du
+    t *= du
+    d += t
     return d
 
 
 def _gelu_rows(x_, out, keep, g=None):
     """GELU of ``x_`` into ``out``, which may be ``x_`` itself, one block of
     rows at a time; returns tanh(u) with ``keep``, for an ``x_`` that is one
-    block, else None. Given ``g``, an array of x_'s shape (and an ``out``
-    that is not x_), it also multiplies g by gelu'(x_) in place, from the
-    same tanh(u).
+    block, else None. Given ``g``, an array of x_'s shape (with an ``out``
+    that is not x_, and no ``keep``), it also multiplies g by gelu'(x_) in
+    place, from the same tanh(u).
 
     tanh(u), and then 1 + tanh(u), live in one block-sized buffer per
     block (two with ``g``). Each float32 operation has the operands and
-    order of the plain formula 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + C * x
-    * x * x))), so a rebuilt output has the first one's bits, and g's
-    product has those of _gelu_grad's, since a float product commutes.
+    order of the plain formulas 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + C * x
+    * x * x))) and its derivative, so a rebuilt output has the first one's
+    bits, and g's product those of g * gelu'(x), whichever operand a
+    caller holds in place, since a float product commutes.
     """
     t = None
     for i in _blocks(x_.shape, out.dtype.itemsize, 1):
@@ -735,25 +737,12 @@ def _gelu_rows(x_, out, keep, g=None):
     return t
 
 
-def _gelu_grad(x_, t, g, dtype):
-    """g * gelu'(x_), one block of rows at a time, as a new array of
-    ``dtype``; ``t`` is tanh(u) kept whole, or None to rebuild each block's
-    from x_ with the forward's own float32 steps."""
-    dgelu = np.empty(x_.shape, dtype)
-    for i in _blocks(x_.shape, dtype.itemsize, 1):
-        x_i, d_i = x_[i], dgelu[i]
-        t_i = _gelu_tanh(x_i, dtype) if t is None else t
-        np.add(1.0, t_i, out=d_i)
-        _gelu_slope(x_i, t_i, d_i)
-        d_i *= g[i]
-    return dgelu
-
-
 def gelu(x):
     """GELU via the tanh approximation (see _gelu_rows).
 
     Only the output is whole-array; a recorded pass keeps x for backward,
-    which rebuilds each block's tanh(u) from it.
+    which rebuilds each block's tanh(u) from it with _gelu_rows and
+    multiplies a copy of g by gelu'(x) in place.
     """
     x_ = x.data
     dtype = np.result_type(_GELU_C, x_)
@@ -762,30 +751,30 @@ def gelu(x):
     x = x.node
 
     def backward(g):
-        _accum(x, _gelu_grad(x_, None, g, dtype), owned=True)
+        dx = np.array(g, dtype=dtype)
+        _gelu_rows(x_, np.empty(x_.shape, dtype), False, dx)
+        _accum(x, dx, owned=True)
 
     return _make(data, (x,), backward)
 
 
 def mlp(x, w1, b1, w2, b2):
     """linear(gelu(linear(x, w1, b1)), w2, b2), recorded as two graph
-    nodes: GELU(h), whose rule runs gelu's and the first linear's, and the
-    output, whose rule runs the second linear's.
+    nodes: GELU(h), whose rule runs the first linear's backward, and the
+    output, whose rule runs the second linear's and gelu's.
 
-    The hidden h = x @ w1 + b1 and its GELU run as linear and gelu run
-    them. When h fits in one _BLOCK_BYTES block (every toy-model MLP does),
-    a recorded pass keeps x, h, GELU(h) and tanh(u). Otherwise it keeps
-    none of them but x, and not x either when x's graph place can rebuild
-    it (a layer_norm output does). The output's rule then rebuilds x and h
-    with the forward's own GEMM, takes GELU(h)'s gradient from w2 first,
-    and in one blocked pass computes each block's tanh(u) once, for
-    GELU(h), which the w2 weight-gradient GEMM reads, and for h's gradient,
-    written over GELU(h)'s. It hands x and that to the hidden rule, which
-    runs right after it and runs only the first linear's backward. Those
-    rebuilds read w1 and b1 before the hidden rule, their last consumer.
-    With one block, the hidden rule takes h's gradient from the kept
-    tanh(u) itself, once the output rule's g and GELU(h) are freed: taken
-    in the output rule, it would peak with both of them alive.
+    h = x @ w1 + b1 and its GELU run as linear and gelu run them. A
+    recorded pass keeps x, unless x's graph place can rebuild it (a
+    layer_norm output's can), and when h fits in one _BLOCK_BYTES block
+    (every toy-model MLP's does), h, GELU(h) and tanh(u) too. The output's
+    rule takes GELU(h)'s gradient from w2 and turns it into h's, in place,
+    for the hidden rule. Above one block it first rebuilds x, which it
+    hands on too, and h with the forward's own GEMM; those rebuilds read
+    w1 and b1 before the hidden rule, their last consumer. One blocked
+    pass then computes each block's tanh(u) once, for GELU(h), which the
+    w2 weight-gradient GEMM reads, and for h's gradient. With one block,
+    the w2 weight gradient reads the kept GELU(h) first, and gelu'(h) is
+    then written over it.
     Without a graph, GELU(h) is written over h, and x is dropped before
     it, so an x that only the call holds (an argument built inline) is
     freed before the 4D-wide GELU. The float32 operations and their order,
@@ -805,37 +794,29 @@ def mlp(x, w1, b1, w2, b2):
     t = _gelu_rows(h, a, _one_block(h.shape, dtype.itemsize))
     data = _linear_data(a, w2_, b2.data)
     x, w1, b1, w2, b2 = (v.node for v in (x, w1, b1, w2, b2))
-    # the hidden rule's x: kept with tanh(u), else the output rule's
-    x_h = x_
-
-    def hidden_backward(d):
-        if t is not None:  # one block: d is GELU(h)'s gradient, not yet h's
-            d = _gelu_grad(h, t, d, dtype)
-        _linear_backward(x, w1, b1, x_h, w1_, d)
-
-    hidden = _Node(a, (x, w1, b1), hidden_backward)
+    x_ = _kept(x, x_)  # the output rule may set it to x rebuilt
+    hidden = _Node(a, (x, w1, b1), lambda d: _linear_backward(x, w1, b1, x_, w1_, d))
     if t is None:
-        a = h = x_h = None
-        x_ = _kept(x, x_)
+        a = h = None
 
     def backward(g):
-        nonlocal x_h
-        if a is not None:
-            _linear_backward(hidden, w2, b2, a, w2_, g)
-            return
-        # rebuilt with the forward's steps, so with its bits
-        x_h = _read(x, x_)
-        h_r = _linear_data(x_h, w1_, b1_)
+        nonlocal x_
+        _accum(b2, _unbroadcast(g, b2.shape))
         # GELU(h)'s gradient in the hidden place's dtype, as _accum would
         # take it, then h's, in place
         dh = _matmul_rows(g, np.swapaxes(w2_, -1, -2)).astype(dtype, copy=False)
-        a_ = np.empty(h_r.shape, dtype)
-        _gelu_rows(h_r, a_, False, dh)
-        del h_r
-        _accum(hidden, dh, owned=True)
-        _accum(b2, _unbroadcast(g, b2.shape))
+        a_ = a
+        if t is None:  # rebuilt with the forward's steps, so with its bits
+            x_ = _read(x, x_)
+            h_r = _linear_data(x_, w1_, b1_)
+            a_ = np.empty(h_r.shape, dtype)
+            _gelu_rows(h_r, a_, False, dh)
+            del h_r
         if w2.requires_grad:
             _accum(w2, _unbroadcast(np.matmul(np.swapaxes(a_, -1, -2), g), w2.shape), owned=True)
+        if t is not None:  # w2's gradient has read GELU(h): it and tanh(u) are scratch now
+            dh *= _gelu_slope(h, t, np.add(1.0, t, out=a_))
+        _accum(hidden, dh, owned=True)
 
     return _make(data, (hidden, w2, b2), backward)
 

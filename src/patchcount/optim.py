@@ -414,8 +414,8 @@ def load_checkpoint(path, expected_cfg=None):
                 raise ValueError("adam lr must be > 0 in a checkpoint")
         except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
             raise CheckpointError(f"malformed config block: {exc!r}") from exc
-        # param_shapes' 12 arrays a layer, each with .m and .v, every record >= 12 bytes
-        if 36 * 12 * cfg.layers > r.left:
+        # each layer's arrays, each with .m and .v, every record >= 12 bytes
+        if 36 * model_mod.LAYER_ARRAYS * cfg.layers > r.left:
             raise CheckpointError(f"truncated checkpoint: {cfg.layers} layers cannot fit "
                                   f"in the {r.left} bytes left")
         shapes = model_mod.param_shapes(cfg)

@@ -546,6 +546,44 @@ class TestGradCheck:
         assert math.isnan(grad_check(f, params))
 
 
+# mlp's own shapes once more: h of [1, 64, 96] is one block at the default
+# budget and four at 16 rows
+_MLP_WIDE = {"x": (1, 64, 24), "w1": (24, 96), "b1": (96,), "w2": (96, 24), "b2": (24,)}
+READ_ONLY_CASES = [(name, shape, op, budget) for name, shape, op in PRIMITIVES
+                   for budget in (None, 1)] + [
+    ("mlp_wide_" + n, s, _of(mlp, _MLP_WIDE, n, True), budget)
+    for n, s in _MLP_WIDE.items() for budget in (None, 16 * 96 * 4)]
+
+
+class TestRulesReadTheirGradient:
+    """No backward rule writes the gradient it is handed, during its run or
+    after it through an array it passed on: gelu's rule multiplies a copy,
+    and mlp's output rule reads its g after handing on h's gradient."""
+
+    @pytest.mark.parametrize("name,shape,op,budget", READ_ONLY_CASES,
+                             ids=[f"{c[0]}-{c[3]}" for c in READ_ONLY_CASES])
+    def test_gradient_handed_to_a_rule_is_unchanged(self, monkeypatch, name, shape, op, budget):
+        if budget is not None:
+            monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+        handed = []  # (rule's node, rule, g, a copy of g before the rule ran)
+        init = nd._Node.__init__
+
+        def watched(node, data, parents, rule):
+            def run(g):
+                handed.append((node, rule, g, g.copy()))
+                rule(g)
+                assert g.tobytes() == handed[-1][3].tobytes(), f"{rule.__qualname__} wrote g"
+
+            init(node, data, parents, run)
+
+        monkeypatch.setattr(nd._Node, "__init__", watched)
+        out = op(_primitive_params(name, shape))
+        backward(_weighted_sum(out))
+        assert any(node is out._node for node, *_ in handed)
+        for _, rule, g, before in handed:
+            assert g.tobytes() == before.tobytes(), f"{rule.__qualname__}'s g moved later"
+
+
 class TestBlocks:
     @pytest.mark.parametrize("shape,core,budget", [
         ((2, 3, 37, 37), 2, 2 * 37 * 37 * 4), ((2, 37, 24), 1, 5 * 24 * 4),
@@ -752,25 +790,46 @@ class TestMlp:
 
     def test_backward_computes_each_tanh_once(self, monkeypatch):
         # h spans four blocks: the output rule computes each block's tanh(u)
-        # once, for GELU(h) and for h's gradient, and the hidden rule none
+        # once, for GELU(h) and for h's gradient; at the default budget h is
+        # one block, and backward reads the tanh(u) the forward kept. Either
+        # way the hidden rule receives h's gradient, with the chain's bits.
         real, shapes = nd._gelu_tanh, []
         monkeypatch.setattr(nd, "_gelu_tanh", lambda x, dtype: shapes.append(x.shape)
                             or real(x, dtype))
-        monkeypatch.setattr(nd, "_BLOCK_BYTES", 16 * 96 * 4)
+        linear_backward, received = nd._linear_backward, []
+
+        def spy(x, w, b, x_, w_, g):
+            received.append((w, g.copy()))
+            linear_backward(x, w, b, x_, w_, g)
+
+        monkeypatch.setattr(nd, "_linear_backward", spy)
         rng = np.random.default_rng(36)
-        args = [t(rng.normal(size=s), rg=True)
-                for s in ((1, 64, 24), (24, 96), (96,), (96, 24), (24,))]
-        loss = mean(mlp(*args))
-        assert shapes == [(16, 96)] * 4
-        shapes.clear()
-        backward(loss)
-        assert shapes == [(16, 96)] * 4
+        arrays = [rng.normal(size=s).astype(np.float32)
+                  for s in ((1, 64, 24), (24, 96), (96,), (96, 24), (24,))]
+        for budget, forward, blocks in [(16 * 96 * 4, [(16, 96)] * 4, [(16, 96)] * 4),
+                                        (nd._BLOCK_BYTES, [(1, 64, 96)], [])]:
+            monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+            args = [t(a, rg=True) for a in arrays]
+            shapes.clear()
+            loss = mean(mlp(*args))
+            assert shapes == forward
+            shapes.clear()
+            received.clear()
+            backward(loss)
+            assert shapes == blocks
+            [(w, dh)] = received
+            assert w is args[1]
+            chain = [t(a, rg=True) for a in arrays]
+            received.clear()
+            backward(mean(_linear_gelu_linear(*chain)))
+            [expected] = [g for w, g in received if w is chain[1]]
+            assert dh.dtype == expected.dtype and np.array_equal(dh, expected)
 
     def test_one_block_backward_holds_at_most_four_hidden_arrays(self):
         # a toy-model MLP (batch 8, 65 tokens, 64 wide), whose h is one block:
-        # the hidden rule takes h's gradient once the output rule's g and
-        # GELU(h) are gone, so at most four arrays of h's size are alive
-        # beyond what the graph held, and the weights' gradients
+        # the output rule takes h's gradient with the kept GELU(h) and
+        # tanh(u) as gelu's scratch, so at most four arrays of h's size are
+        # alive beyond what the graph held, and the weights' gradients
         rng = np.random.default_rng(37)
         args = [t(rng.normal(scale=0.3, size=s), rg=True)
                 for s in ((8, 65, 64), (64, 64), (64,), (64, 64), (64,))]

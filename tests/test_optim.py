@@ -887,7 +887,16 @@ def test_init_adam_rejects_what_adam_step_cannot_use(field, value):
 
 
 def test_param_shapes_names_twelve_arrays_a_layer():
-    # load_checkpoint's layer bound counts 36 arrays a layer: these 12 with .m and .v
+    # load_checkpoint's layer bound counts model.LAYER_ARRAYS arrays a
+    # layer, each with .m and .v: the count param_shapes adds per layer
     cfg = ModelConfig(**TOY, head_variant="gap")
     one, two = (len(param_shapes(replace(cfg, layers=n))) for n in (1, 2))
-    assert two - one == 12
+    assert two - one == model.LAYER_ARRAYS == 12
+
+
+def test_layer_bound_takes_the_count_from_model(tmp_path, monkeypatch):
+    path = _saved(tmp_path, TOY_PROFILE)
+    load_checkpoint(path)
+    monkeypatch.setattr(model, "LAYER_ARRAYS", os.path.getsize(path))
+    with pytest.raises(CheckpointError, match="layers cannot fit"):
+        load_checkpoint(path)

@@ -66,3 +66,13 @@ def test_one_pair_has_zero_spread(pairs):
     s = pairs.summarize(_samples([5.0], [4.0], [1.0], [1.0]), END_TO_END)
     assert s["peak_rss_mb"]["parent"] == {"median": 5.0, "q1": 5.0, "q3": 5.0}
     assert s["peak_rss_mb"]["change_wins"] == 1 and s["img_per_s"]["change_wins"] == 0
+
+
+def test_failed_shares_sum_each_trees_runs(pairs):
+    samples = [{"parent": {"attempted": a, "failed": f}, "change": {"attempted": 10, "failed": c}}
+               for a, f, c in [(10, 0, 1), (12, 1, 0), (8, 0, 2)]]
+    shares = pairs.failed_shares(samples)
+    assert shares == {"parent": {"failed": 1, "attempted": 30, "share": 1 / 30},
+                      "change": {"failed": 3, "attempted": 30, "share": 0.1}}
+    assert pairs.shares_line("toy-train", shares) == \
+        "toy-train failed share: 3.33% (1/30) → 10.00% (3/30)"
