@@ -15,36 +15,38 @@ Weights are read by name from the flat params dict that
 
 from __future__ import annotations
 
-from .ndtensor import add, attention, layer_norm, matmul, merge_heads, mlp, split_heads
+from .ndtensor import add, attention, layer_norm, matmul, mlp, split_heads
 
 
-def scaled_attention(q, k, v, scale, record=False):
-    """softmax(Q K^T * scale) V, batched over any leading axes (heads included).
+def scaled_attention(q, k, v, scale, record=False, w=None):
+    """softmax(Q K^T * scale) V, batched over any leading axes (heads included),
+    or given an output projection ``w``, the [B, S, H*dh] merged heads times w.
 
     Returns (output, attention weights as numpy or None). Without a record
     no pass holds the probabilities whole, unless they fit in one block: a
     recorded pass keeps each row's max and sum, and backward rebuilds the
-    probabilities block by block (see ndtensor.attention). A record is the
-    probabilities themselves, which no operation writes, and backward reads
-    them.
+    probabilities block by block, and with them the heads that ``w``'s
+    gradient reads (see ndtensor.attention). A record is the probabilities
+    themselves, which no operation writes, and backward reads them.
     """
-    return attention(q, k, v, scale, keep=record)
+    return attention(q, k, v, scale, keep=record, w=w)
 
 
 def msa(z, params, layer, n_heads, scale, record=False):
     """Multi-head self-attention; returns (output, [B, H, S, S] weights or None).
 
-    A recorded pass whose arrays span more than one block keeps x-hat (in
-    layer_norm), each attention row's softmax max and sum and the merged
-    heads, and no LN output, Q, K, V or probabilities: attention's rule
-    rebuilds Q, K and V from x-hat with the forward's GEMMs (see
-    ndtensor.matmul), and the probabilities from those.
+    Attention and the output projection w_o are one ndtensor.attention
+    call. A recorded pass whose arrays span more than one block keeps
+    x-hat (in layer_norm) and each attention row's softmax max and sum,
+    and no LN output, Q, K, V, probabilities or merged heads: attention's
+    rule rebuilds Q, K and V from x-hat with the forward's GEMMs (see
+    ndtensor.matmul), the probabilities from those, and the heads from
+    the probabilities and V.
     """
     p = f"layer{layer}."
     q, k, v = (split_heads(matmul(z, params[p + w]), n_heads) for w in ("w_q", "w_k", "w_v"))
     del z  # the LN output is freed before attention, unless a graph keeps it whole
-    out, weights = scaled_attention(q, k, v, scale, record=record)
-    return matmul(merge_heads(out), params[p + "w_o"]), weights
+    return scaled_attention(q, k, v, scale, record=record, w=params[p + "w_o"])
 
 
 def mlp_block(z, params, layer):

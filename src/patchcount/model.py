@@ -9,6 +9,7 @@ from __future__ import annotations
 import collections
 import ctypes
 import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -123,25 +124,32 @@ def init_params(cfg, seed):
 
     LayerNorm gains start at one, biases and the regression token at zero.
     Arrays are drawn in ``param_shapes`` order, so the order is the seed's
-    contract.
+    contract. Every draw goes into one float64 scratch sized to the largest
+    array, and 0.02 times it is rounded straight into the float32 array.
     """
     rng = np.random.default_rng(seed)
+    shapes = param_shapes(cfg)
+    scratch = np.empty(max(math.prod(shape) for shape in shapes.values()))
 
     def tn(shape):
         # truncated normal at 2 sigma, std 0.02: out-of-range draws are
         # redrawn in ascending index order until none is left
-        a = rng.standard_normal(size=shape)
-        flat = a.reshape(-1)
-        bad = np.flatnonzero(np.abs(a) > 2.0)
+        flat = scratch[:math.prod(shape)]
+        rng.standard_normal(out=flat)
+        out_of_range = flat > 2.0
+        out_of_range |= flat < -2.0
+        bad = np.flatnonzero(out_of_range)
+        del out_of_range
         while bad.size:
             redraw = rng.standard_normal(size=bad.size)
             flat[bad] = redraw
             bad = bad[np.abs(redraw) > 2.0]
-        a *= 0.02
-        return a.astype(np.float32)
+        data = np.empty(shape, dtype=np.float32)
+        np.multiply(flat, 0.02, out=data.reshape(-1), casting="unsafe")
+        return data
 
     params = {}
-    for name, shape in param_shapes(cfg).items():
+    for name, shape in shapes.items():
         if name.endswith(".gamma"):
             data = np.ones(shape, dtype=np.float32)
         elif name.endswith((".beta", ".b1", ".b2", ".reg_token")):

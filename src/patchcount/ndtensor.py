@@ -12,7 +12,9 @@ the forward's own float32 steps, so with its bits:
 
 - ``attention`` keeps each row's softmax max and sum, and rebuilds the
   probabilities block by block; it keeps Q, K and V, but not one whose
-  graph place can rebuild it;
+  graph place can rebuild it; given an output projection, it keeps no
+  merged heads either, and rebuilds each block's heads from the rebuilt
+  probabilities and V for the projection's weight gradient;
 - ``gelu`` keeps its input, and its rule rebuilds tanh(u) with
   _gelu_rows, the one loop that computes tanh(u) for a gradient;
 - ``mlp`` keeps nothing but its input, and not that when the input's
@@ -458,11 +460,14 @@ def softmax_rows(x):
     return _make(data, (x,), backward)
 
 
-def _check_attention(q, k, v):
+def _check_attention(q, k, v, w):
     if q.ndim < 2 or k.ndim != q.ndim or q.shape[:-2] != k.shape[:-2] \
             or q.shape[-1] != k.shape[-1] or v.ndim != k.ndim or v.shape[:-1] != k.shape[:-1]:
         raise ShapeError(f"attention needs matching query/key/value shapes, got "
                          f"{q.shape} and {k.shape} and {v.shape}")
+    if w is not None and (q.ndim != 4 or w.ndim != 2 or w.shape[0] != q.shape[1] * v.shape[-1]):
+        raise ShapeError(f"attention's output projection needs [B, H, S, dh] heads and an "
+                         f"[H*dh, N] weight, got {v.shape} and {w.shape}")
 
 
 def _one_block(shape, itemsize):
@@ -487,9 +492,10 @@ def _softmax_scaled_(p, scale, stats=None):
     return row_max, row_sum
 
 
-def attention(q, k, v, scale, keep=False):
-    """softmax(scale * Q K^T) V, batched like matmul; returns (output, the
-    probabilities with ``keep``, else None).
+def attention(q, k, v, scale, keep=False, w=None):
+    """softmax(scale * Q K^T) V, batched like matmul, or given a weight
+    ``w``, merge_heads of that times w; returns (output, the probabilities
+    with ``keep``, else None).
 
     One block of whole [Sq, Sk] matrices at a time, the logits are scaled,
     shifted and normalised in place on the Q K^T product and multiplied by
@@ -506,16 +512,24 @@ def attention(q, k, v, scale, keep=False):
     gradient of the probabilities either. The float32 operations and
     their order, forward and backward, are those of matmul(softmax_rows(
     smul(matmul(q, transpose_last(k)), scale)), v).
+
+    With ``w`` the [B, H, S, dh] heads are merged and projected in the
+    same graph node, with the operations of matmul(merge_heads(out), w).
+    A recorded pass keeps the merged heads only when they fit in one
+    block. Otherwise the rule rebuilds each block's heads, P V with the
+    forward's GEMM, right after it rebuilds the block's P, and merges them
+    for w's gradient.
     """
-    _check_attention(q, k, v)
-    scale = float(scale)
+    _check_attention(q, k, v, w)
+    scale = float(scale)  # a numpy float64 would scale the float32 logits in float64
     q_, k_, v_, q, k, v = q.data, k.data, v.data, q.node, k.node, v.node
     shape, dtype = q.shape[:-1] + (k.shape[-2],), np.result_type(q_, k_)
     record = _recording((q, k, v))
     p = np.empty(shape, dtype) if keep or record and _one_block(shape, dtype.itemsize) else None
     stats = [np.empty(shape[:-1] + (1,), dtype) for _ in range(2)] \
         if record and p is None else None
-    out = np.empty(q.shape[:-1] + v.shape[-1:], np.result_type(dtype, v_))
+    heads_shape, heads_dtype = q.shape[:-1] + v.shape[-1:], np.result_type(dtype, v_)
+    out = np.empty(heads_shape, heads_dtype)
     for i in _blocks(shape, dtype.itemsize, 2):
         p_i = np.matmul(q_[i], np.swapaxes(k_[i], -1, -2), out=None if p is None else p[i])
         row_max, row_sum = _softmax_scaled_(p_i, scale)
@@ -524,34 +538,60 @@ def attention(q, k, v, scale, keep=False):
         np.matmul(p_i, v_[i], out=out[i])
         del p_i  # a block not kept goes before the next one is made
     kept = tuple((t, _kept(t, a)) for t, a in ((q, q_), (k, k_), (v, v_)))
+    parents, merged = (q, k, v), None
+    if w is not None:
+        w_, w = w.data, w.node
+        b, h, s, dh = heads_shape
+        merged = np.swapaxes(out, 1, 2).reshape(b, s, h * dh)
+        del out  # the heads go before their product is made
+        out = _matmul_data(merged, w_)
+        parents += (w,)
+        if record and not _one_block(merged.shape, heads_dtype.itemsize):
+            merged = None  # the rule rebuilds the heads
 
     def backward(g):
-        q_, k_, v_ = (_read(t, a) for t, a in kept)
-        dv = np.empty(v.shape, np.result_type(dtype, g))
-        dq = np.empty(q.shape, np.result_type(dtype, k_))
-        dk_t = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]), np.result_type(q_, dtype))
-        for i in _blocks(shape, dtype.itemsize, 2):
-            if p is None:
-                p_i = np.matmul(q_[i], np.swapaxes(k_[i], -1, -2))
-                _softmax_scaled_(p_i, scale, (stats[0][i], stats[1][i]))
-            else:
-                p_i = p[i]
-            g_i = g[i]
-            np.matmul(np.swapaxes(p_i, -1, -2), g_i, out=dv[i])
-            # dP, in the probabilities' dtype, as a graph node of its own
-            # would hold it, then the softmax backward on it in place
-            dl = np.matmul(g_i, np.swapaxes(v_[i], -1, -2)).astype(dtype, copy=False)
-            dl -= (dl * p_i).sum(axis=-1, keepdims=True)
-            dl *= p_i
-            del p_i  # a rebuilt block goes before the next one is made
-            dl *= scale
-            np.matmul(dl, k_[i], out=dq[i])
-            np.matmul(np.swapaxes(q_[i], -1, -2), dl, out=dk_t[i])
-        _accum(v, dv, owned=True)
-        _accum(q, dq, owned=True)
-        _accum(k, np.swapaxes(dk_t, -1, -2), owned=True)
+        g_out, heads = g, None
+        if w is not None and record:
+            # the heads' gradient, as w's product and merge_heads' rules hand it on
+            dm = _matmul_rows(g, np.swapaxes(w_, -1, -2))
+            g = np.array(np.swapaxes(dm.reshape(b, s, h, dh), 1, 2), dtype=heads_dtype)
+            del dm
+        if w is not None and w.requires_grad and merged is None:
+            heads = np.empty(heads_shape, heads_dtype)
+        if record:
+            q_, k_, v_ = (_read(t, a) for t, a in kept)
+            dv = np.empty(v.shape, np.result_type(dtype, g))
+            dq = np.empty(q.shape, np.result_type(dtype, k_))
+            dk_t = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]), np.result_type(q_, dtype))
+            for i in _blocks(shape, dtype.itemsize, 2):
+                if p is None:
+                    p_i = np.matmul(q_[i], np.swapaxes(k_[i], -1, -2))
+                    _softmax_scaled_(p_i, scale, (stats[0][i], stats[1][i]))
+                else:
+                    p_i = p[i]
+                if heads is not None:
+                    np.matmul(p_i, v_[i], out=heads[i])
+                g_i = g[i]
+                np.matmul(np.swapaxes(p_i, -1, -2), g_i, out=dv[i])
+                # dP, in the probabilities' dtype, as a graph node of its own
+                # would hold it, then the softmax backward on it in place
+                dl = np.matmul(g_i, np.swapaxes(v_[i], -1, -2)).astype(dtype, copy=False)
+                dl -= (dl * p_i).sum(axis=-1, keepdims=True)
+                dl *= p_i
+                del p_i  # a rebuilt block goes before the next one is made
+                dl *= scale
+                np.matmul(dl, k_[i], out=dq[i])
+                np.matmul(np.swapaxes(q_[i], -1, -2), dl, out=dk_t[i])
+        if w is not None and w.requires_grad:
+            m = merged if heads is None else np.swapaxes(heads, 1, 2).reshape(b, s, h * dh)
+            del heads
+            _accum(w, _unbroadcast(np.matmul(np.swapaxes(m, -1, -2), g_out), w.shape), owned=True)
+        if record:
+            _accum(v, dv, owned=True)
+            _accum(q, dq, owned=True)
+            _accum(k, np.swapaxes(dk_t, -1, -2), owned=True)
 
-    return _make(out, (q, k, v), backward), p if keep else None
+    return _make(out, parents, backward), p if keep else None
 
 
 def _heads(x_, n_heads):

@@ -52,6 +52,27 @@ def test_init_params_bits_pinned(variant):
     assert h.hexdigest() == INIT_SHA256[variant]
 
 
+def test_init_params_holds_one_float64_scratch():
+    # the head's w1 is the largest array, and drawn late: init holds the
+    # parameters, one float64 scratch of its size and two boolean masks of
+    # it, not a float64 draw, |draw| and a float32 copy per array
+    cfg = ModelConfig(image_size=16, patch_size=8, dim=32, heads=2, layers=2, hidden_dim=2048)
+    largest = max(math.prod(s) for s in param_shapes(cfg).values())
+    assert largest == math.prod(param_shapes(cfg)["head.w1"])
+    init_params(cfg, 0)  # a first call in a process also makes numpy's one-time state
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        params = init_params(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = sum(p.data.nbytes for p in params.values())
+    assert peak <= held + 10 * largest + 65536, \
+        f"init peaked {peak - held} B above its {held} B of parameters"
+
+
 def test_paper_scale_parameter_count():
     shapes = param_shapes(ModelConfig())
     assert shapes["embed.pos"] == (576, 768)

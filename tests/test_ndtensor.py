@@ -447,6 +447,18 @@ def _ln_attention(x, gamma, beta, w_q, w_k, w_v, w_o, n_heads=2):
     return matmul(merge_heads(attention(q, k, v, 0.1)[0]), w_o)
 
 
+def _ln_projected_attention(x, gamma, beta, w_q, w_k, w_v, w_o, n_heads=2):
+    """_ln_attention with the merge and w_o's product inside attention."""
+    z = layer_norm(x, gamma, beta)
+    q, k, v = (split_heads(matmul(z, w), n_heads) for w in (w_q, w_k, w_v))
+    return attention(q, k, v, 0.1, w=w_o)[0]
+
+
+def _projected_attention(q, k, v, w):
+    return attention(q, k, v, 0.7, w=w)[0]
+
+
+_PROJECTED_SHAPES = {"q": (2, 2, 3, 4), "k": (2, 2, 5, 4), "v": (2, 2, 5, 3), "w": (6, 5)}
 _LN_MATMUL_SHAPES = {"x": (2, 4, 5), "gamma": (5,), "beta": (5,), "w_q": (5, 3),
                      "w_k": (5, 3), "w_v": (5, 2), "w_r": (3, 4)}
 _LN_ATTENTION_SHAPES = {"x": (2, 4, 6), "gamma": (6,), "beta": (6,), "w_q": (6, 6),
@@ -461,6 +473,12 @@ PRIMITIVES += [("layer_norm_mlp_" + n, s, _of(_ln_mlp, _LN_MLP_SHAPES, n, True))
                for n, s in _LN_MLP_SHAPES.items()]
 PRIMITIVES += [("layer_norm_attention_" + n, s, _of(_ln_attention, _LN_ATTENTION_SHAPES, n, True))
                for n, s in _LN_ATTENTION_SHAPES.items()]
+# Q, K and V each with every operand recorded, so the rule rebuilds the
+# heads for w's gradient where they span blocks; w alone, so no attention
+# gradient is taken and the rule keeps the merged heads
+PRIMITIVES += [("attention_projected_" + n, s, _of(_projected_attention, _PROJECTED_SHAPES, n,
+                                                    n != "w"))
+               for n, s in _PROJECTED_SHAPES.items()]
 
 
 def _primitive_params(name, shape):
@@ -1020,19 +1038,92 @@ class TestProjectionsRebuilt:
         return held, 64 * 96 * 4
 
     def test_recorded_multi_block_msa_holds_no_projection(self, monkeypatch):
-        # Q, K and V span four blocks each: the graph keeps x-hat, each
-        # row's 1/std, the merged heads and the probabilities' row max and
-        # sum, and no Q, K or V, which would add a row array each; the test
-        # holds the output
+        # Q, K, V and the merged heads span four blocks each: the graph
+        # keeps x-hat, each row's 1/std and the probabilities' row max and
+        # sum, and no Q, K, V or merged heads, which would add a row array
+        # each; the test holds the output
         held, rows = self._held_by_msa(monkeypatch, 16 * 96 * 4)
-        assert held <= 3 * rows + 64 * 4 + 2 * 4 * 64 * 4 + 16384, \
-            f"held {held} B; x-hat, the merged heads and the output are {3 * rows} B"
+        assert held <= 2 * rows + 64 * 4 + 2 * 4 * 64 * 4 + 16384, \
+            f"held {held} B; x-hat and the output are {2 * rows} B"
 
     def test_recorded_one_block_msa_holds_the_projections(self, monkeypatch):
         # one block: the layer_norm output, Q, K, V and the probabilities
         # are kept besides x-hat, the merged heads and the output
         held, rows = self._held_by_msa(monkeypatch, 1 << 30)
         assert held >= 7 * rows + 4 * 64 * 64 * 4, f"held {held} B"
+
+
+class TestProjectedAttention:
+    """attention with w gives the bits of matmul(merge_heads(attention(...)),
+    w), whether it keeps the merged heads or rebuilds them in its rule."""
+
+    # S even and odd, 4 heads of [.., 96]: at the default budget the merged
+    # heads are one block, at 16 rows they span four or more
+    @pytest.mark.parametrize("x_shape", [(1, 64, 96), (2, 37, 96)])
+    @pytest.mark.parametrize("budget", [None, 16 * 96 * 4])
+    def test_equals_merge_then_matmul(self, monkeypatch, x_shape, budget):
+        d = x_shape[-1]
+        rng = np.random.default_rng(38)
+        arrays = [rng.normal(scale=0.3 if i > 2 else 2.0, size=shape).astype(np.float32)
+                  for i, shape in enumerate([x_shape, (d,), (d,)] + [(d, d)] * 4)]
+        if budget is not None:
+            monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+        assert (len(list(nd._blocks(x_shape, 4, 1))) > 1) == (budget is not None)
+        expected = _outputs_and_grads(lambda *a: _ln_attention(*a, n_heads=4), arrays)
+        got = _outputs_and_grads(lambda *a: _ln_projected_attention(*a, n_heads=4), arrays)
+        for a, b in zip(expected, got, strict=True):
+            assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+        with nd.no_grad():
+            out = _ln_projected_attention(*(Tensor(a) for a in arrays), n_heads=4)
+        assert out._node is None and np.array_equal(out.data, expected[0])
+
+    @pytest.mark.parametrize("wide", range(7))
+    def test_one_float64_operand_gives_the_chain_dtypes(self, monkeypatch, wide):
+        rng = np.random.default_rng(39)
+        arrays = [rng.normal(size=s).astype(np.float32) for s in _LN_ATTENTION_SHAPES.values()]
+        arrays[wide] = arrays[wide].astype(np.float64)
+        expected = _outputs_and_grads(_ln_attention, arrays)
+        for budget in (nd._BLOCK_BYTES, 1):
+            monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+            got = _outputs_and_grads(_ln_projected_attention, arrays)
+            for a, b in zip(expected, got, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_keep_returns_the_probabilities_beside_the_projection(self):
+        q, k, v = (Tensor(a, requires_grad=True)
+                   for a in _attention_inputs(np.random.default_rng(40)))
+        w = Tensor(np.random.default_rng(41).normal(size=(24, 5)).astype(np.float32))
+        out, probs = attention(q, k, v, 0.5, keep=True, w=w)
+        heads, kept = attention(q, k, v, 0.5, keep=True)
+        assert out.shape == (2, 37, 5) and np.array_equal(probs, kept)
+        assert np.array_equal(out.data, matmul(merge_heads(heads), w).data)
+
+    def test_bad_projection_shape(self):
+        q, k, v = (Tensor(a) for a in _attention_inputs(np.random.default_rng(42)))
+        for w in (np.ones((23, 5)), np.ones((24,)), np.ones((2, 24, 5))):
+            with pytest.raises(ShapeError, match="projection"):
+                attention(q, k, v, 0.5, w=Tensor(w))
+        with pytest.raises(ShapeError, match="projection"):
+            attention(*(Tensor(a.data[0]) for a in (q, k, v)), 0.5, w=Tensor(np.ones((8, 5))))
+
+    @pytest.mark.parametrize("budget", [None, 16 * 96 * 4])
+    def test_w_o_is_ready_once_after_the_attention_rule(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(43)
+        params = {"layer0." + n: Tensor(rng.normal(scale=0.1, size=s).astype(np.float32),
+                                        requires_grad=True)
+                  for n, s in (("ln1.gamma", (96,)), ("ln1.beta", (96,)), ("w_q", (96, 96)),
+                               ("w_k", (96, 96)), ("w_v", (96, 96)), ("w_o", (96, 96)))}
+        z = t(rng.normal(size=(1, 64, 96)))
+        out, _ = encoder.msa(layer_norm(z, params["layer0.ln1.gamma"],
+                                        params["layer0.ln1.beta"]), params, 0, 4, 0.5)
+        events, rule = [], out._node._backward
+        out._node._backward = lambda g: events.append("attention") or rule(g)
+        backward(mean(out), ready=(params, events.append))
+        assert events.count("layer0.w_o") == 1 and events.count("attention") == 1
+        assert events.index("layer0.w_o") > events.index("attention")
+        assert sorted(events) == sorted(["attention", *params])
 
 
 class TestAttentionHolds:
@@ -1187,14 +1278,14 @@ class TestGraphKeepsWhatRulesRead:
         dropped, read = [], []  # weakrefs to forward arrays
         add, real_attention = encoder.add, encoder.attention
 
-        def residual(a, b):  # a is the w_o or second MLP product, b the stream
+        def residual(a, b):  # a is the projected attention or the MLP output, b the stream
             out = add(a, b)
             dropped.extend(weakref.ref(x.data) for x in (a, out))
             return out
 
-        def attention(q, k, v, scale, keep=False):
+        def attention(q, k, v, scale, keep=False, w=None):
             # the probabilities a recorded pass keeps for backward anyway
-            out, probs = real_attention(q, k, v, scale, keep=True)
+            out, probs = real_attention(q, k, v, scale, keep=True, w=w)
             dropped.append(weakref.ref(out.data))
             read.append(weakref.ref(probs))
             return out, probs if keep else None
