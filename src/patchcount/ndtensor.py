@@ -524,7 +524,7 @@ def attention(q, k, v, scale, keep=False, w=None):
     scale = float(scale)  # a numpy float64 would scale the float32 logits in float64
     q_, k_, v_, q, k, v = q.data, k.data, v.data, q.node, k.node, v.node
     shape, dtype = q.shape[:-1] + (k.shape[-2],), np.result_type(q_, k_)
-    record = _recording((q, k, v))
+    record = _recording((q, k, v) if w is None else (q, k, v, w))
     p = np.empty(shape, dtype) if keep or record and _one_block(shape, dtype.itemsize) else None
     stats = [np.empty(shape[:-1] + (1,), dtype) for _ in range(2)] \
         if record and p is None else None
@@ -551,45 +551,42 @@ def attention(q, k, v, scale, keep=False, w=None):
 
     def backward(g):
         g_out, heads = g, None
-        if w is not None and record:
-            # the heads' gradient, as w's product and merge_heads' rules hand it on
+        if w is not None:  # the heads' gradient, as w's product and merge_heads' rules hand it on
             dm = _matmul_rows(g, np.swapaxes(w_, -1, -2))
             g = np.array(np.swapaxes(dm.reshape(b, s, h, dh), 1, 2), dtype=heads_dtype)
             del dm
-        if w is not None and w.requires_grad and merged is None:
-            heads = np.empty(heads_shape, heads_dtype)
-        if record:
-            q_, k_, v_ = (_read(t, a) for t, a in kept)
-            dv = np.empty(v.shape, np.result_type(dtype, g))
-            dq = np.empty(q.shape, np.result_type(dtype, k_))
-            dk_t = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]), np.result_type(q_, dtype))
-            for i in _blocks(shape, dtype.itemsize, 2):
-                if p is None:
-                    p_i = np.matmul(q_[i], np.swapaxes(k_[i], -1, -2))
-                    _softmax_scaled_(p_i, scale, (stats[0][i], stats[1][i]))
-                else:
-                    p_i = p[i]
-                if heads is not None:
-                    np.matmul(p_i, v_[i], out=heads[i])
-                g_i = g[i]
-                np.matmul(np.swapaxes(p_i, -1, -2), g_i, out=dv[i])
-                # dP, in the probabilities' dtype, as a graph node of its own
-                # would hold it, then the softmax backward on it in place
-                dl = np.matmul(g_i, np.swapaxes(v_[i], -1, -2)).astype(dtype, copy=False)
-                dl -= (dl * p_i).sum(axis=-1, keepdims=True)
-                dl *= p_i
-                del p_i  # a rebuilt block goes before the next one is made
-                dl *= scale
-                np.matmul(dl, k_[i], out=dq[i])
-                np.matmul(np.swapaxes(q_[i], -1, -2), dl, out=dk_t[i])
+            if merged is None and w.requires_grad:
+                heads = np.empty(heads_shape, heads_dtype)
+        q_, k_, v_ = (_read(t, a) for t, a in kept)
+        dv = np.empty(v.shape, np.result_type(dtype, g))
+        dq = np.empty(q.shape, np.result_type(dtype, k_))
+        dk_t = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]), np.result_type(q_, dtype))
+        for i in _blocks(shape, dtype.itemsize, 2):
+            if p is None:
+                p_i = np.matmul(q_[i], np.swapaxes(k_[i], -1, -2))
+                _softmax_scaled_(p_i, scale, (stats[0][i], stats[1][i]))
+            else:
+                p_i = p[i]
+            if heads is not None:
+                np.matmul(p_i, v_[i], out=heads[i])
+            g_i = g[i]
+            np.matmul(np.swapaxes(p_i, -1, -2), g_i, out=dv[i])
+            # dP, in the probabilities' dtype, as a graph node of its own
+            # would hold it, then the softmax backward on it in place
+            dl = np.matmul(g_i, np.swapaxes(v_[i], -1, -2)).astype(dtype, copy=False)
+            dl -= (dl * p_i).sum(axis=-1, keepdims=True)
+            dl *= p_i
+            del p_i  # a rebuilt block goes before the next one is made
+            dl *= scale
+            np.matmul(dl, k_[i], out=dq[i])
+            np.matmul(np.swapaxes(q_[i], -1, -2), dl, out=dk_t[i])
         if w is not None and w.requires_grad:
             m = merged if heads is None else np.swapaxes(heads, 1, 2).reshape(b, s, h * dh)
             del heads
             _accum(w, _unbroadcast(np.matmul(np.swapaxes(m, -1, -2), g_out), w.shape), owned=True)
-        if record:
-            _accum(v, dv, owned=True)
-            _accum(q, dq, owned=True)
-            _accum(k, np.swapaxes(dk_t, -1, -2), owned=True)
+        _accum(v, dv, owned=True)
+        _accum(q, dq, owned=True)
+        _accum(k, np.swapaxes(dk_t, -1, -2), owned=True)
 
     return _make(out, parents, backward), p if keep else None
 

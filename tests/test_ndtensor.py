@@ -473,9 +473,8 @@ PRIMITIVES += [("layer_norm_mlp_" + n, s, _of(_ln_mlp, _LN_MLP_SHAPES, n, True))
                for n, s in _LN_MLP_SHAPES.items()]
 PRIMITIVES += [("layer_norm_attention_" + n, s, _of(_ln_attention, _LN_ATTENTION_SHAPES, n, True))
                for n, s in _LN_ATTENTION_SHAPES.items()]
-# Q, K and V each with every operand recorded, so the rule rebuilds the
-# heads for w's gradient where they span blocks; w alone, so no attention
-# gradient is taken and the rule keeps the merged heads
+# Q, K and V each with every operand recorded, and w alone; either way the
+# rule rebuilds the heads for w's gradient where they span blocks
 PRIMITIVES += [("attention_projected_" + n, s, _of(_projected_attention, _PROJECTED_SHAPES, n,
                                                     n != "w"))
                for n, s in _PROJECTED_SHAPES.items()]
