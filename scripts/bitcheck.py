@@ -34,7 +34,7 @@ the repository root; every line must match between the two trees. Lines:
   with itself.
 
 The paper lines need about 1.2 GB of memory (a run at 2 BLAS threads
-peaked at 1,119 MB of RSS, since a train step's graph keeps no layer norm
+peaked at 1,118 MB of RSS, since a train step's graph keeps no layer norm
 output, no Q, K, V or merged heads, and neither the MLP's hidden layer
 nor its GELU, and the step never holds a whole set of gradients) and a
 minute or so of CPU.
