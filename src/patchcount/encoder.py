@@ -6,8 +6,9 @@ Each layer computes
     Z  = MLP(LN(Z')) + Z'
 
 with no dropout and no final LN by default. The heads of a layer run as
-one batched attention over [B, H, S, D/H] tensors. An observer passed to
-``encode`` sees each layer's output and its attention weights.
+one batched attention over the [B, S, D] projections, each head a view of
+its feature slice. An observer passed to ``encode`` sees each layer's
+output and its attention weights.
 
 Weights are read by name from the flat params dict that
 ``model.param_shapes`` defines: ``layer{l}.w_q``, ``layer{l}.mlp.w1``, ...
@@ -15,38 +16,40 @@ Weights are read by name from the flat params dict that
 
 from __future__ import annotations
 
-from .ndtensor import add, attention, layer_norm, matmul, mlp, split_heads
+from .ndtensor import add, attention, layer_norm, matmul, mlp
 
 
-def scaled_attention(q, k, v, scale, record=False, w=None):
-    """softmax(Q K^T * scale) V, batched over any leading axes (heads included),
-    or given an output projection ``w``, the [B, S, H*dh] merged heads times w.
+def scaled_attention(q, k, v, n_heads, scale, w, record=False):
+    """softmax(Q K^T * scale) V per head of the [B, S, D] Q, K and V, the
+    [B, S, D] merged heads times the output projection ``w``.
 
-    Returns (output, attention weights as numpy or None). Without a record
-    no pass holds the probabilities whole, unless they fit in one block: a
-    recorded pass keeps each row's max and sum, and backward rebuilds the
-    probabilities block by block, and with them the heads that ``w``'s
-    gradient reads (see ndtensor.attention). A record is the probabilities
-    themselves, which no operation writes, and backward reads them.
+    Returns (output, [B, H, S, S] attention weights as numpy or None).
+    Without a record no pass holds the probabilities whole, unless they
+    fit in one block: a recorded pass keeps each row's max and sum, and
+    backward rebuilds the probabilities block by block, and with them the
+    heads that ``w``'s gradient reads (see ndtensor.attention). A record
+    is the probabilities themselves, which no operation writes, and
+    backward reads them.
     """
-    return attention(q, k, v, scale, keep=record, w=w)
+    return attention(q, k, v, n_heads, scale, w, keep=record)
 
 
 def msa(z, params, layer, n_heads, scale, record=False):
     """Multi-head self-attention; returns (output, [B, H, S, S] weights or None).
 
-    Attention and the output projection w_o are one ndtensor.attention
-    call. A recorded pass whose arrays span more than one block keeps
-    x-hat (in layer_norm) and each attention row's softmax max and sum,
-    and no LN output, Q, K, V, probabilities or merged heads: attention's
-    rule rebuilds Q, K and V from x-hat with the forward's GEMMs (see
-    ndtensor.matmul), the probabilities from those, and the heads from
-    the probabilities and V.
+    The [B, S, D] projections Q, K and V go to ndtensor.attention as
+    they are; it splits them into heads as views and applies the output
+    projection w_o in the same call. A recorded pass whose arrays span
+    more than one block keeps x-hat (in layer_norm) and each attention
+    row's softmax max and sum, and no LN output, Q, K, V, probabilities
+    or merged heads: attention's rule rebuilds Q, K and V from x-hat with
+    the forward's GEMMs (see ndtensor.matmul), the probabilities from
+    those, and the heads from the probabilities and V.
     """
     p = f"layer{layer}."
-    q, k, v = (split_heads(matmul(z, params[p + w]), n_heads) for w in ("w_q", "w_k", "w_v"))
+    q, k, v = (matmul(z, params[p + w]) for w in ("w_q", "w_k", "w_v"))
     del z  # the LN output is freed before attention, unless a graph keeps it whole
-    return scaled_attention(q, k, v, scale, record=record, w=params[p + "w_o"])
+    return scaled_attention(q, k, v, n_heads, scale, params[p + "w_o"], record)
 
 
 def mlp_block(z, params, layer):

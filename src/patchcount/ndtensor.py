@@ -12,9 +12,9 @@ the forward's own float32 steps, so with its bits:
 
 - ``attention`` keeps each row's softmax max and sum, and rebuilds the
   probabilities block by block; it keeps Q, K and V, but not one whose
-  graph place can rebuild it; given an output projection, it keeps no
-  merged heads either, and rebuilds each block's heads from the rebuilt
-  probabilities and V for the projection's weight gradient;
+  graph place can rebuild it, and no merged heads: it rebuilds each
+  block's heads from the rebuilt probabilities and V for the output
+  projection's weight gradient;
 - ``gelu`` keeps its input, and its rule rebuilds tanh(u) with
   _gelu_rows, the one loop that computes tanh(u) for a gradient;
 - ``mlp`` keeps nothing but its input, and not that when the input's
@@ -22,10 +22,12 @@ the forward's own float32 steps, so with its bits:
   hidden layer h, and, from one tanh(u) per block, GELU(h) and h's
   gradient, which it hands to the hidden rule at every size;
 - a ``layer_norm`` output's graph place rebuilds it from the x-hat that
-  layer_norm keeps anyway, so ``matmul`` and ``mlp`` keep no copy of it;
-- the place of a ``matmul`` of such an output by a weight, and of
-  ``split_heads`` of that, rebuild it in turn with the forward's GEMM,
-  so ``attention`` keeps no Q, K or V projected from a layer_norm output.
+  layer_norm keeps anyway, once per backward, and every reader shares
+  that array until layer_norm's rule drops it, so ``matmul`` and ``mlp``
+  keep no copy of it;
+- the place of a ``matmul`` of such an output by a weight rebuilds it in
+  turn with the forward's GEMM, so ``attention`` keeps no Q, K or V
+  projected from a layer_norm output.
 
 An intermediate that fits in one _BLOCK_BYTES block, as every toy-model
 array does, is kept instead (gelu's tanh(u) aside). A finite-difference
@@ -34,6 +36,7 @@ checker validates the analytic gradients.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
@@ -460,14 +463,14 @@ def softmax_rows(x):
     return _make(data, (x,), backward)
 
 
-def _check_attention(q, k, v, w):
-    if q.ndim < 2 or k.ndim != q.ndim or q.shape[:-2] != k.shape[:-2] \
-            or q.shape[-1] != k.shape[-1] or v.ndim != k.ndim or v.shape[:-1] != k.shape[:-1]:
-        raise ShapeError(f"attention needs matching query/key/value shapes, got "
-                         f"{q.shape} and {k.shape} and {v.shape}")
-    if w is not None and (q.ndim != 4 or w.ndim != 2 or w.shape[0] != q.shape[1] * v.shape[-1]):
-        raise ShapeError(f"attention's output projection needs [B, H, S, dh] heads and an "
-                         f"[H*dh, N] weight, got {v.shape} and {w.shape}")
+def _check_attention(q, k, v, n_heads, w):
+    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or q.shape[::2] != k.shape[::2] \
+            or q.shape[-1] % n_heads:
+        raise ShapeError(f"attention needs [B, S, D] query/key/value shapes, D divisible "
+                         f"by {n_heads} heads, got {q.shape} and {k.shape} and {v.shape}")
+    if w.ndim != 2 or w.shape[0] != q.shape[-1]:
+        raise ShapeError(f"attention's output projection needs a [D, N] weight for "
+                         f"{q.shape} heads, got {w.shape}")
 
 
 def _one_block(shape, itemsize):
@@ -492,14 +495,19 @@ def _softmax_scaled_(p, scale, stats=None):
     return row_max, row_sum
 
 
-def attention(q, k, v, scale, keep=False, w=None):
-    """softmax(scale * Q K^T) V, batched like matmul, or given a weight
-    ``w``, merge_heads of that times w; returns (output, the probabilities
-    with ``keep``, else None).
+def attention(q, k, v, n_heads, scale, w, keep=False):
+    """Multi-head softmax(scale * Q K^T) V, its heads merged and projected
+    by ``w``; returns (output, the [B, H, Sq, Sk] probabilities with
+    ``keep``, else None).
 
-    One block of whole [Sq, Sk] matrices at a time, the logits are scaled,
-    shifted and normalised in place on the Q K^T product and multiplied by
-    V while they are in cache. The probabilities are kept whole only with
+    Q, K and V are token-major [B, S, D] (K and V of one shape), and head
+    h is feature slice [h*D/H, (h+1)*D/H) of each, read as a view. Each
+    head's P V is written into that slice of one [B, Sq, D] buffer, which
+    is the merged heads, and the gradients of Q and V are written the same
+    way, so no head is split or merged by a copy. One block of whole
+    [Sq, Sk] matrices at a time, the logits are scaled, shifted and
+    normalised in place on the Q K^T product and multiplied by V while
+    they are in cache. The probabilities are kept whole only with
     ``keep``, to be returned, or while the graph is recorded and they fit
     in one block. Otherwise the pass holds one block of them, however many
     heads and tiles there are, and a recorded pass keeps each row's max
@@ -507,88 +515,76 @@ def attention(q, k, v, scale, keep=False, w=None):
     Q, K and those, with the forward's own float32 steps, right before it
     reads the block. A recorded pass keeps no Q, K or V whose graph place
     can rebuild it (a projection of a layer_norm output that spans more
-    than one block, see matmul and split_heads): the rule rebuilds them
-    first. Backward runs block by block, so it never holds a whole
-    gradient of the probabilities either. The float32 operations and
-    their order, forward and backward, are those of matmul(softmax_rows(
-    smul(matmul(q, transpose_last(k)), scale)), v).
-
-    With ``w`` the [B, H, S, dh] heads are merged and projected in the
-    same graph node, with the operations of matmul(merge_heads(out), w).
-    A recorded pass keeps the merged heads only when they fit in one
-    block. Otherwise the rule rebuilds each block's heads, P V with the
-    forward's GEMM, right after it rebuilds the block's P, and merges them
-    for w's gradient.
+    than one block, see matmul): the rule rebuilds them first. It keeps
+    the merged heads only when they fit in one block; otherwise the rule
+    rebuilds each block's heads, P V with the forward's GEMM, right after
+    it rebuilds the block's P, for w's gradient. Backward runs block by
+    block, so it never holds a whole gradient of the probabilities
+    either. The float32 operations and their order, forward and backward,
+    are those of matmul(merge_heads(matmul(softmax_rows(smul(matmul(
+    split_heads(q), transpose_last(split_heads(k))), scale)),
+    split_heads(v))), w).
     """
-    _check_attention(q, k, v, w)
+    _check_attention(q, k, v, n_heads, w)
     scale = float(scale)  # a numpy float64 would scale the float32 logits in float64
-    q_, k_, v_, q, k, v = q.data, k.data, v.data, q.node, k.node, v.node
-    shape, dtype = q.shape[:-1] + (k.shape[-2],), np.result_type(q_, k_)
-    record = _recording((q, k, v) if w is None else (q, k, v, w))
+    q_, k_, v_, w_, q, k, v, w = q.data, k.data, v.data, w.data, q.node, k.node, v.node, w.node
+    shape = (q.shape[0], n_heads, q.shape[1], k.shape[1])
+    dtype, heads_dtype = np.result_type(q_, k_), np.result_type(q_, k_, v_)
+    record = _recording((q, k, v, w))
     p = np.empty(shape, dtype) if keep or record and _one_block(shape, dtype.itemsize) else None
     stats = [np.empty(shape[:-1] + (1,), dtype) for _ in range(2)] \
         if record and p is None else None
-    heads_shape, heads_dtype = q.shape[:-1] + v.shape[-1:], np.result_type(dtype, v_)
-    out = np.empty(heads_shape, heads_dtype)
+    merged = np.empty(q.shape, heads_dtype)
+    qh, kh, vh, mh = (_heads(a, n_heads) for a in (q_, k_, v_, merged))
     for i in _blocks(shape, dtype.itemsize, 2):
-        p_i = np.matmul(q_[i], np.swapaxes(k_[i], -1, -2), out=None if p is None else p[i])
+        p_i = np.matmul(qh[i], np.swapaxes(kh[i], -1, -2), out=None if p is None else p[i])
         row_max, row_sum = _softmax_scaled_(p_i, scale)
         if stats is not None:
             stats[0][i], stats[1][i] = row_max, row_sum
-        np.matmul(p_i, v_[i], out=out[i])
+        np.matmul(p_i, vh[i], out=mh[i])
         del p_i  # a block not kept goes before the next one is made
+    out = _matmul_data(merged, w_)
     kept = tuple((t, _kept(t, a)) for t, a in ((q, q_), (k, k_), (v, v_)))
-    parents, merged = (q, k, v), None
-    if w is not None:
-        w_, w = w.data, w.node
-        b, h, s, dh = heads_shape
-        merged = np.swapaxes(out, 1, 2).reshape(b, s, h * dh)
-        del out  # the heads go before their product is made
-        out = _matmul_data(merged, w_)
-        parents += (w,)
-        if record and not _one_block(merged.shape, heads_dtype.itemsize):
-            merged = None  # the rule rebuilds the heads
+    if record and not _one_block(merged.shape, heads_dtype.itemsize):
+        merged = None  # the rule rebuilds the heads
 
     def backward(g):
-        g_out, heads = g, None
-        if w is not None:  # the heads' gradient, as w's product and merge_heads' rules hand it on
-            dm = _matmul_rows(g, np.swapaxes(w_, -1, -2))
-            g = np.array(np.swapaxes(dm.reshape(b, s, h, dh), 1, 2), dtype=heads_dtype)
-            del dm
-            if merged is None and w.requires_grad:
-                heads = np.empty(heads_shape, heads_dtype)
+        # the merged heads' gradient in their dtype, as w's product hands it on
+        dm = _matmul_rows(g, np.swapaxes(w_, -1, -2)).astype(heads_dtype, copy=False)
+        rebuild = merged is None and w.requires_grad
+        m = np.empty(dm.shape, heads_dtype) if rebuild else merged
         q_, k_, v_ = (_read(t, a) for t, a in kept)
-        dv = np.empty(v.shape, np.result_type(dtype, g))
         dq = np.empty(q.shape, np.result_type(dtype, k_))
-        dk_t = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]), np.result_type(q_, dtype))
+        dv = np.empty(v.shape, np.result_type(dtype, dm))
+        dk_t = np.empty(shape[:2] + (q.shape[-1] // n_heads, shape[-1]), np.result_type(q_, dtype))
+        qh, kh, vh, dmh, dqh, dvh = (_heads(a, n_heads) for a in (q_, k_, v_, dm, dq, dv))
         for i in _blocks(shape, dtype.itemsize, 2):
             if p is None:
-                p_i = np.matmul(q_[i], np.swapaxes(k_[i], -1, -2))
+                p_i = np.matmul(qh[i], np.swapaxes(kh[i], -1, -2))
                 _softmax_scaled_(p_i, scale, (stats[0][i], stats[1][i]))
             else:
                 p_i = p[i]
-            if heads is not None:
-                np.matmul(p_i, v_[i], out=heads[i])
-            g_i = g[i]
-            np.matmul(np.swapaxes(p_i, -1, -2), g_i, out=dv[i])
+            if rebuild:
+                np.matmul(p_i, vh[i], out=_heads(m, n_heads)[i])
+            g_i = dmh[i]
+            np.matmul(np.swapaxes(p_i, -1, -2), g_i, out=dvh[i])
             # dP, in the probabilities' dtype, as a graph node of its own
             # would hold it, then the softmax backward on it in place
-            dl = np.matmul(g_i, np.swapaxes(v_[i], -1, -2)).astype(dtype, copy=False)
+            dl = np.matmul(g_i, np.swapaxes(vh[i], -1, -2)).astype(dtype, copy=False)
             dl -= (dl * p_i).sum(axis=-1, keepdims=True)
             dl *= p_i
             del p_i  # a rebuilt block goes before the next one is made
             dl *= scale
-            np.matmul(dl, k_[i], out=dq[i])
-            np.matmul(np.swapaxes(q_[i], -1, -2), dl, out=dk_t[i])
-        if w is not None and w.requires_grad:
-            m = merged if heads is None else np.swapaxes(heads, 1, 2).reshape(b, s, h * dh)
-            del heads
-            _accum(w, _unbroadcast(np.matmul(np.swapaxes(m, -1, -2), g_out), w.shape), owned=True)
+            np.matmul(dl, kh[i], out=dqh[i])
+            np.matmul(np.swapaxes(qh[i], -1, -2), dl, out=dk_t[i])
+        if w.requires_grad:
+            _accum(w, _unbroadcast(np.matmul(np.swapaxes(m, -1, -2), g), w.shape), owned=True)
         _accum(v, dv, owned=True)
         _accum(q, dq, owned=True)
-        _accum(k, np.swapaxes(dk_t, -1, -2), owned=True)
+        # [B, H, dh, Sk] to token-major, laid out as split_heads' rule lays it
+        _accum(k, dk_t.transpose(0, 3, 1, 2).reshape(k.shape), owned=True)
 
-    return _make(out, parents, backward), p if keep else None
+    return _make(out, (q, k, v, w), backward), p if keep else None
 
 
 def _heads(x_, n_heads):
@@ -600,8 +596,7 @@ def _heads(x_, n_heads):
 def split_heads(x, n_heads):
     """[B, S, D] -> [B, H, S, D/H]: head h is feature slice [h*D/H, (h+1)*D/H).
 
-    The result is a view of x's buffer. When x's graph place can rebuild
-    x, the result's place rebuilds it as the same view of that.
+    The result is a view of x's buffer.
     """
     if x.ndim != 3 or x.shape[-1] % n_heads:
         raise ShapeError(f"split_heads needs [B, S, D] with D divisible by {n_heads}, "
@@ -614,10 +609,7 @@ def split_heads(x, n_heads):
         # a copy of g, unless there is one head or one token
         _accum(x, dx, owned=not np.may_share_memory(dx, g))
 
-    out = _make(data, (x,), backward)
-    if out._node is not None and x.rebuild is not None:
-        out._node.rebuild = lambda: _heads(x.rebuild(), n_heads)
-    return out
+    return _make(data, (x,), backward)
 
 
 def merge_heads(x):
@@ -673,9 +665,10 @@ def layer_norm(x, gamma, beta):
     A recorded pass keeps x-hat, the normalized x, for its rule; when the
     output spans more than one _BLOCK_BYTES block, its graph place can
     also rebuild the output as gamma * x-hat + beta with the forward's
-    steps, so the matmul and mlp rules that read it keep no copy. It reads
-    gamma and beta as they are then: their last consumer is this rule,
-    which runs after every rebuild.
+    steps, so the matmul and mlp rules that read it keep no copy. The
+    first rebuild in a backward makes the array, every later one returns
+    it, and this rule drops it. It reads gamma and beta as they are then:
+    their last consumer is this rule, which runs after every reader.
     """
     if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
         raise ShapeError(
@@ -697,6 +690,7 @@ def layer_norm(x, gamma, beta):
     x, gamma, beta = x.node, gamma.node, beta.node
 
     def backward(g):
+        rebuild.cache_clear()
         lead = tuple(range(g.ndim - 1))
         _accum(gamma, (g * xhat).sum(axis=lead), owned=True)
         _accum(beta, g.sum(axis=lead), owned=True)
@@ -710,9 +704,10 @@ def layer_norm(x, gamma, beta):
                         out=dx[i])
         _accum(x, dx, owned=True)
 
+    rebuild = functools.cache(lambda: _affine(gamma_, xhat, beta_, np.empty(shape, dtype)))
     out = _make(data, (x, gamma, beta), backward)
     if out._node is not None and not _one_block(shape, dtype.itemsize):
-        out._node.rebuild = lambda: _affine(gamma_, xhat, beta_, np.empty(shape, dtype))
+        out._node.rebuild = rebuild
     return out
 
 
@@ -805,9 +800,10 @@ def mlp(x, w1, b1, w2, b2):
     layer_norm output's can), and when h fits in one _BLOCK_BYTES block
     (every toy-model MLP's does), h, GELU(h) and tanh(u) too. The output's
     rule takes GELU(h)'s gradient from w2 and turns it into h's, in place,
-    for the hidden rule. Above one block it first rebuilds x, which it
-    hands on too, and h with the forward's own GEMM; those rebuilds read
-    w1 and b1 before the hidden rule, their last consumer. One blocked
+    for the hidden rule. Above one block it first rebuilds x (through
+    x's graph place, which the hidden rule reads it from too) and h with
+    the forward's own GEMM; those rebuilds read w1 and b1 before the
+    hidden rule, their last consumer. One blocked
     pass then computes each block's tanh(u) once, for GELU(h), which the
     w2 weight-gradient GEMM reads, and for h's gradient. With one block,
     the w2 weight gradient reads the kept GELU(h) first, and gelu'(h) is
@@ -831,21 +827,19 @@ def mlp(x, w1, b1, w2, b2):
     t = _gelu_rows(h, a, _one_block(h.shape, dtype.itemsize))
     data = _linear_data(a, w2_, b2.data)
     x, w1, b1, w2, b2 = (v.node for v in (x, w1, b1, w2, b2))
-    x_ = _kept(x, x_)  # the output rule may set it to x rebuilt
+    x_ = _kept(x, x_)
     hidden = _Node(a, (x, w1, b1), lambda d: _linear_backward(x, w1, b1, x_, w1_, d))
     if t is None:
         a = h = None
 
     def backward(g):
-        nonlocal x_
         _accum(b2, _unbroadcast(g, b2.shape))
         # GELU(h)'s gradient in the hidden place's dtype, as _accum would
         # take it, then h's, in place
         dh = _matmul_rows(g, np.swapaxes(w2_, -1, -2)).astype(dtype, copy=False)
         a_ = a
         if t is None:  # rebuilt with the forward's steps, so with its bits
-            x_ = _read(x, x_)
-            h_r = _linear_data(x_, w1_, b1_)
+            h_r = _linear_data(_read(x, x_), w1_, b1_)
             a_ = np.empty(h_r.shape, dtype)
             _gelu_rows(h_r, a_, False, dh)
             del h_r
@@ -923,7 +917,7 @@ def backward(loss, ready=None):
             continue
         if node.grad is not None:
             node._backward(node.grad)
-        node._backward = None
+        node._backward = node.rebuild = None
         node._parents = ()
         node.grad = None  # intermediate grads are scratch space
 

@@ -202,11 +202,12 @@ def train_step(batch, params, cfg, state):
             if not math.isfinite(peak):
                 bad.append(name)
 
-        with no_grad():
+        with no_grad():  # and no attention record: only the activations are noted
             z = model_mod.embed(params, cfg, batch.data)
             note("embed", z)
-            encoder.encode(z, params, cfg.layers, cfg.heads, cfg.attn_scale,
-                           lambda layer, z, _: note(f"layer{layer}", z))
+            for layer in range(cfg.layers):
+                z, _ = encoder.encoder_layer(z, params, layer, cfg.heads, cfg.attn_scale)
+                note(f"layer{layer}", z)
         raise FloatingPointError(
             "non-finite training loss; max |activation| per layer: " + ", ".join(stats)
             + "; first non-finite: " + (bad[0] if bad else "after the last layer"))

@@ -15,8 +15,8 @@ import pytest
 from patchcount import encoder, ndtensor, optim, patchio
 from patchcount.encoder import encode, encoder_layer, mlp_block, msa, scaled_attention
 from patchcount.model import ModelConfig
-from patchcount.ndtensor import (Tensor, backward, concat, matmul,
-                                 mean, mul, no_grad, slice_axis, smul, softmax_rows,
+from patchcount.ndtensor import (Tensor, backward, concat, matmul, mean, merge_heads,
+                                 mul, no_grad, slice_axis, smul, softmax_rows,
                                  split_heads, transpose_last)
 
 
@@ -65,23 +65,26 @@ def zero_layer(d):
     return _layer(d, 0, lambda *shape: t(np.zeros(shape)))
 
 
+EYE4 = t(np.eye(4))  # an output projection that leaves the merged heads as they are
+
+
 class TestScaledAttention:
     def test_single_token(self):
         rng = np.random.default_rng(0)
         q = t(rng.normal(size=(1, 1, 4)))
         k = t(rng.normal(size=(1, 1, 4)))
         v = t(rng.normal(size=(1, 1, 4)))
-        out, weights = scaled_attention(q, k, v, 0.5, record=True)
-        npt.assert_allclose(weights, [[[1.0]]])
+        out, weights = scaled_attention(q, k, v, 1, 0.5, EYE4, record=True)
+        npt.assert_allclose(weights, [[[[1.0]]]])
         npt.assert_allclose(out.data, v.data, rtol=1e-6)
 
     def test_zero_query_uniform(self):
         rng = np.random.default_rng(1)
         k = t(rng.normal(size=(1, 3, 4)))
         v = t(rng.normal(size=(1, 3, 4)))
-        out, weights = scaled_attention(t(np.zeros((1, 3, 4))), k, v, 0.5,
+        out, weights = scaled_attention(t(np.zeros((1, 3, 4))), k, v, 2, 0.5, EYE4,
                                         record=True)
-        npt.assert_allclose(weights, np.full((1, 3, 3), 1 / 3), atol=1e-7)
+        npt.assert_allclose(weights, np.full((1, 2, 3, 3), 1 / 3), atol=1e-7)
         expected = np.broadcast_to(v.data.mean(axis=1, keepdims=True), (1, 3, 4))
         npt.assert_allclose(out.data, expected, rtol=1e-5)
 
@@ -90,9 +93,10 @@ class TestScaledAttention:
         q = rng.normal(size=(1, 3, 4)).astype(np.float32)
         k = rng.normal(size=(1, 3, 4)).astype(np.float32)
         v = rng.normal(size=(1, 3, 4)).astype(np.float32)
+        w = rng.normal(size=(4, 5)).astype(np.float32)
         scale = 1 / math.sqrt(4)
-        out, _ = scaled_attention(t(q), t(k), t(v), scale)
-        expected = np_softmax(q @ k.transpose(0, 2, 1) * scale) @ v
+        out, _ = scaled_attention(t(q), t(k), t(v), 1, scale, t(w))
+        expected = np_softmax(q @ k.transpose(0, 2, 1) * scale) @ v @ w
         npt.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-6)
 
 
@@ -104,14 +108,16 @@ class TestFusedNoGradAttention:
     @pytest.mark.parametrize("budget", [None, SMALL_BUDGET])
     def test_bitwise_equal_to_probs_then_matmul(self, monkeypatch, budget):
         rng = np.random.default_rng(17)
-        q, k, v = (split_heads(t(rng.normal(scale=2.0, size=(2, 37, 24))), 3)
-                   for _ in range(3))
+        q, k, v = (t(rng.normal(scale=2.0, size=(2, 37, 24))) for _ in range(3))
+        w = t(rng.normal(scale=0.3, size=(24, 24)))
         scale = 1.0 / np.sqrt(24.0)  # a numpy float64, as ModelConfig.attn_scale is
-        expected = matmul(softmax_rows(smul(matmul(q, transpose_last(k)), scale)), v).data
+        qh, kh, vh = (split_heads(x, 3) for x in (q, k, v))
+        expected = matmul(merge_heads(matmul(softmax_rows(smul(matmul(qh, transpose_last(kh)),
+                                                               scale)), vh)), w).data
         if budget is not None:
             monkeypatch.setattr(ndtensor, "_BLOCK_BYTES", budget)
         with no_grad():
-            out, weights = scaled_attention(q, k, v, scale)
+            out, weights = scaled_attention(q, k, v, 3, scale, w)
         assert weights is None
         assert np.array_equal(out.data, expected)
 

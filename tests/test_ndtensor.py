@@ -391,15 +391,6 @@ PRIMITIVES = [
     ("abs", (4, 5), lambda p: absolute(p)),
     ("split_heads", (2, 3, 4), lambda p: split_heads(p, 2)),
     ("merge_heads", (2, 2, 3, 2), lambda p: merge_heads(p)),
-    ("attention_q", (2, 2, 3, 4), lambda p: attention(
-        p, Tensor(np.random.default_rng(9).normal(size=(2, 2, 5, 4))),
-        Tensor(np.random.default_rng(10).normal(size=(2, 2, 5, 3))), 0.7)[0]),
-    ("attention_k", (2, 2, 5, 4), lambda p: attention(
-        Tensor(np.random.default_rng(11).normal(size=(2, 2, 3, 4))), p,
-        Tensor(np.random.default_rng(12).normal(size=(2, 2, 5, 3))), 0.7)[0]),
-    ("attention_v", (2, 2, 5, 3), lambda p: attention(
-        Tensor(np.random.default_rng(13).normal(size=(2, 2, 3, 4))),
-        Tensor(np.random.default_rng(14).normal(size=(2, 2, 5, 4))), p, 0.7)[0]),
     ("linear_x", (2, 4, 5), lambda p: linear(
         p, Tensor(np.random.default_rng(5).normal(size=(5, 3))), Tensor(np.arange(3.0)))),
     ("linear_w", (5, 3), lambda p: linear(
@@ -437,32 +428,40 @@ def _ln_mlp(x, gamma, beta, w1, b1, w2, b2):
     return mlp(layer_norm(x, gamma, beta), w1, b1, w2, b2)
 
 
+def _attention_chain(q, k, v, n_heads, scale, w):
+    """attention(q, k, v, n_heads, scale, w)[0] as a chain of primitives:
+    split into heads, softmax(scale * Q K^T) V, merged and projected."""
+    q, k, v = (split_heads(x, n_heads) for x in (q, k, v))
+    p = softmax_rows(smul(matmul(q, transpose_last(k)), scale))
+    return matmul(merge_heads(matmul(p, v)), w)
+
+
 def _ln_attention(x, gamma, beta, w_q, w_k, w_v, w_o, n_heads=2):
     """encoder.msa's chain: one layer_norm output projected to Q, K and V,
-    split into heads, attended, merged and projected by w_o. The scale is
-    small enough that float32 central differences of step 1e-2 stay
-    within the checker's bound on unit-normal weights."""
+    then attention with w_o. The scale is small enough that float32
+    central differences of step 1e-2 stay within the checker's bound on
+    unit-normal weights."""
     z = layer_norm(x, gamma, beta)
-    q, k, v = (split_heads(matmul(z, w), n_heads) for w in (w_q, w_k, w_v))
-    return matmul(merge_heads(attention(q, k, v, 0.1)[0]), w_o)
+    q, k, v = (matmul(z, w) for w in (w_q, w_k, w_v))
+    return attention(q, k, v, n_heads, 0.1, w_o)[0]
 
 
-def _ln_projected_attention(x, gamma, beta, w_q, w_k, w_v, w_o, n_heads=2):
-    """_ln_attention with the merge and w_o's product inside attention."""
+def _ln_attention_chain(x, gamma, beta, w_q, w_k, w_v, w_o, n_heads=2):
+    """_ln_attention with attention as _attention_chain."""
     z = layer_norm(x, gamma, beta)
-    q, k, v = (split_heads(matmul(z, w), n_heads) for w in (w_q, w_k, w_v))
-    return attention(q, k, v, 0.1, w=w_o)[0]
+    q, k, v = (matmul(z, w) for w in (w_q, w_k, w_v))
+    return _attention_chain(q, k, v, n_heads, 0.1, w_o)
 
 
 def _projected_attention(q, k, v, w):
-    return attention(q, k, v, 0.7, w=w)[0]
+    return attention(q, k, v, 2, 0.7, w)[0]
 
 
-_PROJECTED_SHAPES = {"q": (2, 2, 3, 4), "k": (2, 2, 5, 4), "v": (2, 2, 5, 3), "w": (6, 5)}
+_PROJECTED_SHAPES = {"q": (2, 3, 4), "k": (2, 5, 4), "v": (2, 5, 4), "w": (4, 5)}
 _LN_MATMUL_SHAPES = {"x": (2, 4, 5), "gamma": (5,), "beta": (5,), "w_q": (5, 3),
                      "w_k": (5, 3), "w_v": (5, 2), "w_r": (3, 4)}
 _LN_ATTENTION_SHAPES = {"x": (2, 4, 6), "gamma": (6,), "beta": (6,), "w_q": (6, 6),
-                        "w_k": (6, 6), "w_v": (6, 4), "w_o": (4, 5)}
+                        "w_k": (6, 6), "w_v": (6, 6), "w_o": (6, 5)}
 _LN_MLP_SHAPES = {"x": (2, 4, 5), "gamma": (5,), "beta": (5,),
                   **{n: s for n, s in _MLP_SHAPES.items() if n != "x"}}
 
@@ -473,8 +472,11 @@ PRIMITIVES += [("layer_norm_mlp_" + n, s, _of(_ln_mlp, _LN_MLP_SHAPES, n, True))
                for n, s in _LN_MLP_SHAPES.items()]
 PRIMITIVES += [("layer_norm_attention_" + n, s, _of(_ln_attention, _LN_ATTENTION_SHAPES, n, True))
                for n, s in _LN_ATTENTION_SHAPES.items()]
-# Q, K and V each with every operand recorded, and w alone; either way the
-# rule rebuilds the heads for w's gradient where they span blocks
+# Q, K and V each alone and each with every operand recorded, and w
+# alone; either way the rule rebuilds the heads for w's gradient where
+# they span blocks
+PRIMITIVES += [("attention_" + n, s, _of(_projected_attention, _PROJECTED_SHAPES, n))
+               for n, s in _PROJECTED_SHAPES.items() if n != "w"]
 PRIMITIVES += [("attention_projected_" + n, s, _of(_projected_attention, _PROJECTED_SHAPES, n,
                                                     n != "w"))
                for n, s in _PROJECTED_SHAPES.items()]
@@ -631,13 +633,9 @@ class TestBlocks:
 
 
 def _attention_inputs(rng, b=2, h=3, s=37, dh=8):
-    # strided like split_heads' views of [B, S, D]
-    return [rng.normal(scale=2.0, size=(b, s, h, dh)).astype(np.float32).transpose(0, 2, 1, 3)
-            for _ in range(3)]
-
-
-def _unfused_attention(q, k, v, scale):
-    return matmul(softmax_rows(smul(matmul(q, transpose_last(k)), scale)), v)
+    """[B, S, H*dh] Q, K and V, and an [H*dh, H*dh] output weight."""
+    return [rng.normal(scale=2.0, size=(b, s, h * dh)).astype(np.float32)
+            for _ in range(3)] + [rng.normal(scale=0.3, size=(h * dh, h * dh)).astype(np.float32)]
 
 
 def _outputs_and_grads(op, arrays, seed=0):
@@ -650,7 +648,7 @@ def _outputs_and_grads(op, arrays, seed=0):
 # op, inputs, the shape of the array it blocks and the axes a block never
 # splits, a budget that splits that array into uneven blocks
 BLOCKED = {
-    "attention": (lambda q, k, v: attention(q, k, v, 1.0 / np.sqrt(24.0))[0],
+    "attention": (lambda q, k, v, w: attention(q, k, v, 3, 1.0 / np.sqrt(24.0), w)[0],
                   _attention_inputs, (2, 3, 37, 37), 2, 2 * 37 * 37 * 4),
     "gelu": (gelu, lambda rng: [rng.normal(scale=3.0, size=(2, 37, 24)).astype(np.float32)],
              (2, 37, 24), 1, 5 * 24 * 4),
@@ -685,14 +683,16 @@ class TestBlockedBitExact:
     def test_fused_attention_equals_probs_then_matmul(self, monkeypatch, budget):
         scale = 1.0 / np.sqrt(24.0)  # a numpy float64, as ModelConfig.attn_scale is
         arrays = _attention_inputs(np.random.default_rng(21))
-        expected = _outputs_and_grads(lambda q, k, v: _unfused_attention(q, k, v, scale), arrays)
+        expected = _outputs_and_grads(
+            lambda q, k, v, w: _attention_chain(q, k, v, 3, scale, w), arrays)
         if budget is not None:
             monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
-        got = _outputs_and_grads(lambda q, k, v: attention(q, k, v, scale)[0], arrays)
+        got = _outputs_and_grads(lambda q, k, v, w: attention(q, k, v, 3, scale, w)[0], arrays)
         for a, b in zip(expected, got, strict=True):
             assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
         with nd.no_grad():
-            out, probs = attention(*(Tensor(a, requires_grad=True) for a in arrays), scale)
+            out, probs = attention(*(Tensor(a, requires_grad=True) for a in arrays[:3]), 3,
+                                   scale, Tensor(arrays[3], requires_grad=True))
         assert out._node is None and probs is None
         assert out.data.shape == expected[0].shape and np.array_equal(out.data, expected[0])
 
@@ -707,8 +707,8 @@ class TestBlockedBitExact:
         if name == "attention":
             scale = 1.0 / np.sqrt(24.0)
             arrays, shape, core = _attention_inputs(rng, b=1, h=3, s=s), (1, 3, s, s), 2
-            ops = [lambda q, k, v: attention(q, k, v, scale)[0],
-                   lambda q, k, v: attention(q, k, v, scale, keep=True)[0]]
+            ops = [lambda q, k, v, w: attention(q, k, v, 3, scale, w)[0],
+                   lambda q, k, v, w: attention(q, k, v, 3, scale, w, keep=True)[0]]
         else:
             arrays, shape, core = [rng.normal(scale=3.0, size=(1, s, 3072)).astype(np.float32)], \
                 (1, s, 3072), 1
@@ -724,34 +724,39 @@ class TestBlockedBitExact:
     def test_probabilities_gradient_takes_their_dtype(self):
         # float32 probabilities meet a float64 value: their gradient is
         # rounded to float32, as the unfused chain's probabilities node does
-        q, k, v = _attention_inputs(np.random.default_rng(24))
-        arrays = [q, k, v.astype(np.float64)]
-        expected = _outputs_and_grads(lambda q, k, v: _unfused_attention(q, k, v, 0.5), arrays)
-        got = _outputs_and_grads(lambda q, k, v: attention(q, k, v, 0.5)[0], arrays)
+        q, k, v, w = _attention_inputs(np.random.default_rng(24))
+        arrays = [q, k, v.astype(np.float64), w]
+        expected = _outputs_and_grads(lambda *a: _attention_chain(*a[:3], 3, 0.5, a[3]), arrays)
+        got = _outputs_and_grads(lambda *a: attention(*a[:3], 3, 0.5, a[3])[0], arrays)
         for a, b in zip(expected, got, strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_kept_probabilities_equal_the_recorded_ones(self):
         arrays = _attention_inputs(np.random.default_rng(25))
-        recorded = attention(*(Tensor(a, requires_grad=True) for a in arrays), 0.5, keep=True)
+
+        def run():
+            q, k, v, w = (Tensor(a, requires_grad=True) for a in arrays)
+            return attention(q, k, v, 3, 0.5, w, keep=True)
+
+        recorded = run()
         with nd.no_grad():
-            kept = attention(*(Tensor(a, requires_grad=True) for a in arrays), 0.5, keep=True)
+            kept = run()
         assert recorded[0]._node is not None and kept[0]._node is None
         assert np.array_equal(kept[0].data, recorded[0].data)
-        q, k, _ = (Tensor(a) for a in arrays)
+        q, k = (split_heads(Tensor(a), 3) for a in arrays[:2])
         chain = softmax_rows(smul(matmul(q, transpose_last(k)), 0.5))
         assert np.array_equal(kept[1], recorded[1]) and np.array_equal(kept[1], chain.data)
 
     def test_attention_records_one_node_under_grad(self):
-        q, k, v = (Tensor(a, requires_grad=True)
-                   for a in _attention_inputs(np.random.default_rng(22)))
-        out, probs = attention(q, k, v, 0.5)
-        assert out._node._parents == (q, k, v) and probs is None
+        q, k, v, w = (Tensor(a, requires_grad=True)
+                      for a in _attention_inputs(np.random.default_rng(22)))
+        out, probs = attention(q, k, v, 3, 0.5, w)
+        assert out._node._parents == (q, k, v, w) and probs is None
 
     def test_attention_value_shape_mismatch(self):
-        q, k, v = (Tensor(a) for a in _attention_inputs(np.random.default_rng(23)))
+        q, k, v, w = (Tensor(a) for a in _attention_inputs(np.random.default_rng(23)))
         with nd.no_grad(), pytest.raises(ShapeError, match="value"):
-            attention(q, k, Tensor(v.data[:, :, :5]), 0.5)
+            attention(q, k, Tensor(v.data[:, :5]), 3, 0.5, w)
 
 
 def _linear_gelu_linear(x, w1, b1, w2, b2):
@@ -981,7 +986,7 @@ class TestProjectionsRebuilt:
 
         def rebuilds():
             z = layer_norm(*(t(a, rg=True) for a in arrays[:3]))
-            return split_heads(matmul(z, t(arrays[3])), 12)._node.rebuild is not None
+            return matmul(z, t(arrays[3])).node.rebuild is not None
 
         default = nd._BLOCK_BYTES
         monkeypatch.setattr(nd, "_BLOCK_BYTES", 1 << 30)
@@ -1052,9 +1057,35 @@ class TestProjectionsRebuilt:
         assert held >= 7 * rows + 4 * 64 * 64 * 4, f"held {held} B"
 
 
+class TestLayerNormRebuiltOnce:
+    """A layer_norm output that spans blocks is rebuilt once per backward,
+    and all its readers share that array."""
+
+    def test_each_output_is_rebuilt_once(self, monkeypatch):
+        # two layers of four-block layer_norm outputs: LN1's is read by the
+        # rebuilds of Q, K and V and by the three projections' weight
+        # gradients, LN2's by both MLP rules
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", 16 * 96 * 4)
+        rng = np.random.default_rng(37)
+        shapes = (("ln1.gamma", (96,)), ("ln1.beta", (96,)), ("w_q", (96, 96)),
+                  ("w_k", (96, 96)), ("w_v", (96, 96)), ("w_o", (96, 96)),
+                  ("ln2.gamma", (96,)), ("ln2.beta", (96,)), ("mlp.w1", (96, 384)),
+                  ("mlp.b1", (384,)), ("mlp.w2", (384, 96)), ("mlp.b2", (96,)))
+        params = {f"layer{l}.{n}": Tensor(rng.normal(scale=0.1, size=s).astype(np.float32),
+                                          requires_grad=True)
+                  for l in range(2) for n, s in shapes}
+        out = encoder.encode(t(rng.normal(size=(1, 64, 96))), params, 2, 4, 0.5)
+        rebuilt, real = [], nd._affine
+        monkeypatch.setattr(nd, "_affine", lambda *a: rebuilt.append(a) or real(*a))
+        backward(mean(out))
+        assert len(rebuilt) == 4
+        assert all(p.grad is not None for p in params.values())
+
+
 class TestProjectedAttention:
-    """attention with w gives the bits of matmul(merge_heads(attention(...)),
-    w), whether it keeps the merged heads or rebuilds them in its rule."""
+    """attention gives the bits of split_heads, softmax(scale * Q K^T) V,
+    merge_heads and w's product as a chain of primitives, whether it keeps
+    the merged heads or rebuilds them in its rule."""
 
     # S even and odd, 4 heads of [.., 96]: at the default budget the merged
     # heads are one block, at 16 rows they span four or more
@@ -1068,12 +1099,12 @@ class TestProjectedAttention:
         if budget is not None:
             monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
         assert (len(list(nd._blocks(x_shape, 4, 1))) > 1) == (budget is not None)
-        expected = _outputs_and_grads(lambda *a: _ln_attention(*a, n_heads=4), arrays)
-        got = _outputs_and_grads(lambda *a: _ln_projected_attention(*a, n_heads=4), arrays)
+        expected = _outputs_and_grads(lambda *a: _ln_attention_chain(*a, n_heads=4), arrays)
+        got = _outputs_and_grads(lambda *a: _ln_attention(*a, n_heads=4), arrays)
         for a, b in zip(expected, got, strict=True):
             assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
         with nd.no_grad():
-            out = _ln_projected_attention(*(Tensor(a) for a in arrays), n_heads=4)
+            out = _ln_attention(*(Tensor(a) for a in arrays), n_heads=4)
         assert out._node is None and np.array_equal(out.data, expected[0])
 
     @pytest.mark.parametrize("wide", range(7))
@@ -1081,29 +1112,35 @@ class TestProjectedAttention:
         rng = np.random.default_rng(39)
         arrays = [rng.normal(size=s).astype(np.float32) for s in _LN_ATTENTION_SHAPES.values()]
         arrays[wide] = arrays[wide].astype(np.float64)
-        expected = _outputs_and_grads(_ln_attention, arrays)
+        expected = _outputs_and_grads(_ln_attention_chain, arrays)
         for budget in (nd._BLOCK_BYTES, 1):
             monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
-            got = _outputs_and_grads(_ln_projected_attention, arrays)
+            got = _outputs_and_grads(_ln_attention, arrays)
             for a, b in zip(expected, got, strict=True):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_keep_returns_the_probabilities_beside_the_projection(self):
-        q, k, v = (Tensor(a, requires_grad=True)
-                   for a in _attention_inputs(np.random.default_rng(40)))
+        q, k, v, _ = (Tensor(a, requires_grad=True)
+                      for a in _attention_inputs(np.random.default_rng(40)))
         w = Tensor(np.random.default_rng(41).normal(size=(24, 5)).astype(np.float32))
-        out, probs = attention(q, k, v, 0.5, keep=True, w=w)
-        heads, kept = attention(q, k, v, 0.5, keep=True)
-        assert out.shape == (2, 37, 5) and np.array_equal(probs, kept)
-        assert np.array_equal(out.data, matmul(merge_heads(heads), w).data)
+        out, probs = attention(q, k, v, 3, 0.5, w, keep=True)
+        qh, kh = (split_heads(x, 3) for x in (q, k))
+        chain = softmax_rows(smul(matmul(qh, transpose_last(kh)), 0.5))
+        assert out.shape == (2, 37, 5) and np.array_equal(probs, chain.data)
+        assert np.array_equal(out.data, _attention_chain(q, k, v, 3, 0.5, w).data)
 
     def test_bad_projection_shape(self):
-        q, k, v = (Tensor(a) for a in _attention_inputs(np.random.default_rng(42)))
+        q, k, v, _ = (Tensor(a) for a in _attention_inputs(np.random.default_rng(42)))
         for w in (np.ones((23, 5)), np.ones((24,)), np.ones((2, 24, 5))):
             with pytest.raises(ShapeError, match="projection"):
-                attention(q, k, v, 0.5, w=Tensor(w))
-        with pytest.raises(ShapeError, match="projection"):
-            attention(*(Tensor(a.data[0]) for a in (q, k, v)), 0.5, w=Tensor(np.ones((8, 5))))
+                attention(q, k, v, 3, 0.5, Tensor(w))
+
+    def test_heads_must_divide_token_major_operands(self):
+        q, k, v, w = (Tensor(a) for a in _attention_inputs(np.random.default_rng(44)))
+        with pytest.raises(ShapeError, match="divisible by 5 heads"):
+            attention(q, k, v, 5, 0.5, w)
+        with pytest.raises(ShapeError, match="query/key/value"):  # [B, H, S, dh] heads
+            attention(*(split_heads(x, 3) for x in (q, k, v)), 3, 0.5, w)
 
     @pytest.mark.parametrize("budget", [None, 16 * 96 * 4])
     def test_w_o_is_ready_once_after_the_attention_rule(self, monkeypatch, budget):
@@ -1138,31 +1175,33 @@ class TestAttentionHolds:
                 for a in _attention_inputs(np.random.default_rng(26), h=4, s=256)]
 
     def test_no_grad_holds_output_plus_one_block(self, monkeypatch):
-        q, k, v = self._inputs(monkeypatch)
+        q, k, v, w = self._inputs(monkeypatch)
         with nd.no_grad():
-            (out, probs), peak = _traced_peak(lambda: attention(q, k, v, 0.5))
+            (out, probs), peak = _traced_peak(lambda: attention(q, k, v, 4, 0.5, w))
         assert probs is None
-        # and the few KiB of operand copies BLAS may need per block
+        # the merged heads, the output's size, go before the output is
+        # made; and the few KiB of operand copies BLAS may need per block
         assert peak <= out.data.nbytes + self.MATRIX + self.MATRIX // 4, \
             f"peak {peak} B for a {out.data.nbytes} B output"
 
     def test_recorded_holds_output_row_stats_plus_one_block(self, monkeypatch):
-        q, k, v = self._inputs(monkeypatch)
-        (out, probs), peak = _traced_peak(lambda: attention(q, k, v, 0.5))
+        q, k, v, w = self._inputs(monkeypatch)
+        (out, probs), peak = _traced_peak(lambda: attention(q, k, v, 4, 0.5, w))
         assert out._node is not None and probs is None
         stats = 2 * 8 * 256 * 4  # each row's max and sum
         assert peak <= out.data.nbytes + stats + self.MATRIX + self.MATRIX // 4, \
             f"peak {peak} B; the whole probabilities are {8 * self.MATRIX} B"
 
     def test_backward_holds_no_whole_probabilities_gradient(self, monkeypatch):
-        q, k, v = self._inputs(monkeypatch)
-        out, _ = attention(q, k, v, 0.5)
+        q, k, v, w = self._inputs(monkeypatch)
+        out, _ = attention(q, k, v, 4, 0.5, w)
         g = np.random.default_rng(27).normal(size=out.shape).astype(np.float32)
         _, peak = _traced_peak(lambda: out._node._backward(g))
-        grads = q.grad.nbytes + k.grad.nbytes + v.grad.nbytes
-        # the gradients it hands over, and for one block the rebuilt
-        # probabilities, dP and its softmax backward
-        assert peak <= grads + 3 * self.MATRIX + self.MATRIX // 4, \
+        grads = q.grad.nbytes + k.grad.nbytes + v.grad.nbytes + w.grad.nbytes
+        # the gradients it hands over, the merged heads' gradient g w^T,
+        # and for one block the rebuilt probabilities, dP and its softmax
+        # backward
+        assert peak <= grads + v.data.nbytes + 3 * self.MATRIX + self.MATRIX // 4, \
             f"peak {peak} B; a whole dP is {8 * self.MATRIX} B"
 
 
@@ -1204,15 +1243,15 @@ ALIAS_GRAPHS = {
                [(1, 5, 4), (4, 4), (4,)]),
     "linear_batch": (lambda x, w, b: linear(x, w, b), [(3, 5, 4), (4, 4), (4,)]),
     "matmul_self": (lambda x: matmul(x, x), [(4, 4)]),
-    "attention": (lambda q, k, v: add(attention(q, k, v, 0.5)[0], q),
-                  [(1, 2, 5, 4), (1, 2, 5, 4), (1, 2, 5, 4)]),
-    "attention_self": (lambda x: attention(x, x, x, 0.5)[0], [(1, 2, 5, 4)]),
+    "attention": (lambda q, k, v, w: add(attention(q, k, v, 2, 0.5, w)[0], q),
+                  [(1, 5, 4), (1, 5, 4), (1, 5, 4), (4, 4)]),
+    "attention_self": (lambda x: attention(x, x, x, 2, 0.5, reshape(x, (4, 4)))[0], [(1, 4, 4)]),
     "layer_norm": (lambda x, gamma, beta: add(x, layer_norm(x, gamma, beta)),
                    [(2, 5, 6), (6,), (6,)]),
     "layer_norm_gamma_is_beta": (lambda x, gb: layer_norm(x, gb, gb), [(1, 5, 6), (6,)]),
     "gelu": (lambda x, y: add(gelu(x), mul(x, y)), [(1, 5, 6), (1, 5, 6)]),
-    "heads": (lambda x: merge_heads(attention(*(split_heads(x, 2) for _ in range(3)), 0.5)[0]),
-              [(1, 5, 4)]),
+    "heads": (lambda x, y: add(merge_heads(mul(split_heads(x, 2), split_heads(y, 2))), x),
+              [(1, 5, 4), (1, 5, 4)]),
     "gap_pool": (lambda x, y: add(heads.gap_pool(x), heads.gap_pool(add(x, y))),
                  [(2, 5, 4), (2, 5, 4)]),
     "token_pool": (lambda x, y: add(heads.token_pool(x), heads.token_pool(add(x, y))),
@@ -1282,9 +1321,9 @@ class TestGraphKeepsWhatRulesRead:
             dropped.extend(weakref.ref(x.data) for x in (a, out))
             return out
 
-        def attention(q, k, v, scale, keep=False, w=None):
+        def attention(q, k, v, n_heads, scale, w, keep=False):
             # the probabilities a recorded pass keeps for backward anyway
-            out, probs = real_attention(q, k, v, scale, keep=True, w=w)
+            out, probs = real_attention(q, k, v, n_heads, scale, w, keep=True)
             dropped.append(weakref.ref(out.data))
             read.append(weakref.ref(probs))
             return out, probs if keep else None

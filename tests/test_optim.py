@@ -283,6 +283,23 @@ class TestTrainStep:
         with pytest.raises(FloatingPointError, match=f"; first non-finite: {first}$"):
             train_step(batch, params, cfg, init_adam(params))
 
+    def test_non_finite_loss_diagnostic_keeps_no_attention_probabilities(self, monkeypatch):
+        keeps = []
+        real = encoder.attention
+
+        def attention(*args, **kwargs):
+            keeps.append(kwargs.get("keep", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(encoder, "attention", attention)
+        batch = tiny_batch()
+        cfg = ModelConfig(**dict(TOY, layers=3), head_variant="gap")
+        params = init_params(cfg, 3)
+        params["head.w1"].data[0] = np.nan
+        with pytest.raises(FloatingPointError, match="; first non-finite: after the last layer$"):
+            train_step(batch, params, cfg, init_adam(params))
+        assert keeps == [False] * 6  # the training pass's three layers, then the diagnostic's
+
     def test_loss_decreases_on_fixed_batch(self):
         batch = tiny_batch()
         cfg = ModelConfig(**TOY, head_variant="gap")
