@@ -9,7 +9,11 @@ the repository root; every line must match between the two trees. Lines:
 
 - toy-train-<head>: 38 epochs of the toy profile (64 synthetic 64x64
   images, batch 8, lr 1e-2, augmentation on, seed 3), over the first 300
-  step losses and every parameter and Adam moment after the 304 steps;
+  step losses and every parameter and Adam moment after the 304 steps.
+  Each toy array is one block, and a toy step rebuilds in backward what
+  a paper step does (the layer norm outputs, Q, K, V, the probabilities,
+  the merged heads, the MLP's h and GELU(h)), so these lines check every
+  rebuild against the forward's bits;
 - cli-train-token: the checkpoint that ``patchcount train --profile toy
   --head token`` (3 epochs, batch 4, seed 3) writes for a synthesized set
   of six 64x64 images and four 48x48 ones, which ``fit_to_grid`` cuts into

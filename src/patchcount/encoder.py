@@ -24,12 +24,12 @@ def scaled_attention(q, k, v, n_heads, scale, w, record=False):
     [B, S, D] merged heads times the output projection ``w``.
 
     Returns (output, [B, H, S, S] attention weights as numpy or None).
-    Without a record no pass holds the probabilities whole, unless they
-    fit in one block: a recorded pass keeps each row's max and sum, and
-    backward rebuilds the probabilities block by block, and with them the
-    heads that ``w``'s gradient reads (see ndtensor.attention). A record
-    is the probabilities themselves, which no operation writes, and
-    backward reads them.
+    Without a record no pass holds the probabilities whole: a recorded
+    pass keeps each row's max and sum, and backward rebuilds the
+    probabilities block by block, and with them the heads that ``w``'s
+    gradient reads (see ndtensor.attention). A record is the
+    probabilities themselves, which no operation writes; backward does
+    not read it.
     """
     return attention(q, k, v, n_heads, scale, w, keep=record)
 
@@ -39,16 +39,16 @@ def msa(z, params, layer, n_heads, scale, record=False):
 
     The [B, S, D] projections Q, K and V go to ndtensor.attention as
     they are; it splits them into heads as views and applies the output
-    projection w_o in the same call. A recorded pass whose arrays span
-    more than one block keeps x-hat (in layer_norm) and each attention
-    row's softmax max and sum, and no LN output, Q, K, V, probabilities
-    or merged heads: attention's rule rebuilds Q, K and V from x-hat with
-    the forward's GEMMs (see ndtensor.matmul), the probabilities from
-    those, and the heads from the probabilities and V.
+    projection w_o in the same call. A recorded pass keeps x-hat (in
+    layer_norm) and each attention row's softmax max and sum, and no LN
+    output, Q, K, V, probabilities or merged heads: attention's rule
+    rebuilds Q, K and V from x-hat with the forward's GEMMs (see
+    ndtensor.matmul), the probabilities from those, and the heads from
+    the probabilities and V.
     """
     p = f"layer{layer}."
     q, k, v = (matmul(z, params[p + w]) for w in ("w_q", "w_k", "w_v"))
-    del z  # the LN output is freed before attention, unless a graph keeps it whole
+    del z  # the LN output is freed before attention; a graph keeps no copy of it
     return scaled_attention(q, k, v, n_heads, scale, params[p + "w_o"], record)
 
 
@@ -57,10 +57,9 @@ def mlp_block(z, params, layer):
     D) with GELU between, biases included, as one ndtensor.mlp call. mlp
     holds the only reference to the LN output, which is built inline as a
     plain positional argument (a ``*`` call would hold it in the call's
-    tuple). Without a graph, mlp frees it before the 4D-wide GELU. A
-    recorded pass whose arrays span more than one block keeps x-hat (in
-    layer_norm) and the output, and no LN output, h or GELU(h): backward
-    rebuilds them."""
+    tuple), and frees it before the 4D-wide GELU. A recorded pass keeps
+    x-hat (in layer_norm) and the output, and no LN output, h or GELU(h):
+    backward rebuilds them."""
     p = f"layer{layer}."
     return mlp(layer_norm(z, params[p + "ln2.gamma"], params[p + "ln2.beta"]),
                params[p + "mlp.w1"], params[p + "mlp.b1"],

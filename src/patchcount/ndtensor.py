@@ -29,9 +29,8 @@ the forward's own float32 steps, so with its bits:
   turn with the forward's GEMM, so ``attention`` keeps no Q, K or V
   projected from a layer_norm output.
 
-An intermediate that fits in one _BLOCK_BYTES block, as every toy-model
-array does, is kept instead (gelu's tanh(u) aside). A finite-difference
-checker validates the analytic gradients.
+What a recorded pass keeps does not depend on the arrays' sizes. A
+finite-difference checker validates the analytic gradients.
 """
 
 from __future__ import annotations
@@ -46,10 +45,10 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
 _LN_EPS = 1e-6
 
-# Bytes of one block of a blocked op's largest array. The op's few arrays
-# then stay together in one core's 2 MB L2 across its passes over a block.
-# 768 KiB is 64 rows of the paper's MLP activation; the toy model's arrays
-# all fit in one block.
+# Bytes of one block of a blocked op's largest array, for cache tiling
+# only. The op's few arrays then stay together in one core's 2 MB L2
+# across its passes over a block. 768 KiB is 64 rows of the paper's MLP
+# activation; the toy model's arrays all fit in one block.
 _BLOCK_BYTES = 768 << 10
 
 
@@ -333,20 +332,18 @@ def matmul(a, b):
 
     Leading batch dimensions must match or be absent on one side. A
     recorded product keeps no operand that its graph place can rebuild.
-    When the product spans more than one _BLOCK_BYTES block, its left
-    operand's place can rebuild and its right operand is a leaf (a
-    weight, which the rule keeps anyway), the product's own place can
-    rebuild it too, with the forward's GEMM on the rebuilt left operand:
-    a layer_norm output times w_q is one. It reads the weight as it is
-    then; the weight's last consumer is this rule, which runs after every
-    consumer of the product, so after every rebuild.
+    When its left operand's place can rebuild and its right operand is a
+    leaf (a weight, which the rule keeps anyway), the product's own place
+    can rebuild it too, with the forward's GEMM on the rebuilt left
+    operand: a layer_norm output times w_q is one. It reads the weight as
+    it is then; the weight's last consumer is this rule, which runs after
+    every consumer of the product, so after every rebuild.
     """
     a_, b_, a, b = a.data, b.data, a.node, b.node
     data = _matmul_data(a_, b_)
     a_, b_ = _kept(a, a_), _kept(b, b_)
     out = _make(data, (a, b), lambda g: _matmul_backward(a, b, a_, b_, g))
-    if out._node is not None and a.rebuild is not None and isinstance(b, Tensor) \
-            and not _one_block(data.shape, data.dtype.itemsize):
+    if out._node is not None and a.rebuild is not None and isinstance(b, Tensor):
         out._node.rebuild = lambda: _matmul_data(a.rebuild(), b_)
     return out
 
@@ -473,11 +470,6 @@ def _check_attention(q, k, v, n_heads, w):
                          f"{q.shape} heads, got {w.shape}")
 
 
-def _one_block(shape, itemsize):
-    """Whether an array of ``shape`` fits in one _BLOCK_BYTES block."""
-    return math.prod(shape) * itemsize <= _BLOCK_BYTES
-
-
 def _softmax_scaled_(p, scale, stats=None):
     """softmax(scale * p) over the last axis, in place; returns the row max
     and row sum it used, as two [..., 1] arrays.
@@ -508,32 +500,27 @@ def attention(q, k, v, n_heads, scale, w, keep=False):
     [Sq, Sk] matrices at a time, the logits are scaled, shifted and
     normalised in place on the Q K^T product and multiplied by V while
     they are in cache. The probabilities are kept whole only with
-    ``keep``, to be returned, or while the graph is recorded and they fit
-    in one block. Otherwise the pass holds one block of them, however many
-    heads and tiles there are, and a recorded pass keeps each row's max
-    and sum instead: backward rebuilds each block of probabilities from
+    ``keep``, to be returned; otherwise the pass holds one block of them,
+    however many heads and tiles there are. A recorded pass keeps each
+    row's max and sum: backward rebuilds each block of probabilities from
     Q, K and those, with the forward's own float32 steps, right before it
-    reads the block. A recorded pass keeps no Q, K or V whose graph place
-    can rebuild it (a projection of a layer_norm output that spans more
-    than one block, see matmul): the rule rebuilds them first. It keeps
-    the merged heads only when they fit in one block; otherwise the rule
-    rebuilds each block's heads, P V with the forward's GEMM, right after
-    it rebuilds the block's P, for w's gradient. Backward runs block by
-    block, so it never holds a whole gradient of the probabilities
-    either. The float32 operations and their order, forward and backward,
-    are those of matmul(merge_heads(matmul(softmax_rows(smul(matmul(
-    split_heads(q), transpose_last(split_heads(k))), scale)),
-    split_heads(v))), w).
+    reads the block, and then the block's heads, P V with the forward's
+    GEMM, for w's gradient. It keeps no Q, K or V whose graph place can
+    rebuild it (a projection of a layer_norm output, see matmul): the
+    rule rebuilds them first. Backward runs block by block, so it never
+    holds a whole gradient of the probabilities either. The float32
+    operations and their order, forward and backward, are those of
+    matmul(merge_heads(matmul(softmax_rows(smul(matmul(split_heads(q),
+    transpose_last(split_heads(k))), scale)), split_heads(v))), w).
     """
     _check_attention(q, k, v, n_heads, w)
     scale = float(scale)  # a numpy float64 would scale the float32 logits in float64
     q_, k_, v_, w_, q, k, v, w = q.data, k.data, v.data, w.data, q.node, k.node, v.node, w.node
     shape = (q.shape[0], n_heads, q.shape[1], k.shape[1])
     dtype, heads_dtype = np.result_type(q_, k_), np.result_type(q_, k_, v_)
-    record = _recording((q, k, v, w))
-    p = np.empty(shape, dtype) if keep or record and _one_block(shape, dtype.itemsize) else None
+    p = np.empty(shape, dtype) if keep else None
     stats = [np.empty(shape[:-1] + (1,), dtype) for _ in range(2)] \
-        if record and p is None else None
+        if _recording((q, k, v, w)) else None
     merged = np.empty(q.shape, heads_dtype)
     qh, kh, vh, mh = (_heads(a, n_heads) for a in (q_, k_, v_, merged))
     for i in _blocks(shape, dtype.itemsize, 2):
@@ -545,26 +532,20 @@ def attention(q, k, v, n_heads, scale, w, keep=False):
         del p_i  # a block not kept goes before the next one is made
     out = _matmul_data(merged, w_)
     kept = tuple((t, _kept(t, a)) for t, a in ((q, q_), (k, k_), (v, v_)))
-    if record and not _one_block(merged.shape, heads_dtype.itemsize):
-        merged = None  # the rule rebuilds the heads
 
     def backward(g):
         # the merged heads' gradient in their dtype, as w's product hands it on
         dm = _matmul_rows(g, np.swapaxes(w_, -1, -2)).astype(heads_dtype, copy=False)
-        rebuild = merged is None and w.requires_grad
-        m = np.empty(dm.shape, heads_dtype) if rebuild else merged
+        m = np.empty(dm.shape, heads_dtype) if w.requires_grad else None
         q_, k_, v_ = (_read(t, a) for t, a in kept)
         dq = np.empty(q.shape, np.result_type(dtype, k_))
         dv = np.empty(v.shape, np.result_type(dtype, dm))
         dk_t = np.empty(shape[:2] + (q.shape[-1] // n_heads, shape[-1]), np.result_type(q_, dtype))
         qh, kh, vh, dmh, dqh, dvh = (_heads(a, n_heads) for a in (q_, k_, v_, dm, dq, dv))
         for i in _blocks(shape, dtype.itemsize, 2):
-            if p is None:
-                p_i = np.matmul(qh[i], np.swapaxes(kh[i], -1, -2))
-                _softmax_scaled_(p_i, scale, (stats[0][i], stats[1][i]))
-            else:
-                p_i = p[i]
-            if rebuild:
+            p_i = np.matmul(qh[i], np.swapaxes(kh[i], -1, -2))
+            _softmax_scaled_(p_i, scale, (stats[0][i], stats[1][i]))
+            if m is not None:
                 np.matmul(p_i, vh[i], out=_heads(m, n_heads)[i])
             g_i = dmh[i]
             np.matmul(np.swapaxes(p_i, -1, -2), g_i, out=dvh[i])
@@ -584,7 +565,7 @@ def attention(q, k, v, n_heads, scale, w, keep=False):
         # [B, H, dh, Sk] to token-major, laid out as split_heads' rule lays it
         _accum(k, dk_t.transpose(0, 3, 1, 2).reshape(k.shape), owned=True)
 
-    return _make(out, (q, k, v, w), backward), p if keep else None
+    return _make(out, (q, k, v, w), backward), p
 
 
 def _heads(x_, n_heads):
@@ -662,13 +643,13 @@ def layer_norm(x, gamma, beta):
     rows, are reduced over the whole array as one. The variance takes
     ndarray.var's steps on x - mean (square, add.reduce, divide by the row
     length), so it has var's bytes without var's second pass for the mean.
-    A recorded pass keeps x-hat, the normalized x, for its rule; when the
-    output spans more than one _BLOCK_BYTES block, its graph place can
-    also rebuild the output as gamma * x-hat + beta with the forward's
-    steps, so the matmul and mlp rules that read it keep no copy. The
-    first rebuild in a backward makes the array, every later one returns
-    it, and this rule drops it. It reads gamma and beta as they are then:
-    their last consumer is this rule, which runs after every reader.
+    A recorded pass keeps x-hat, the normalized x, for its rule, and the
+    output's graph place rebuilds the output as gamma * x-hat + beta with
+    the forward's steps, so the matmul and mlp rules that read it keep no
+    copy. The first rebuild in a backward makes the array, every later
+    one returns it, and this rule drops it. It reads gamma and beta as
+    they are then: their last consumer is this rule, which runs after
+    every reader.
     """
     if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
         raise ShapeError(
@@ -706,7 +687,7 @@ def layer_norm(x, gamma, beta):
 
     rebuild = functools.cache(lambda: _affine(gamma_, xhat, beta_, np.empty(shape, dtype)))
     out = _make(data, (x, gamma, beta), backward)
-    if out._node is not None and not _one_block(shape, dtype.itemsize):
+    if out._node is not None:
         out._node.rebuild = rebuild
     return out
 
@@ -741,12 +722,11 @@ def _gelu_slope(x_, t, d):
     return d
 
 
-def _gelu_rows(x_, out, keep, g=None):
+def _gelu_rows(x_, out, g=None):
     """GELU of ``x_`` into ``out``, which may be ``x_`` itself, one block of
-    rows at a time; returns tanh(u) with ``keep``, for an ``x_`` that is one
-    block, else None. Given ``g``, an array of x_'s shape (with an ``out``
-    that is not x_, and no ``keep``), it also multiplies g by gelu'(x_) in
-    place, from the same tanh(u).
+    rows at a time. Given ``g``, an array of x_'s shape (with an ``out``
+    that is not x_), it also multiplies g by gelu'(x_) in place, from the
+    same tanh(u).
 
     tanh(u), and then 1 + tanh(u), live in one block-sized buffer per
     block (two with ``g``). Each float32 operation has the operands and
@@ -755,18 +735,15 @@ def _gelu_rows(x_, out, keep, g=None):
     bits, and g's product those of g * gelu'(x), whichever operand a
     caller holds in place, since a float product commutes.
     """
-    t = None
     for i in _blocks(x_.shape, out.dtype.itemsize, 1):
         x_i, out_i = x_[i], out[i]
         t_i = _gelu_tanh(x_i, out.dtype)
-        s_i = np.add(1.0, t_i, out=None if keep or g is not None else t_i)
+        s_i = np.add(1.0, t_i, out=None if g is not None else t_i)
         np.multiply(0.5, x_i, out=out_i)
         out_i *= s_i
         if g is not None:
             g[i] *= _gelu_slope(x_i, t_i, s_i)
-        t = t_i if keep else None  # kept, it is the one block
-        del t_i, s_i  # a block not kept goes before the next one is made
-    return t
+        del t_i, s_i  # a block goes before the next one is made
 
 
 def gelu(x):
@@ -779,12 +756,12 @@ def gelu(x):
     x_ = x.data
     dtype = np.result_type(_GELU_C, x_)
     data = np.empty(x_.shape, dtype)
-    _gelu_rows(x_, data, False)
+    _gelu_rows(x_, data)
     x = x.node
 
     def backward(g):
         dx = np.array(g, dtype=dtype)
-        _gelu_rows(x_, np.empty(x_.shape, dtype), False, dx)
+        _gelu_rows(x_, np.empty(x_.shape, dtype), dx)
         _accum(x, dx, owned=True)
 
     return _make(data, (x,), backward)
@@ -795,58 +772,47 @@ def mlp(x, w1, b1, w2, b2):
     nodes: GELU(h), whose rule runs the first linear's backward, and the
     output, whose rule runs the second linear's and gelu's.
 
-    h = x @ w1 + b1 and its GELU run as linear and gelu run them. A
-    recorded pass keeps x, unless x's graph place can rebuild it (a
-    layer_norm output's can), and when h fits in one _BLOCK_BYTES block
-    (every toy-model MLP's does), h, GELU(h) and tanh(u) too. The output's
-    rule takes GELU(h)'s gradient from w2 and turns it into h's, in place,
-    for the hidden rule. Above one block it first rebuilds x (through
-    x's graph place, which the hidden rule reads it from too) and h with
-    the forward's own GEMM; those rebuilds read w1 and b1 before the
-    hidden rule, their last consumer. One blocked
-    pass then computes each block's tanh(u) once, for GELU(h), which the
-    w2 weight-gradient GEMM reads, and for h's gradient. With one block,
-    the w2 weight gradient reads the kept GELU(h) first, and gelu'(h) is
-    then written over it.
-    Without a graph, GELU(h) is written over h, and x is dropped before
-    it, so an x that only the call holds (an argument built inline) is
-    freed before the 4D-wide GELU. The float32 operations and their order,
-    forward and backward, are those of the three ops, and each array goes
-    when their rules would drop it.
+    h = x @ w1 + b1 and its GELU run as linear and gelu run them, GELU(h)
+    written over h. x is dropped before the GELU, so an x that only the
+    call holds (an argument built inline) is freed before the 4D-wide
+    pass. A recorded pass keeps nothing but x, and not x when its graph
+    place can rebuild it (a layer_norm output's can). The output's rule
+    takes GELU(h)'s gradient from w2, then rebuilds x (through x's graph
+    place, which the hidden rule reads it from too) and h with the
+    forward's own GEMM; those rebuilds read w1 and b1 before the hidden
+    rule, their last consumer. One blocked pass then computes each
+    block's tanh(u) once, for GELU(h), which the w2 weight-gradient GEMM
+    reads, and for h's gradient, written in place for the hidden rule.
+    The float32 operations and their order, forward and backward, are
+    those of the three ops, and each array goes when their rules would
+    drop it.
     """
     record = _recording((x, w1, b1, w2, b2))
-    x_, w1_, b1_, w2_ = x.data, w1.data, b1.data, w2.data
+    x_, w1_, b1_, w2_, b2_ = x.data, w1.data, b1.data, w2.data, b2.data
     h = _linear_data(x_, w1_, b1_)
-    dtype = np.result_type(_GELU_C, h)
-    if not record:
+    if record:
+        x, w1, b1, w2, b2 = (v.node for v in (x, w1, b1, w2, b2))
+        x_ = _kept(x, x_)
+    else:
         x = x_ = None
-        _gelu_rows(h, h, False)
-        data = _linear_data(h, w2_, b2.data)
+    _gelu_rows(h, h)
+    data = _linear_data(h, w2_, b2_)
+    if not record:
         return Tensor(data, dtype=data.dtype)
-    a = np.empty(h.shape, dtype)
-    t = _gelu_rows(h, a, _one_block(h.shape, dtype.itemsize))
-    data = _linear_data(a, w2_, b2.data)
-    x, w1, b1, w2, b2 = (v.node for v in (x, w1, b1, w2, b2))
-    x_ = _kept(x, x_)
-    hidden = _Node(a, (x, w1, b1), lambda d: _linear_backward(x, w1, b1, x_, w1_, d))
-    if t is None:
-        a = h = None
+    hidden = _Node(h, (x, w1, b1), lambda d: _linear_backward(x, w1, b1, x_, w1_, d))
 
     def backward(g):
         _accum(b2, _unbroadcast(g, b2.shape))
         # GELU(h)'s gradient in the hidden place's dtype, as _accum would
-        # take it, then h's, in place
-        dh = _matmul_rows(g, np.swapaxes(w2_, -1, -2)).astype(dtype, copy=False)
-        a_ = a
-        if t is None:  # rebuilt with the forward's steps, so with its bits
-            h_r = _linear_data(_read(x, x_), w1_, b1_)
-            a_ = np.empty(h_r.shape, dtype)
-            _gelu_rows(h_r, a_, False, dh)
-            del h_r
+        # take it, then h's, in place; h is rebuilt with the forward's
+        # steps, so with its bits
+        dh = _matmul_rows(g, np.swapaxes(w2_, -1, -2)).astype(hidden.dtype, copy=False)
+        h = _linear_data(_read(x, x_), w1_, b1_)
+        a = np.empty(h.shape, hidden.dtype)
+        _gelu_rows(h, a, dh)
+        del h
         if w2.requires_grad:
-            _accum(w2, _unbroadcast(np.matmul(np.swapaxes(a_, -1, -2), g), w2.shape), owned=True)
-        if t is not None:  # w2's gradient has read GELU(h): it and tanh(u) are scratch now
-            dh *= _gelu_slope(h, t, np.add(1.0, t, out=a_))
+            _accum(w2, _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), w2.shape), owned=True)
         _accum(hidden, dh, owned=True)
 
     return _make(data, (hidden, w2, b2), backward)

@@ -20,7 +20,9 @@ def test_toy_run_prints_each_head_and_sites_that_sum_to_the_graph():
         total = float(re.fullmatch(r"graph ([0-9.]+) MiB", out[start].split("\t")[2])[1])
         sizes = [float(line.split()[0]) for line in out[start + 1:end]]
         assert out[end - 1].endswith("(the rest)")
-        # the toy graph keeps every one-block array: x-hat, each layer
-        # norm's output, the MLP's h and GELU(h), the probabilities
-        assert any("xhat = np.empty" in line for line in out[start + 1:end])
-        assert 0.1 < total and abs(sum(sizes) - total) <= 0.005 * len(sizes)
+        # what a recorded pass keeps does not depend on the arrays' sizes:
+        # like the paper's, the toy graph holds each layer norm's x-hat, and
+        # below the listed size its 1/std and attention's row statistics
+        sites = out[start + 1:end - 1]
+        assert sites and all("xhat = np.empty" in line for line in sites)
+        assert 0 < total <= 0.15 and abs(sum(sizes) - total) <= 0.005 * len(sizes)

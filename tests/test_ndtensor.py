@@ -415,17 +415,27 @@ def _of(fn, shapes, operand, rg=False):
     return op
 
 
-def _ln_matmuls(x, gamma, beta, w_q, w_k, w_v, w_r):
+def _kept_layer_norm(x, gamma, beta):
+    """layer_norm whose recorded output's graph place cannot rebuild it, so
+    every rule that reads the output keeps the array."""
+    out = layer_norm(x, gamma, beta)
+    if out._node is not None:
+        out._node.rebuild = None
+    return out
+
+
+def _ln_matmuls(x, gamma, beta, w_q, w_k, w_v, w_r, norm=layer_norm):
     """One layer_norm output read by four products: three as the left
     operand, as Q, K and V read it, and one as the right operand; their
-    outputs flattened per batch row and concatenated."""
-    z = layer_norm(x, gamma, beta)
+    outputs flattened per batch row and concatenated. ``norm`` is
+    layer_norm or _kept_layer_norm."""
+    z = norm(x, gamma, beta)
     outs = [matmul(z, w) for w in (w_q, w_k, w_v)] + [matmul(w_r, z)]
     return concat([reshape(o, (o.shape[0], -1)) for o in outs], 1)
 
 
-def _ln_mlp(x, gamma, beta, w1, b1, w2, b2):
-    return mlp(layer_norm(x, gamma, beta), w1, b1, w2, b2)
+def _ln_mlp(x, gamma, beta, w1, b1, w2, b2, norm=layer_norm):
+    return mlp(norm(x, gamma, beta), w1, b1, w2, b2)
 
 
 def _attention_chain(q, k, v, n_heads, scale, w):
@@ -436,12 +446,12 @@ def _attention_chain(q, k, v, n_heads, scale, w):
     return matmul(merge_heads(matmul(p, v)), w)
 
 
-def _ln_attention(x, gamma, beta, w_q, w_k, w_v, w_o, n_heads=2):
+def _ln_attention(x, gamma, beta, w_q, w_k, w_v, w_o, n_heads=2, norm=layer_norm):
     """encoder.msa's chain: one layer_norm output projected to Q, K and V,
     then attention with w_o. The scale is small enough that float32
     central differences of step 1e-2 stay within the checker's bound on
     unit-normal weights."""
-    z = layer_norm(x, gamma, beta)
+    z = norm(x, gamma, beta)
     q, k, v = (matmul(z, w) for w in (w_q, w_k, w_v))
     return attention(q, k, v, n_heads, 0.1, w_o)[0]
 
@@ -698,7 +708,8 @@ class TestBlockedBitExact:
 
     # the paper's sequence lengths, GAP (576) and Token (577), in blocks of
     # one matrix or row, and of two matrices, so the last block is short;
-    # a budget of 1 GiB keeps each op's intermediate whole
+    # the reference keeps what the op rebuilds: the unfused attention chain
+    # keeps the probabilities, and gelu at a budget of 1 GiB runs whole
     @pytest.mark.parametrize("s", [576, 577])
     @pytest.mark.parametrize("budget", [1, 2 * 577 * 577 * 4])
     @pytest.mark.parametrize("name", ["attention", "gelu"])
@@ -709,12 +720,15 @@ class TestBlockedBitExact:
             arrays, shape, core = _attention_inputs(rng, b=1, h=3, s=s), (1, 3, s, s), 2
             ops = [lambda q, k, v, w: attention(q, k, v, 3, scale, w)[0],
                    lambda q, k, v, w: attention(q, k, v, 3, scale, w, keep=True)[0]]
+
+            def reference(q, k, v, w):
+                return _attention_chain(q, k, v, 3, scale, w)
         else:
             arrays, shape, core = [rng.normal(scale=3.0, size=(1, s, 3072)).astype(np.float32)], \
                 (1, s, 3072), 1
-            ops = [gelu]
+            ops, reference = [gelu], gelu
         monkeypatch.setattr(nd, "_BLOCK_BYTES", 1 << 30)
-        whole = _outputs_and_grads(ops[0], arrays)
+        whole = _outputs_and_grads(reference, arrays)
         monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
         assert len(list(nd._blocks(shape, 4, core))) > 1
         for op in ops:
@@ -765,7 +779,7 @@ def _linear_gelu_linear(x, w1, b1, w2, b2):
 
 class TestMlp:
     """mlp gives the bits of linear -> gelu -> linear, forward and backward,
-    whether it keeps GELU(h) or rebuilds it."""
+    with h in one block or in many."""
 
     # (x, hidden): a small MLP, and a paper-length one (S = 577, 4D = 3072)
     # whose hidden spans ten blocks at the default budget; a budget of one
@@ -811,10 +825,10 @@ class TestMlp:
             assert mlp(*args)._node is None
 
     def test_backward_computes_each_tanh_once(self, monkeypatch):
-        # h spans four blocks: the output rule computes each block's tanh(u)
-        # once, for GELU(h) and for h's gradient; at the default budget h is
-        # one block, and backward reads the tanh(u) the forward kept. Either
-        # way the hidden rule receives h's gradient, with the chain's bits.
+        # h spans four blocks, or at the default budget one: the output rule
+        # computes each block's tanh(u) once, for GELU(h) and for h's
+        # gradient, and the hidden rule receives h's gradient, with the
+        # chain's bits.
         real, shapes = nd._gelu_tanh, []
         monkeypatch.setattr(nd, "_gelu_tanh", lambda x, dtype: shapes.append(x.shape)
                             or real(x, dtype))
@@ -829,7 +843,7 @@ class TestMlp:
         arrays = [rng.normal(size=s).astype(np.float32)
                   for s in ((1, 64, 24), (24, 96), (96,), (96, 24), (24,))]
         for budget, forward, blocks in [(16 * 96 * 4, [(16, 96)] * 4, [(16, 96)] * 4),
-                                        (nd._BLOCK_BYTES, [(1, 64, 96)], [])]:
+                                        (nd._BLOCK_BYTES, [(1, 64, 96)], [(1, 64, 96)])]:
             monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
             args = [t(a, rg=True) for a in arrays]
             shapes.clear()
@@ -847,14 +861,16 @@ class TestMlp:
             [expected] = [g for w, g in received if w is chain[1]]
             assert dh.dtype == expected.dtype and np.array_equal(dh, expected)
 
-    def test_one_block_backward_holds_at_most_four_hidden_arrays(self):
-        # a toy-model MLP (batch 8, 65 tokens, 64 wide), whose h is one block:
-        # the output rule takes h's gradient with the kept GELU(h) and
-        # tanh(u) as gelu's scratch, so at most four arrays of h's size are
-        # alive beyond what the graph held, and the weights' gradients
+    def test_backward_holds_three_hidden_arrays_and_one_blocks_scratch(self, monkeypatch):
+        # h spans four blocks: the output rule holds h's gradient, the
+        # rebuilt h and GELU(h), one block's tanh(u), 1 + tanh(u) and two
+        # gelu' temporaries, and the output's gradient; the weights'
+        # gradients come after the block scratch is gone
+        monkeypatch.setattr(nd, "_BLOCK_BYTES", 16 * 384 * 4)
         rng = np.random.default_rng(37)
         args = [t(rng.normal(scale=0.3, size=s), rg=True)
-                for s in ((8, 65, 64), (64, 64), (64,), (64, 64), (64,))]
+                for s in ((1, 64, 96), (96, 384), (384,), (384, 96), (96,))]
+        assert len(list(nd._blocks((1, 64, 384), 4, 1))) == 4
         tracemalloc.start()  # before the forward, so the graph's frees count
         try:
             loss = mean(mlp(*args))
@@ -864,8 +880,8 @@ class TestMlp:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        h_bytes, w_bytes = 8 * 65 * 64 * 4, 2 * 64 * 64 * 4
-        assert peak <= 4 * h_bytes + w_bytes + 4096, \
+        h_bytes, out_bytes = 64 * 384 * 4, 64 * 96 * 4
+        assert peak <= 3 * h_bytes + 4 * nd._BLOCK_BYTES + out_bytes + 16384, \
             f"backward peaked {peak} B above the graph; h is {h_bytes} B"
 
     def test_recorded_holds_hidden_and_output_but_no_gelu_output(self):
@@ -890,13 +906,13 @@ class TestMlp:
 
 
 class TestLayerNormRebuilt:
-    """A layer_norm output that spans blocks is rebuilt from x-hat in the
-    rules that read it; the outputs and every gradient keep the bits of the
-    chain that keeps it, which every op runs when each array is one block."""
+    """A layer_norm output is rebuilt from x-hat in the rules that read it,
+    at every size; the outputs and every gradient keep the bits of the
+    chain that keeps it (_kept_layer_norm, or linear, which keeps its x)."""
 
     # (x, hidden): small, and paper-sized (S = 577, D = 768, 4D = 3072),
-    # whose layer_norm output spans three blocks at the default budget; a
-    # budget of one byte gives every row a block of its own
+    # whose layer_norm output is one block and three at the default budget;
+    # a budget of one byte gives every row a block of its own
     @pytest.mark.parametrize("x_shape,hidden", [((2, 37, 24), 96), ((1, 577, 768), 3072)])
     @pytest.mark.parametrize("budget", [None, 1])
     @pytest.mark.parametrize("chain", ["matmul", "mlp"])
@@ -909,20 +925,16 @@ class TestLayerNormRebuilt:
         arrays = [rng.normal(scale=0.3 if i > 2 else 2.0, size=shape).astype(np.float32)
                   for i, shape in enumerate(shapes)]
         if chain == "matmul":
-            op = _ln_matmuls
+            def op(*args):
+                return _ln_matmuls(*args, norm=_kept_layer_norm)
         else:
             def op(x, gamma, beta, *weights):  # the composition mlp replaced
                 return _linear_gelu_linear(layer_norm(x, gamma, beta), *weights)
 
-        def rebuilds():
-            return layer_norm(*(t(a, rg=True) for a in arrays[:3]))._node.rebuild is not None
-
-        default = nd._BLOCK_BYTES
-        monkeypatch.setattr(nd, "_BLOCK_BYTES", 1 << 30)
-        assert not rebuilds()
         expected = _outputs_and_grads(op, arrays)
-        monkeypatch.setattr(nd, "_BLOCK_BYTES", default if budget is None else budget)
-        assert rebuilds() == (budget == 1 or s == 577)
+        if budget is not None:
+            monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+        assert layer_norm(*(t(a, rg=True) for a in arrays[:3]))._node.rebuild is not None
         got = _outputs_and_grads(_ln_matmuls if chain == "matmul" else _ln_mlp, arrays)
         for a, b in zip(expected, got, strict=True):
             assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
@@ -932,7 +944,7 @@ class TestLayerNormRebuilt:
         rng = np.random.default_rng(30)
         arrays = [rng.normal(size=s).astype(np.float32) for s in _LN_MLP_SHAPES.values()]
         arrays[wide] = arrays[wide].astype(np.float64)
-        expected = _outputs_and_grads(_ln_mlp, arrays)
+        expected = _outputs_and_grads(lambda *a: _ln_mlp(*a, norm=_kept_layer_norm), arrays)
         monkeypatch.setattr(nd, "_BLOCK_BYTES", 1)
         got = _outputs_and_grads(_ln_mlp, arrays)
         for a, b in zip(expected, got, strict=True):
@@ -965,10 +977,9 @@ class TestLayerNormRebuilt:
 
 
 class TestProjectionsRebuilt:
-    """Q, K and V projected from a layer_norm output that spans blocks are
-    rebuilt from x-hat in attention's rule; the outputs and every gradient
-    keep the bits of the chain that keeps them, which every op runs when
-    each array is one block."""
+    """Q, K and V projected from a layer_norm output are rebuilt from x-hat
+    in attention's rule, at every size; the outputs and every gradient keep
+    the bits of the chain that keeps them (_kept_layer_norm)."""
 
     # D = 768 and 12 heads, as the paper's; at the default budget the
     # projections of S = 577 span three blocks and those of S = 37 are one,
@@ -981,20 +992,17 @@ class TestProjectionsRebuilt:
         arrays = [rng.normal(scale=0.3 if i > 2 else 2.0, size=shape).astype(np.float32)
                   for i, shape in enumerate([x_shape, (d,), (d,)] + [(d, d)] * 4)]
 
-        def op(*args):
-            return _ln_attention(*args, n_heads=12)
-
-        def rebuilds():
-            z = layer_norm(*(t(a, rg=True) for a in arrays[:3]))
+        def rebuilds(norm):
+            z = norm(*(t(a, rg=True) for a in arrays[:3]))
             return matmul(z, t(arrays[3])).node.rebuild is not None
 
-        default = nd._BLOCK_BYTES
-        monkeypatch.setattr(nd, "_BLOCK_BYTES", 1 << 30)
-        assert not rebuilds()
-        expected = _outputs_and_grads(op, arrays)
-        monkeypatch.setattr(nd, "_BLOCK_BYTES", default if budget is None else budget)
-        assert rebuilds() == (budget == 1 or x_shape[1] == 577)
-        got = _outputs_and_grads(op, arrays)
+        assert not rebuilds(_kept_layer_norm)
+        expected = _outputs_and_grads(
+            lambda *a: _ln_attention(*a, n_heads=12, norm=_kept_layer_norm), arrays)
+        if budget is not None:
+            monkeypatch.setattr(nd, "_BLOCK_BYTES", budget)
+        assert rebuilds(layer_norm)
+        got = _outputs_and_grads(lambda *a: _ln_attention(*a, n_heads=12), arrays)
         for a, b in zip(expected, got, strict=True):
             assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -1003,14 +1011,14 @@ class TestProjectionsRebuilt:
         rng = np.random.default_rng(33)
         arrays = [rng.normal(size=s).astype(np.float32) for s in _LN_ATTENTION_SHAPES.values()]
         arrays[wide] = arrays[wide].astype(np.float64)
-        expected = _outputs_and_grads(_ln_attention, arrays)
+        expected = _outputs_and_grads(lambda *a: _ln_attention(*a, norm=_kept_layer_norm),
+                                      arrays)
         monkeypatch.setattr(nd, "_BLOCK_BYTES", 1)
         got = _outputs_and_grads(_ln_attention, arrays)
         for a, b in zip(expected, got, strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
-    def test_only_a_leaf_right_operand_rebuilds(self, monkeypatch):
-        monkeypatch.setattr(nd, "_BLOCK_BYTES", 1)
+    def test_only_a_leaf_right_operand_rebuilds(self):
         rng = np.random.default_rng(34)
         z = layer_norm(*(t(rng.normal(size=s), rg=True) for s in ((2, 4, 6), (6,), (6,))))
         w = t(rng.normal(size=(6, 6)), rg=True)
@@ -1050,11 +1058,13 @@ class TestProjectionsRebuilt:
         assert held <= 2 * rows + 64 * 4 + 2 * 4 * 64 * 4 + 16384, \
             f"held {held} B; x-hat and the output are {2 * rows} B"
 
-    def test_recorded_one_block_msa_holds_the_projections(self, monkeypatch):
-        # one block: the layer_norm output, Q, K, V and the probabilities
-        # are kept besides x-hat, the merged heads and the output
-        held, rows = self._held_by_msa(monkeypatch, 1 << 30)
-        assert held >= 7 * rows + 4 * 64 * 64 * 4, f"held {held} B"
+    def test_recorded_one_block_msa_holds_no_projection(self, monkeypatch):
+        # as above, with every array one block: what the graph keeps does
+        # not depend on the arrays' sizes
+        held, rows = self._held_by_msa(monkeypatch, nd._BLOCK_BYTES)
+        assert len(list(nd._blocks((1, 4, 64, 64), 4, 2))) == 1
+        assert held <= 2 * rows + 64 * 4 + 2 * 4 * 64 * 4 + 16384, \
+            f"held {held} B; x-hat and the output are {2 * rows} B"
 
 
 class TestLayerNormRebuiltOnce:
@@ -1198,10 +1208,10 @@ class TestAttentionHolds:
         g = np.random.default_rng(27).normal(size=out.shape).astype(np.float32)
         _, peak = _traced_peak(lambda: out._node._backward(g))
         grads = q.grad.nbytes + k.grad.nbytes + v.grad.nbytes + w.grad.nbytes
-        # the gradients it hands over, the merged heads' gradient g w^T,
-        # and for one block the rebuilt probabilities, dP and its softmax
-        # backward
-        assert peak <= grads + v.data.nbytes + 3 * self.MATRIX + self.MATRIX // 4, \
+        # the gradients it hands over, the merged heads' gradient g w^T and
+        # the rebuilt heads, and for one block the rebuilt probabilities,
+        # dP and its softmax backward
+        assert peak <= grads + 2 * v.data.nbytes + 3 * self.MATRIX + self.MATRIX // 4, \
             f"peak {peak} B; a whole dP is {8 * self.MATRIX} B"
 
 
@@ -1314,7 +1324,7 @@ class TestGraphKeepsWhatRulesRead:
     def test_residual_and_attention_outputs_freed_while_the_graph_lives(
             self, monkeypatch, head):
         dropped, read = [], []  # weakrefs to forward arrays
-        add, real_attention = encoder.add, encoder.attention
+        add, real_attention, real_mlp = encoder.add, encoder.attention, heads.mlp
 
         def residual(a, b):  # a is the projected attention or the MLP output, b the stream
             out = add(a, b)
@@ -1322,16 +1332,20 @@ class TestGraphKeepsWhatRulesRead:
             return out
 
         def attention(q, k, v, n_heads, scale, w, keep=False):
-            # the probabilities a recorded pass keeps for backward anyway
+            # the probabilities, which backward rebuilds from row statistics
             out, probs = real_attention(q, k, v, n_heads, scale, w, keep=True)
-            dropped.append(weakref.ref(out.data))
-            read.append(weakref.ref(probs))
+            dropped.extend(weakref.ref(x) for x in (out.data, probs))
             return out, probs if keep else None
+
+        def regressor(x, *weights):  # the pooled features, which the rule reads
+            read.append(weakref.ref(x.data))
+            return real_mlp(x, *weights)
 
         monkeypatch.setattr(encoder, "add", residual)
         monkeypatch.setattr(encoder, "attention", attention)
+        monkeypatch.setattr(heads, "mlp", regressor)
         params, loss = _toy_loss(head, batch=2)
-        assert (len(dropped), len(read)) == (2 * 5, 2)  # two layers
+        assert (len(dropped), len(read)) == (2 * 6, 1)  # two layers
         assert [r() for r in dropped] == [None] * len(dropped)
         assert all(r() is not None for r in read)
         backward(loss)
