@@ -629,7 +629,8 @@ class TestBlocks:
         assert firsts == sorted(firsts)
 
     def test_toy_model_arrays_are_one_block(self):
-        # attention [8, 4, 65, 65], MLP hidden [8, 65, 256], LN [8, 65, 64]
+        # toy ops run as one numpy call per pass: attention [8, 4, 65, 65],
+        # MLP hidden [8, 65, 256], LN [8, 65, 64]
         for shape, core in (((8, 4, 65, 65), 2), ((8, 65, 256), 1), ((8, 65, 64), 1)):
             assert list(nd._blocks(shape, 4, core)) == [(...,)]
 
@@ -1094,8 +1095,8 @@ class TestLayerNormRebuiltOnce:
 
 class TestProjectedAttention:
     """attention gives the bits of split_heads, softmax(scale * Q K^T) V,
-    merge_heads and w's product as a chain of primitives, whether it keeps
-    the merged heads or rebuilds them in its rule."""
+    merge_heads and w's product as a chain of primitives, with the merged
+    heads, which its rule rebuilds, in one block or in many."""
 
     # S even and odd, 4 heads of [.., 96]: at the default budget the merged
     # heads are one block, at 16 rows they span four or more

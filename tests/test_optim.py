@@ -373,7 +373,7 @@ class TestFusedTrainStep:
         train_step(batch, params, cfg, init_adam(params, lr=1e-3))
         assert len(held) == len(params) and max(held) <= 2, held
 
-    # the default budget keeps every toy array whole; 256 bytes splits the
+    # the default budget runs every toy array as one block; 256 bytes splits the
     # MLP hidden, the attention matrices and Adam's updates into blocks
     @pytest.mark.parametrize("budget", [None, 256])
     @pytest.mark.parametrize("head", ["gap", "token"])
